@@ -587,20 +587,18 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
 
     working = history.copy()
     current = data
-    active: np.ndarray | None = None       # None means every row of `current`
+    deleted: set[int] = set()
     trace: list[str] = []
     diag_total: dict = {"full_gradient_evals": 0, "pair_rejections": 0,
                         "cholesky_fallbacks": 0, "empty_buffer_fallbacks": 0}
     records = []
-    cum_delete: list[int] = []
     any_added = False
 
     t_engine = 0.0
     for k, req in enumerate(requests):
         if req.direction == "delete":
             idx = int(req.indices[0])
-            pool = np.arange(current.n) if active is None else active
-            if idx not in pool:
+            if not 0 <= idx < current.n or idx in deleted:
                 raise ChangeSetError(f"request {k}: index {idx} is not an active sample")
             removed = np.asarray([idx], dtype=np.intp)
             added = None
@@ -608,7 +606,7 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
             removed = None
             added = Dataset(req.features, req.labels)
 
-        obj = Objective(history.config.loss, current, active=active)
+        obj = Objective(history.config.loss, current, removed=sorted(deleted))
         start = time.perf_counter()
         w_prev = working.params[-1].copy()
         w_final, trace, diag, _ = _run_gd_core(
@@ -626,14 +624,9 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
 
         # commit the sample change for the next request
         if req.direction == "delete":
-            pool = np.arange(current.n) if active is None else active
-            active = pool[pool != idx]
-            cum_delete.append(idx)
+            deleted.add(idx)
         else:
-            new_id = current.n
-            pool = np.arange(current.n) if active is None else active
             current = current.extended(req.features, req.labels)
-            active = np.concatenate([pool, [new_id]])
             any_added = True
 
         for key in diag_total:
@@ -658,7 +651,7 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
         if any_added:
             raise ValueError("baseline comparison is supported for pure deletion streams")
         t0 = time.perf_counter()
-        w_u = baseline_retrain(data, history, ChangeSet.delete(cum_delete))
+        w_u = baseline_retrain(data, history, ChangeSet.delete(sorted(deleted)))
         t_base = time.perf_counter() - t0
         w_cached = history.params[-1]
         outcome.timings.update(baseline_s=t_base,

@@ -6,22 +6,24 @@ gradient difference. `quasi_hvp` evaluates B @ v, with B the BFGS-style
 quasi-Hessian built from the stored pairs on top of B0 = sigma * I,
 sigma = (dg_newest . dw_newest) / (dw_newest . dw_newest).
 
-The compact evaluation follows the block factorization of the 2m x 2m
-middle matrix
+The compact form (Byrd, Nocedal & Schnabel, 1994) is
 
-    M = [[-D, L'], [L, sigma*W'W]]
-      = [[D^1/2, 0], [-L D^-1/2, J]] @ [[-D^1/2, D^-1/2 L'], [0, J']]
+    B v = sigma*v - K @ M^-1 @ K' v,   K = [G, sigma*W],
+    M = [[-D, L'], [L, sigma*W'W]],
 
-with J J' = sigma*W'W + L D^-1 L', W'G = D + L + (strictly upper), so
+with W'G = D + L + (strictly upper). The Schur complement of -D in M is
+C = sigma*W'W + L D^-1 L' = J J'; its Cholesky factor J is the SPD test.
+With E = J^-1 L D^-1 and F = [E, J^-1],
 
-    B v = sigma*v - [G, sigma*W] @ M^-1 @ [G'v; sigma*W'v].
+    M^-1 = F'F - [[D^-1, 0], [0, 0]].
 
 The middle matrix uses L D^-1 L'; the plain L D L' variant does not
 reproduce the rank-2 update recursion (cross-checked against
-`recursive_apply`, which is the arbiter). Cost per product is
-O(m^3 + m*p), with the factorization cached between inserts.
+`recursive_B_apply`, which is the arbiter). Building K and M^-1 costs
+O(m^2*p + m^3) once per insert; each product is then three small
+matrix-vector products, O(m*p).
 
-`recursive_apply` and `inverse_apply` materialize dense p x p operators
+`recursive_B_apply` and `inverse_apply` materialize dense p x p operators
 from the textbook rank-2 recursions; they are O(m*p^2) test oracles, not
 hot-path code.
 """
@@ -42,26 +44,11 @@ class CompactFactorization:
     """Frozen ingredients of the compact quasi-Hessian representation."""
 
     sigma: float
-    W: np.ndarray          # p x m, columns are stored dw, oldest first
-    G: np.ndarray          # p x m, matching dg columns
-    WtW: np.ndarray        # m x m
-    WtG: np.ndarray        # m x m
-    D: np.ndarray          # diagonal of WtG, length m
-    Ltri: np.ndarray       # strictly lower-triangular part of WtG
-    J: np.ndarray          # lower Cholesky factor of sigma*WtW + Ltri D^-1 Ltri'
+    Kt: np.ndarray         # 2m x p, rows of K' = [G, sigma*W]'
+    Minv: np.ndarray       # 2m x 2m inverse of the middle matrix
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        m = self.D.size
-        sq = np.sqrt(self.D)
-        q_top = self.G.T @ v
-        q_bot = self.sigma * (self.W.T @ v)
-        # forward solve with [[D^1/2, 0], [-L D^-1/2, J]]
-        z_top = q_top / sq
-        z_bot = np.linalg.solve(self.J, q_bot + self.Ltri @ (z_top / sq))
-        # back solve with [[-D^1/2, D^-1/2 L'], [0, J']]
-        p_bot = np.linalg.solve(self.J.T, z_bot)
-        p_top = ((self.Ltri.T @ p_bot) / sq - z_top) / sq
-        return self.sigma * v - self.G @ p_top - self.sigma * (self.W @ p_bot)
+        return self.sigma * v - self.Kt.T @ (self.Minv @ (self.Kt @ v))
 
 
 class CurvaturePairBuffer:
@@ -113,19 +100,23 @@ class CurvaturePairBuffer:
         if not self._dw:
             raise ValueError("buffer is empty")
         if self._fact is None:
-            W = np.column_stack(self._dw)
-            G = np.column_stack(self._dg)
-            sigma = float(self._dg[-1] @ self._dw[-1]) / float(self._dw[-1] @ self._dw[-1])
-            WtW = W.T @ W
-            WtG = W.T @ G
-            D = np.diag(WtG).copy()
+            Wt = np.array(self._dw)          # m x p, oldest pair first
+            Gt = np.array(self._dg)
+            sigma = float(Gt[-1] @ Wt[-1]) / float(Wt[-1] @ Wt[-1])
+            WtG = Wt @ Gt.T
+            D = np.diag(WtG)
             Ltri = np.tril(WtG, -1)
-            middle = sigma * WtW + (Ltri / D) @ Ltri.T
+            LDinv = Ltri / D
+            middle = sigma * (Wt @ Wt.T) + LDinv @ Ltri.T
             try:
                 J = np.linalg.cholesky(middle)
             except np.linalg.LinAlgError as exc:
                 raise FactorizationError(f"middle matrix not SPD: {exc}") from exc
-            self._fact = CompactFactorization(sigma, W, G, WtW, WtG, D, Ltri, J)
+            Jinv = np.linalg.inv(J)
+            F = np.concatenate([Jinv @ LDinv, Jinv], axis=1)
+            Minv = F.T @ F
+            Minv[:D.size, :D.size] -= np.diag(1.0 / D)
+            self._fact = CompactFactorization(sigma, np.concatenate([Gt, sigma * Wt]), Minv)
         return self._fact
 
 

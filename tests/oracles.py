@@ -14,7 +14,9 @@ def per_sample_grad(kind, l2, x, y, w):
     w = np.asarray(w, dtype=float)
     z = sum(float(a) * float(b) for a, b in zip(x, w))
     if kind == "logistic":
-        s = 1.0 / (1.0 + math.exp(-y * z))
+        m = y * z
+        # math.exp(-m) overflows below m = -709; e^m / (1 + e^m) is the same value
+        s = 1.0 / (1.0 + math.exp(-m)) if m >= 0 else math.exp(m) / (1.0 + math.exp(m))
         coeff = (s - 1.0) * y
     else:
         coeff = z - y

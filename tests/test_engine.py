@@ -296,6 +296,37 @@ def test_online_rejects_repeated_delete():
         unlearn_online(data, hist, reqs, GD)
 
 
+@pytest.mark.parametrize("idx", [-1, 601])
+def test_online_rejects_out_of_range_delete(idx):
+    data, hist = train_problem(T=30)
+    # n = 600, so after one addition the valid ids are 0..600
+    row = np.full(data.p, 0.1)
+    reqs = [ChangeSet.delete([0]), ChangeSet.add(row, [1.0]), ChangeSet.delete([idx])]
+    with pytest.raises(ChangeSetError):
+        unlearn_online(data, hist, reqs, GD)
+
+
+def test_online_delete_of_added_row_matches_retrain():
+    data, hist = train_problem(n=400, p=5, T=60)
+    rng = np.random.default_rng(14)
+    rows = rng.normal(size=(2, data.p))
+    labels = [1.0, -1.0]
+    reqs = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [labels[0]]),
+            ChangeSet.add(rows[1], [labels[1]]), ChangeSet.delete([data.n]),
+            ChangeSet.delete([11])]
+    out = unlearn_online(data, hist, reqs, GD)
+    # final sample set: originals minus {3, 11}, then the second added row
+    keep = np.setdiff1d(np.arange(data.n), [3, 11])
+    final = Dataset(np.vstack([data.features[keep], rows[1:]]),
+                    np.concatenate([data.labels[keep], labels[1:]]))
+    cfg = TrainConfig(loss=hist.config.loss, iterations=hist.iterations,
+                      batch_size=final.n, eta_schedule=hist.config.eta_schedule,
+                      seed=hist.config.seed)
+    w_ref = train_gd(final, cfg).params[-1]
+    ratio = np.linalg.norm(out.w_final - w_ref) / np.linalg.norm(w_ref - hist.params[-1])
+    assert ratio <= 0.2
+
+
 def test_online_rejects_multi_sample_request():
     data, hist = train_problem(T=30)
     with pytest.raises(ChangeSetError):

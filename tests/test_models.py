@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltagrad import (
     Dataset,
@@ -13,6 +16,8 @@ from deltagrad import (
     smoothness_bound,
     subset_gradient_sum,
 )
+from deltagrad import models
+from deltagrad.models import gradient_sum
 from oracles import fd_gradient, grad_scalar, loss_scalar, per_sample_grad, ridge_solution
 
 
@@ -183,3 +188,67 @@ def test_fingerprint_is_order_sensitive(logistic_data):
     assert logistic_data.fingerprint() != shuffled.fingerprint()
     again = Dataset(logistic_data.features.copy(), logistic_data.labels.copy())
     assert logistic_data.fingerprint() == again.fingerprint()
+
+
+def test_fingerprint_digest_is_stable():
+    # pinned so that caches written by earlier versions keep loading
+    data = Dataset(np.arange(12.0).reshape(4, 3) / 7.0, [1.0, -1.0, -1.0, 1.0])
+    assert data.fingerprint().hex() == (
+        "bb8ee9e104dd91a5c0cc99b7bda794b821fdbbd2f19e644d8729152e5d9f420b"
+    )
+
+
+def margin_problem(kind, n, p, margin, seed):
+    """Random rows with w scaled so that max_i |x_i . w| equals `margin`."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0) if kind == "logistic" else rng.normal(size=n)
+    w = rng.normal(size=p)
+    w *= margin / max(np.max(np.abs(X @ w)), 1e-300)
+    return Dataset(X, y), w
+
+
+def check_kernel_against_oracle(kind, data, w):
+    """gradient_sum within a worst-case roundoff bound of the scalar oracle,
+    and indices=arange(n) equal to indices=None bit for bit.
+
+    Both sides round the dot products x_i . w (error ~ p*eps*sum_k |x_ik w_k|),
+    the per-row coefficient (absolute error ~ eps*|y_i| at most, plus the
+    dot-product error, since |d coeff / d z| <= 1) and the sum over rows
+    (~ n*eps times the sum of |coeff_i * x_ij|, with |coeff_i| bounded by
+    sum_k |x_ik w_k| + |y_i|). Hence per component
+    tol_j = 8 (n + p) eps sum_i (sum_k |x_ik w_k| + |y_i|) |x_ij|.
+    """
+    X, y = data.features, data.labels
+    n, p = X.shape
+    cfg = LossConfig(kind, 0.0)
+    got = gradient_sum(cfg, data, w)
+    expected = grad_scalar(kind, 0.0, X, y, w)
+    row_mag = np.abs(X) @ np.abs(w) + np.abs(y)
+    tol = 8 * (n + p) * np.finfo(float).eps * (np.abs(X).T @ row_mag) / n
+    assert np.all(np.abs(got / n - expected) <= tol)
+    assert np.array_equal(gradient_sum(cfg, data, w, np.arange(n)), got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    p=st.integers(1, 60),
+    block_rows=st.integers(1, 64),
+    blocks=st.floats(0.01, 4.0),
+    margin=st.floats(0.0, 800.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_sum_across_blocks(kind, p, block_rows, blocks, margin, seed):
+    n = max(1, int(blocks * block_rows))
+    data, w = margin_problem(kind, n, p, margin, seed)
+    with mock.patch.object(models, "BLOCK_BYTES", 8 * p * block_rows):
+        check_kernel_against_oracle(kind, data, w)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "ridge"])
+def test_gradient_sum_across_default_blocks(kind):
+    p = 50
+    rows = models.BLOCK_BYTES // (8 * p)
+    data, w = margin_problem(kind, 2 * rows + rows // 2, p, 800.0, seed=7)
+    check_kernel_against_oracle(kind, data, w)
