@@ -186,8 +186,7 @@ def cmd_update(args, direction: str) -> int:
     data = load_dataset(args)
     history = dataio.load_cache(args.cache, data)
     cfg = engine.DeltaGradConfig(
-        period=args.T0, burn_in=args.j0, history_size=args.m,
-        mode=args.mode, direction=direction,
+        period=args.T0, burn_in=args.j0, history_size=args.m, mode=args.mode,
     )
 
     if args.online:

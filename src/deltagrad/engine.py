@@ -1,21 +1,22 @@
 """Incremental model-update engines and the naive retraining baseline.
 
-Four engines correct a cached training trajectory after sample deletion or
-addition without retraining from scratch:
+Every engine is a setting of one correction loop, `_run_gd_core`, which
+corrects a cached training trajectory after sample deletion or addition
+without retraining from scratch:
 
-  unlearn_batch_gd / relearn_batch_gd  -- full-batch trajectories
-  unlearn_batch_sgd                    -- minibatch trajectories
-  unlearn_online                       -- a stream of single-sample requests,
-                                          rewriting the cached history as it goes
-  unlearn_general                      -- guarded variant that tolerates
-                                          non-convex regions
+  unlearn_batch_gd / relearn_batch_gd  -- all rows, minus or plus the change
+  unlearn_batch_sgd                    -- each recorded minibatch, minus its
+                                          deleted rows
+  unlearn_general                      -- all rows, with convexity guards
+  unlearn_online                       -- one single-sample request at a
+                                          time, rewriting the cached history
 
-All of them follow the same skeleton: during a burn-in prefix and once every
-`period` iterations thereafter, the new-trajectory gradient is computed
-exactly and the difference against the cached gradient is pushed into a
-curvature-pair buffer; in between, the gradient is reconstructed as
-cached_gradient + B(v) with v the parameter drift and B the quasi-Hessian
-from the buffer, so only the changed samples' gradients are ever evaluated.
+During a burn-in prefix and once every `period` iterations thereafter, the
+new-trajectory gradient is computed exactly and the difference against the
+cached gradient is pushed into a curvature-pair buffer; in between, the
+gradient is reconstructed as cached_gradient + B(v) with v the parameter
+drift and B the quasi-Hessian from the buffer, so only the changed samples'
+gradients are ever evaluated.
 
 `baseline_retrain` is the correctness oracle: it replays the recorded
 schedule directly over the changed sample set.
@@ -53,7 +54,6 @@ class DeltaGradConfig:
     burn_in: int = 10
     history_size: int = 2
     mode: str = "gd"
-    direction: str = "delete"
     smoothness_limit: float = 1.0
 
     def __post_init__(self):
@@ -65,8 +65,6 @@ class DeltaGradConfig:
             raise ValueError("burn_in must be >= history_size to fill the pair buffer")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
 class ChangeSet:
@@ -225,34 +223,40 @@ def _run_gd_core(
     removed_ids: np.ndarray | None,
     added: Dataset | None,
     *,
+    batches: list[np.ndarray] | None = None,
     guards: bool = False,
     overwrite: bool = False,
     keep_trajectory: bool = False,
 ):
-    """Shared full-batch correction loop.
+    """The correction loop of every engine.
 
     The sample change is either `removed_ids` (absolute rows of obj's data)
-    or `added` (a small Dataset of new rows); the changed-objective gradient
-    at iterate w is
+    or `added` (a small Dataset of new rows). Iteration t runs over every
+    row of obj, or over the recorded minibatch batches[t], whose deleted
+    members are its changed rows. With n rows and r changed, the
+    changed-objective gradient at iterate w is
 
-        ( data_sum(all) -/+ data_sum(changed) ) / (n -/+ r) + l2*w
+        ( data_sum(rows) -/+ data_sum(changed) ) / (n -/+ r) + l2*w
 
     at explicit iterations, and at approximate iterations
 
         n/(n -/+ r) * (B v + cached_grad) -/+ (changed_sum + r*l2*w)/(n -/+ r)
 
-    which for r = 0 collapses bitwise to the cached update. With
-    overwrite=True, params[t] and grads[t] are replaced by the corrected
-    iterate and the (exact or reconstructed) new-objective gradient.
+    which for r = 0 collapses bitwise to the cached update; a minibatch left
+    empty is skipped. With overwrite=True, params[t] and grads[t] are
+    replaced by the corrected iterate and the (exact or reconstructed)
+    new-objective gradient.
     """
     T = grads.shape[0]
     n = obj.n
     sign = -1.0 if added is None else 1.0
     r = (0 if removed_ids is None else len(removed_ids)) if added is None else added.n
-    denom = n - r if added is None else n + r
-    if added is None and denom <= 0:
+    if batches is None and added is None and n - r <= 0:
         raise ChangeSetError("cannot delete every remaining sample")
-    ratio = n / denom
+    if batches is not None:
+        removed_mask = np.zeros(obj.data.n, dtype=bool)
+        removed_mask[removed_ids] = True
+    batch = None
     l2 = obj.l2
 
     def changed_data_sum(w):
@@ -274,6 +278,18 @@ def _run_gd_core(
     zero = np.zeros(obj.p)
 
     for t in range(T):
+        if batches is not None:
+            batch = batches[t]
+            removed_ids = batch[removed_mask[batch]]
+            n, r = batch.size, removed_ids.size
+            if n == r:
+                trace.append("skipped-empty-batch")
+                if keep_trajectory:
+                    trajectory.append(iw.copy())
+                continue
+        denom = n - r if added is None else n + r
+        ratio = n / denom
+
         w_t = params[t]
         g_t = grads[t]
         v = iw - w_t
@@ -312,7 +328,7 @@ def _run_gd_core(
         if run_explicit:
             if guards:
                 last_anchor = t
-            S = obj.data_grad_sum(iw)
+            S = obj.data_grad_sum(iw, batch)
             full_evals += 1
             g_full = S / n + l2 * iw
             dg = g_full - g_t
@@ -350,6 +366,7 @@ def _run_gd_core(
         "smoothness_guard_events": smoothness_events,
         "cholesky_fallbacks": cholesky_fallbacks,
         "empty_buffer_fallbacks": empty_buffer_fallbacks,
+        "skipped_batches": trace.count("skipped-empty-batch"),
     }
     return iw, trace, diagnostics, (np.asarray(trajectory) if keep_trajectory else None)
 
@@ -374,12 +391,16 @@ def _with_baseline(outcome: UpdateOutcome, data, history, change, t_engine):
 
 
 def _batch_gd(data, history, change, cfg, *, guards, with_baseline, keep_trajectory,
-              objective=None):
+              objective=None, minibatch=False):
     _verify_fingerprint(history, data)
     _check_engine_convexity(history, cfg)
     change.validate_against(data.n, data.p)
-    if history.config.batch_size != data.n:
+    if minibatch:
+        batches = history.batches()
+    elif history.config.batch_size != data.n:
         raise ValueError("history was trained with minibatches; use the sgd engine")
+    else:
+        batches = None
     obj = objective if objective is not None else Objective(history.config.loss, data)
     if change.direction == "delete":
         removed, added = change.indices, None
@@ -396,6 +417,7 @@ def _batch_gd(data, history, change, cfg, *, guards, with_baseline, keep_traject
         cfg,
         removed,
         added,
+        batches=batches,
         guards=guards,
         keep_trajectory=keep_trajectory,
     )
@@ -469,93 +491,8 @@ def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False,
         raise ValueError("unlearn_batch_sgd requires cfg.mode == 'sgd'")
     if change.direction != "delete":
         raise ValueError("addition is not defined for minibatch histories")
-    _verify_fingerprint(history, data)
-    _check_engine_convexity(history, cfg)
-    change.validate_against(data.n, data.p)
-
-    obj = Objective(history.config.loss, data)
-    l2 = obj.l2
-    removed_mask = np.zeros(data.n, dtype=bool)
-    removed_mask[change.indices] = True
-    batches = history.batches()
-    eta_at = history.config.eta_at
-    zero = np.zeros(data.p)
-
-    buf = CurvaturePairBuffer(cfg.history_size)
-    iw = history.params[0].copy()
-    trace: list[str] = []
-    trajectory = [iw.copy()] if keep_trajectory else None
-    full_evals = 0
-    cholesky_fallbacks = 0
-    empty_buffer_fallbacks = 0
-
-    t0 = time.perf_counter()
-    for t in range(history.iterations):
-        batch = batches[t]
-        B_t = batch.size
-        rm = batch[removed_mask[batch]]
-        dB = rm.size
-        if B_t - dB == 0:
-            trace.append("skipped-empty-batch")
-            if keep_trajectory:
-                trajectory.append(iw.copy())
-            continue
-
-        w_t = history.params[t]
-        g_t = history.gradients[t]
-        v = iw - w_t
-        scheduled = t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
-        run_explicit = scheduled
-        label = "explicit" if scheduled else "approximated"
-        Bv = None
-        if not scheduled:
-            if not v.any():
-                Bv = zero
-            elif len(buf) == 0:
-                run_explicit, label = True, "fallback"
-                empty_buffer_fallbacks += 1
-            else:
-                try:
-                    Bv = quasi_hvp(buf, v)
-                except FactorizationError:
-                    run_explicit, label = True, "fallback"
-                    cholesky_fallbacks += 1
-
-        if run_explicit:
-            S = obj.data_grad_sum(iw, batch)
-            full_evals += 1
-            g_full = S / B_t + l2 * iw
-            buf.append_pair(v, g_full - g_t, tag=t)
-            rem = obj.data_grad_sum(iw, rm) if dB else zero
-            new_grad = (S - rem) / (B_t - dB) + l2 * iw
-        else:
-            rem_reg = (obj.data_grad_sum(iw, rm) + dB * l2 * iw) if dB else zero
-            new_grad = (B_t / (B_t - dB)) * (Bv + g_t) - rem_reg / (B_t - dB)
-
-        iw_next = iw - eta_at(t) * new_grad
-        _finite_or_raise(t, iw_next, iw)
-        iw = iw_next
-        trace.append(label)
-        if keep_trajectory:
-            trajectory.append(iw.copy())
-    t_engine = time.perf_counter() - t0
-
-    outcome = UpdateOutcome(
-        w_final=iw,
-        mode_trace=trace,
-        diagnostics={
-            "full_gradient_evals": full_evals,
-            "pair_rejections": buf.rejected,
-            "cholesky_fallbacks": cholesky_fallbacks,
-            "empty_buffer_fallbacks": empty_buffer_fallbacks,
-            "skipped_batches": trace.count("skipped-empty-batch"),
-        },
-        timings={"deltagrad_s": t_engine},
-        trajectory=np.asarray(trajectory) if keep_trajectory else None,
-    )
-    if with_baseline:
-        _with_baseline(outcome, data, history, change, t_engine)
-    return outcome
+    return _batch_gd(data, history, change, cfg, guards=False, minibatch=True,
+                     with_baseline=with_baseline, keep_trajectory=keep_trajectory)
 
 
 def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> UpdateOutcome:
@@ -584,6 +521,8 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
             raise ChangeSetError(
                 f"added row has {req.features.shape[1]} features, expected {data.p}"
             )
+        if with_baseline and req.direction == "add":
+            raise ValueError("baseline comparison is supported for pure deletion streams")
 
     working = history.copy()
     current = data
@@ -592,7 +531,6 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     diag_total: dict = {"full_gradient_evals": 0, "pair_rejections": 0,
                         "cholesky_fallbacks": 0, "empty_buffer_fallbacks": 0}
     records = []
-    any_added = False
 
     t_engine = 0.0
     for k, req in enumerate(requests):
@@ -627,7 +565,6 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
             deleted.add(idx)
         else:
             current = current.extended(req.features, req.labels)
-            any_added = True
 
         for key in diag_total:
             diag_total[key] += diag.get(key, 0)
@@ -648,20 +585,7 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     )
 
     if with_baseline:
-        if any_added:
-            raise ValueError("baseline comparison is supported for pure deletion streams")
-        t0 = time.perf_counter()
-        w_u = baseline_retrain(data, history, ChangeSet.delete(sorted(deleted)))
-        t_base = time.perf_counter() - t0
-        w_cached = history.params[-1]
-        outcome.timings.update(baseline_s=t_base,
-                               speedup=(t_base / t_engine) if t_engine > 0 else float("inf"))
-        outcome.distances.update(
-            uw_w=float(np.linalg.norm(w_u - w_cached)),
-            uw_iw=float(np.linalg.norm(w_u - outcome.w_final)),
-            w_iw=float(np.linalg.norm(w_cached - outcome.w_final)),
-        )
-        outcome.diagnostics["baseline_w"] = w_u
+        _with_baseline(outcome, data, history, ChangeSet.delete(sorted(deleted)), t_engine)
     return outcome
 
 

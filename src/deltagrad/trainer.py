@@ -10,7 +10,7 @@ batch_size, iterations) alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class TrainingHistory:
     n: int
     p: int
     fingerprint: bytes
-    batch_sizes: np.ndarray = field(default=None)
 
     @property
     def iterations(self) -> int:
@@ -95,7 +94,6 @@ class TrainingHistory:
             self.n,
             self.p,
             self.fingerprint,
-            None if self.batch_sizes is None else self.batch_sizes.copy(),
         )
 
 
@@ -170,7 +168,6 @@ def train_gd(data: Dataset, cfg: TrainConfig, objective: Objective | None = None
         n=data.n,
         p=data.p,
         fingerprint=data.fingerprint(),
-        batch_sizes=np.full(cfg.iterations, data.n, dtype=np.intp),
     )
 
 
@@ -198,5 +195,4 @@ def train_sgd(data: Dataset, cfg: TrainConfig) -> TrainingHistory:
         n=data.n,
         p=data.p,
         fingerprint=data.fingerprint(),
-        batch_sizes=np.asarray([b.size for b in batches], dtype=np.intp),
     )

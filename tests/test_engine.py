@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltagrad import (
     ChangeSet,
@@ -16,6 +20,7 @@ from deltagrad import (
     generate_synthetic,
     record_benchmark,
     relearn_batch_gd,
+    smoothness_bound,
     train_gd,
     train_sgd,
     unlearn_batch_gd,
@@ -221,13 +226,38 @@ def test_sgd_null_change_is_bit_exact():
     assert np.array_equal(out.trajectory, hist.params)
 
 
-def test_sgd_full_batch_degenerates_to_gd():
-    data, hist_gd = train_problem(T=50)
-    hist_sgd = train_sgd(data, hist_gd.config)
-    change = ChangeSet.delete([3, 8, 100])
-    out_gd = unlearn_batch_gd(data, hist_gd, change, GD)
-    out_sgd = unlearn_batch_sgd(data, hist_sgd, change, SGD)
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    n=st.integers(3, 60),
+    p=st.integers(1, 6),
+    period=st.integers(1, 8),
+    burn_in=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    data_st=st.data(),
+)
+def test_sgd_full_batch_degenerates_to_gd(kind, n, p, period, burn_in, seed, data_st):
+    data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
+    loss_cfg = LossConfig(kind, 0.01)
+    eta = 1.0 / (smoothness_bound(loss_cfg, data) + loss_cfg.l2)
+    cfg = TrainConfig(loss=loss_cfg, iterations=30, batch_size=n,
+                      eta_schedule=((0, eta),), seed=seed)
+    hist_gd = train_gd(data, cfg)
+    hist_sgd = train_sgd(data, cfg)
+    gd = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2, mode="gd")
+    sgd = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2, mode="sgd")
+    ids = data_st.draw(st.lists(st.integers(0, n - 1), max_size=min(5, n - 1), unique=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        out_gd = unlearn_batch_gd(data, hist_gd, ChangeSet.delete(ids), gd)
+        out_sgd = unlearn_batch_sgd(data, hist_sgd, ChangeSet.delete(ids), sgd)
     assert np.array_equal(out_gd.w_final, out_sgd.w_final)
+    assert out_gd.mode_trace == out_sgd.mode_trace
+    empty = ChangeSet.delete([])
+    assert np.array_equal(unlearn_batch_gd(data, hist_gd, empty, gd).w_final,
+                          hist_gd.params[-1])
+    assert np.array_equal(unlearn_batch_sgd(data, hist_sgd, empty, sgd).w_final,
+                          hist_sgd.params[-1])
 
 
 def test_sgd_tracks_baseline():
@@ -252,7 +282,9 @@ def test_sgd_empty_batch_skipped():
         out = unlearn_batch_sgd(data, hist, change, DeltaGradConfig(
             period=3, burn_in=2, history_size=2, mode="sgd"))
         w_u = baseline_retrain(data, hist, change)
-    assert "skipped-empty-batch" in out.mode_trace
+    skipped = out.mode_trace.count("skipped-empty-batch")
+    assert skipped >= 1
+    assert out.diagnostics["skipped_batches"] == skipped
     assert np.linalg.norm(out.w_final - w_u) < 1.0
 
 
@@ -325,6 +357,18 @@ def test_online_delete_of_added_row_matches_retrain():
     w_ref = train_gd(final, cfg).params[-1]
     ratio = np.linalg.norm(out.w_final - w_ref) / np.linalg.norm(w_ref - hist.params[-1])
     assert ratio <= 0.2
+
+
+def test_online_baseline_rejects_additions_before_any_work(monkeypatch):
+    data, hist = train_problem(T=30)
+    calls = []
+    core = engine_mod._run_gd_core
+    monkeypatch.setattr(engine_mod, "_run_gd_core",
+                        lambda *a, **k: calls.append(1) or core(*a, **k))
+    reqs = [ChangeSet.delete([4]), ChangeSet.add(np.full(data.p, 0.1), [1.0])]
+    with pytest.raises(ValueError, match="pure deletion"):
+        unlearn_online(data, hist, reqs, GD, with_baseline=True)
+    assert calls == []
 
 
 def test_online_rejects_multi_sample_request():
