@@ -514,15 +514,25 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     _check_engine_convexity(history, cfg)
     if history.config.batch_size != data.n:
         raise ValueError("the online engine requires a full-batch history")
-    for req in requests:
+    # replay the stream's sample set so that a bad request fails before any work
+    active_n = data.n
+    to_delete: set[int] = set()
+    for k, req in enumerate(requests):
         if req.r != 1:
             raise ChangeSetError("online requests must touch exactly one sample")
-        if req.direction == "add" and req.features.shape[1] != data.p:
+        if req.direction == "delete":
+            idx = int(req.indices[0])
+            if not 0 <= idx < active_n or idx in to_delete:
+                raise ChangeSetError(f"request {k}: index {idx} is not an active sample")
+            to_delete.add(idx)
+            continue
+        if req.features.shape[1] != data.p:
             raise ChangeSetError(
                 f"added row has {req.features.shape[1]} features, expected {data.p}"
             )
-        if with_baseline and req.direction == "add":
+        if with_baseline:
             raise ValueError("baseline comparison is supported for pure deletion streams")
+        active_n += 1
 
     working = history.copy()
     current = data
@@ -536,8 +546,6 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     for k, req in enumerate(requests):
         if req.direction == "delete":
             idx = int(req.indices[0])
-            if not 0 <= idx < current.n or idx in deleted:
-                raise ChangeSetError(f"request {k}: index {idx} is not an active sample")
             removed = np.asarray([idx], dtype=np.intp)
             added = None
         else:

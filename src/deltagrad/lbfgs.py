@@ -69,6 +69,7 @@ class CurvaturePairBuffer:
         self.tags: list[int] = []
         self.rejected = 0
         self._fact: CompactFactorization | None = None
+        self._strict_lower = np.tri(capacity, k=-1, dtype=bool)
 
     def __len__(self) -> int:
         return len(self._dw)
@@ -103,9 +104,10 @@ class CurvaturePairBuffer:
             Wt = np.array(self._dw)          # m x p, oldest pair first
             Gt = np.array(self._dg)
             sigma = float(Gt[-1] @ Wt[-1]) / float(Wt[-1] @ Wt[-1])
+            m = len(Wt)
             WtG = Wt @ Gt.T
-            D = np.diag(WtG)
-            Ltri = np.tril(WtG, -1)
+            D = WtG.diagonal()
+            Ltri = np.where(self._strict_lower[:m, :m], WtG, 0.0)
             LDinv = Ltri / D
             middle = sigma * (Wt @ Wt.T) + LDinv @ Ltri.T
             try:
@@ -115,7 +117,7 @@ class CurvaturePairBuffer:
             Jinv = np.linalg.inv(J)
             F = np.concatenate([Jinv @ LDinv, Jinv], axis=1)
             Minv = F.T @ F
-            Minv[:D.size, :D.size] -= np.diag(1.0 / D)
+            Minv.flat[:m * (2 * m + 1):2 * m + 1] -= 1.0 / D   # top-left m x m diagonal
             self._fact = CompactFactorization(sigma, np.concatenate([Gt, sigma * Wt]), Minv)
         return self._fact
 

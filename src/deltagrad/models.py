@@ -7,11 +7,15 @@ carry an l2*w term and subset sums are consistent with n times the full
 gradient.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
-frozen after construction and safe to share across threads.
+frozen after construction and safe to share across threads. A Dataset owns
+its labels and checks once, at construction, whether they are all +1 or -1;
+the logistic functions read that result instead of scanning the labels on
+every call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass
 
@@ -33,11 +37,15 @@ class Dataset:
     Labels are {-1, +1} for logistic loss, arbitrary reals for ridge.
     Row indices are semantic: deletion requests refer to them, and the
     content fingerprint is order-sensitive.
+
+    The labels are copied, so no caller-held array or view can change them
+    after the one-time +-1 check; the features are not copied (a second
+    n x p array would double the memory of large problems).
     """
 
     def __init__(self, features, labels):
         X = np.ascontiguousarray(features, dtype=np.float64)
-        y = np.ascontiguousarray(labels, dtype=np.float64)
+        y = np.array(labels, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionMismatchError(f"features must be 2-D, got ndim={X.ndim}")
         if y.ndim != 1:
@@ -52,6 +60,7 @@ class Dataset:
         y.flags.writeable = False
         self.features = X
         self.labels = y
+        self._pm1_labels = bool((np.abs(y) == 1.0).all())
 
     @property
     def n(self) -> int:
@@ -122,8 +131,8 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_logistic_labels(y):
-    if not (np.abs(y) == 1.0).all():
+def _check_logistic_labels(data: Dataset):
+    if not data._pm1_labels:
         raise ValueError("logistic loss requires labels exactly +1 or -1")
 
 
@@ -132,7 +141,7 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
     w = _check_w(data, w)
     z = data.features @ w
     if cfg.kind == "logistic":
-        _check_logistic_labels(data.labels)
+        _check_logistic_labels(data)
         # log(1 + exp(-y*z)) evaluated stably via logaddexp(0, -y*z)
         core = float(np.mean(np.logaddexp(0.0, -data.labels * z)))
     else:
@@ -149,9 +158,10 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w, indices=None) -> np.ndarray:
 
     Rows are summed in blocks of BLOCK_BYTES: z = X_b @ w, the per-row
     coefficient a, then g += X_b.T @ a. The logistic coefficient is
-    (sigmoid(y*z) - 1)*y written as -y*sigmoid(-y*z). `indices` gathers its
-    rows first and runs the same blocks, so indices=arange(n) reproduces
-    indices=None bit for bit.
+    (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
+    y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
+    `indices` gathers its rows first and runs the same blocks, so
+    indices=arange(n) reproduces indices=None bit for bit.
     """
     w = _check_w(data, w)
     X, y = data.features, data.labels
@@ -164,14 +174,22 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w, indices=None) -> np.ndarray:
         X, y = X[idx], y[idx]
     logistic = cfg.kind == "logistic"
     if logistic:
-        _check_logistic_labels(y)
+        _check_logistic_labels(data)
     rows = max(1, BLOCK_BYTES // (8 * data.p))
     g = np.zeros(data.p)
-    for lo in range(0, y.size, rows):
-        Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
-        z = Xb @ w
-        a = -yb * sigmoid(-yb * z) if logistic else z - yb
-        g += Xb.T @ a
+    # exp(y*z) may overflow to inf, which makes the coefficient an exact 0
+    with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
+        for lo in range(0, y.size, rows):
+            Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
+            z = Xb @ w
+            if logistic:
+                a = yb * z
+                np.exp(a, out=a)
+                np.subtract(-1.0, a, out=a)
+                np.divide(yb, a, out=a)
+            else:
+                a = z - yb
+            g += Xb.T @ a
     return g
 
 
@@ -206,7 +224,7 @@ def hessian_vector_product(cfg: LossConfig, data: Dataset, w, v) -> np.ndarray:
         raise DimensionMismatchError(f"v has shape {v.shape}, expected ({data.p},)")
     X = data.features
     if cfg.kind == "logistic":
-        _check_logistic_labels(data.labels)
+        _check_logistic_labels(data)
         s = sigmoid(data.labels * (X @ w))
         lam = s * (1.0 - s)
         return X.T @ (lam * (X @ v)) / data.n + cfg.l2 * v
@@ -223,7 +241,7 @@ def per_sample_gradient_norms(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     X = data.features
     z = X @ w
     if cfg.kind == "logistic":
-        _check_logistic_labels(data.labels)
+        _check_logistic_labels(data)
         a = (sigmoid(data.labels * z) - 1.0) * data.labels
     else:
         a = z - data.labels
@@ -252,12 +270,18 @@ class Objective:
     through this adapter so that the r = 0 arithmetic is literally the
     training-time expression. `removed` (sorted row ids, usually empty) is
     subtracted from the all-rows sum; the online engine grows it per deletion.
+    The removed rows are gathered once, here, not on every evaluation.
     """
 
     def __init__(self, cfg: LossConfig, data: Dataset, removed=()):
         self.cfg = cfg
         self.data = data
         self.removed = np.asarray(removed, dtype=np.intp)
+        self._removed_rows = None
+        if self.removed.size:
+            if self.removed.min() < 0 or self.removed.max() >= data.n:
+                raise IndexError(f"removed index out of range [0, {data.n})")
+            self._removed_rows = data.subset(self.removed)
 
     @property
     def n(self) -> int:
@@ -277,8 +301,8 @@ class Objective:
         if indices is not None:
             return gradient_sum(self.cfg, self.data, w, indices)
         total = gradient_sum(self.cfg, self.data, w)
-        if self.removed.size:
-            total -= gradient_sum(self.cfg, self.data, w, self.removed)
+        if self._removed_rows is not None:
+            total -= gradient_sum(self.cfg, self._removed_rows, w)
         return total
 
     def full_avg_gradient(self, w) -> np.ndarray:

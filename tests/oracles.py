@@ -42,6 +42,25 @@ def grad_scalar(kind, l2, X, y, w):
     return acc / len(y) + l2 * np.asarray(w, dtype=float)
 
 
+def compact_factors(dws, dgs):
+    """(Minv, Kt) of the compact quasi-Hessian form built with np.tril and
+    np.diag, as the library first wrote it. Raises LinAlgError when the
+    middle matrix is not SPD."""
+    Wt = np.array(dws)
+    Gt = np.array(dgs)
+    sigma = float(Gt[-1] @ Wt[-1]) / float(Wt[-1] @ Wt[-1])
+    WtG = Wt @ Gt.T
+    D = np.diag(WtG)
+    Ltri = np.tril(WtG, -1)
+    LDinv = Ltri / D
+    J = np.linalg.cholesky(sigma * (Wt @ Wt.T) + LDinv @ Ltri.T)
+    Jinv = np.linalg.inv(J)
+    F = np.concatenate([Jinv @ LDinv, Jinv], axis=1)
+    Minv = F.T @ F
+    Minv[:D.size, :D.size] -= np.diag(1.0 / D)
+    return Minv, np.concatenate([Gt, sigma * Wt])
+
+
 def fd_gradient(f, w, h=1e-6):
     w = np.asarray(w, dtype=float)
     g = np.zeros_like(w)

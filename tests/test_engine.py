@@ -321,21 +321,33 @@ def test_online_stream_tracks_baseline():
     assert out.distances["uw_iw"] < out.distances["uw_w"]
 
 
-def test_online_rejects_repeated_delete():
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Records every call of the correction loop."""
+    calls = []
+    core = engine_mod._run_gd_core
+    monkeypatch.setattr(engine_mod, "_run_gd_core",
+                        lambda *a, **k: calls.append(1) or core(*a, **k))
+    return calls
+
+
+def test_online_rejects_repeated_delete(core_calls):
     data, hist = train_problem(T=30)
-    reqs = [ChangeSet.delete([5]), ChangeSet.delete([5])]
-    with pytest.raises(ChangeSetError):
+    reqs = [ChangeSet.delete([5]), ChangeSet.delete([7]), ChangeSet.delete([5])]
+    with pytest.raises(ChangeSetError, match="request 2"):
         unlearn_online(data, hist, reqs, GD)
+    assert core_calls == []
 
 
 @pytest.mark.parametrize("idx", [-1, 601])
-def test_online_rejects_out_of_range_delete(idx):
+def test_online_rejects_out_of_range_delete(idx, core_calls):
     data, hist = train_problem(T=30)
     # n = 600, so after one addition the valid ids are 0..600
     row = np.full(data.p, 0.1)
     reqs = [ChangeSet.delete([0]), ChangeSet.add(row, [1.0]), ChangeSet.delete([idx])]
-    with pytest.raises(ChangeSetError):
+    with pytest.raises(ChangeSetError, match="request 2"):
         unlearn_online(data, hist, reqs, GD)
+    assert core_calls == []
 
 
 def test_online_delete_of_added_row_matches_retrain():
@@ -359,16 +371,12 @@ def test_online_delete_of_added_row_matches_retrain():
     assert ratio <= 0.2
 
 
-def test_online_baseline_rejects_additions_before_any_work(monkeypatch):
+def test_online_baseline_rejects_additions_before_any_work(core_calls):
     data, hist = train_problem(T=30)
-    calls = []
-    core = engine_mod._run_gd_core
-    monkeypatch.setattr(engine_mod, "_run_gd_core",
-                        lambda *a, **k: calls.append(1) or core(*a, **k))
     reqs = [ChangeSet.delete([4]), ChangeSet.add(np.full(data.p, 0.1), [1.0])]
     with pytest.raises(ValueError, match="pure deletion"):
         unlearn_online(data, hist, reqs, GD, with_baseline=True)
-    assert calls == []
+    assert core_calls == []
 
 
 def test_online_rejects_multi_sample_request():

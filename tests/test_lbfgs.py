@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltagrad import (
     CurvaturePairBuffer,
@@ -8,6 +10,7 @@ from deltagrad import (
     quasi_hvp,
     recursive_B_apply,
 )
+from oracles import compact_factors
 
 
 def spd_pairs(rng, p, m, cond=1.0):
@@ -185,3 +188,42 @@ def test_empty_buffer_rejected():
     buf = CurvaturePairBuffer(2)
     with pytest.raises(ValueError):
         quasi_hvp(buf, np.zeros(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    spare=st.integers(0, 4),
+    evicted=st.integers(0, 3),
+    p=st.integers(1, 30),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factorization_matches_tril_diag_oracle(m, spare, evicted, p, noise, seed):
+    # up to m pairs (a noisy pair may fail the curvature test) in a capacity
+    # of m + spare (at most 5), after `evicted` older pairs were pushed out
+    # of a full buffer; Minv and Kt must equal the np.tril/np.diag
+    # formulation bit for bit, or both must fail Cholesky
+    rng = np.random.default_rng(seed)
+    capacity = min(m + spare, 5)
+    A = rng.normal(size=(p, p))
+    H = A @ A.T + np.eye(p)
+    buf = CurvaturePairBuffer(capacity)
+    kept = []
+    for _ in range(m + (evicted if m == capacity else 0)):
+        s = rng.normal(size=p) * 10.0 ** rng.uniform(-3, 3)
+        y = H @ s + noise * np.linalg.norm(H @ s) * rng.normal(size=p) / np.sqrt(p)
+        if buf.append_pair(s, y):
+            kept.append((s, y))
+    if not kept:
+        return
+    dws, dgs = zip(*kept[-len(buf):])
+    try:
+        Minv, Kt = compact_factors(dws, dgs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(FactorizationError):
+            buf.factorization()
+        return
+    fact = buf.factorization()
+    assert np.array_equal(fact.Minv, Minv)
+    assert np.array_equal(fact.Kt, Kt)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from deltagrad import (
     subset_gradient_sum,
 )
 from deltagrad import models
-from deltagrad.models import gradient_sum
+from deltagrad.models import Objective, gradient_sum, per_sample_gradient_norms
 from oracles import fd_gradient, grad_scalar, loss_scalar, per_sample_grad, ridge_solution
 
 
@@ -182,6 +183,46 @@ def test_logistic_requires_pm1_labels():
         loss(LossConfig("logistic", 0.0), data, np.zeros(1))
 
 
+LABEL_CHECKED_CALLS = {
+    "gradient_sum": lambda cfg, d, w: gradient_sum(cfg, d, w),
+    "gradient_sum_indices": lambda cfg, d, w: gradient_sum(cfg, d, w, [0]),
+    "data_grad_sum": lambda cfg, d, w: Objective(cfg, d).data_grad_sum(w),
+    "loss": lambda cfg, d, w: loss(cfg, d, w),
+    "hessian_vector_product": lambda cfg, d, w: hessian_vector_product(cfg, d, w, w),
+    "per_sample_gradient_norms": lambda cfg, d, w: per_sample_gradient_norms(cfg, d, w),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LABEL_CHECKED_CALLS))
+def test_logistic_label_check_on_every_entry_point(call):
+    # row 0 is a valid label, so the indexed call is refused for the dataset,
+    # not for the rows it gathers
+    cfg = LossConfig("logistic", 0.1)
+    bad = Dataset([[1.0, 0.0], [0.5, 2.0], [1.0, 1.0]], [1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="labels exactly"):
+        LABEL_CHECKED_CALLS[call](cfg, bad, np.full(2, 0.3))
+    good = Dataset(bad.features, [1.0, -1.0, -1.0])
+    LABEL_CHECKED_CALLS[call](cfg, good, np.full(2, 0.3))
+    # ridge accepts any real label
+    LABEL_CHECKED_CALLS[call](LossConfig("ridge", 0.1), bad, np.full(2, 0.3))
+
+
+def test_dataset_owns_its_labels():
+    cfg = LossConfig("logistic", 0.0)
+    X = np.ones((3, 1))
+    y = np.array([1.0, -1.0, 1.0])
+    base = np.array([0.0, 1.0, -1.0, 1.0])
+    w = np.zeros(1)
+    for labels, alias in ((y, y), (base[1:], base)):
+        data = Dataset(X, labels)
+        g = gradient_sum(cfg, data, w)
+        alias[1:] = 0.5          # the caller keeps a writeable array
+        assert np.array_equal(data.labels, [1.0, -1.0, 1.0])
+        assert not data.labels.flags.writeable
+        assert np.array_equal(gradient_sum(cfg, data, w), g)
+        assert loss(cfg, data, w) == pytest.approx(math.log(2.0), abs=1e-15)
+
+
 def test_fingerprint_is_order_sensitive(logistic_data):
     perm = np.arange(logistic_data.n)[::-1]
     shuffled = Dataset(logistic_data.features[perm], logistic_data.labels[perm])
@@ -252,3 +293,17 @@ def test_gradient_sum_across_default_blocks(kind):
     rows = models.BLOCK_BYTES // (8 * p)
     data, w = margin_problem(kind, 2 * rows + rows // 2, p, 800.0, seed=7)
     check_kernel_against_oracle(kind, data, w)
+
+
+@pytest.mark.parametrize("margin", [709.0, 710.0, 800.0, 1e4])
+def test_logistic_gradient_at_exp_overflow(margin):
+    # y*z = +margin on rows 0 and 3, where exp(y*z) overflows from 710 on,
+    # and -margin on rows 1 and 2
+    X = np.array([[1.0, 0.5], [1.0, -0.5], [-1.0, 0.25], [-1.0, 2.0]])
+    data = Dataset(X, [1.0, -1.0, 1.0, -1.0])
+    w = np.array([margin, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gradient_sum(LossConfig("logistic", 0.0), data, w)
+        assert np.isfinite(g).all()
+        check_kernel_against_oracle("logistic", data, w)
