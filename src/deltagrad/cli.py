@@ -28,7 +28,7 @@ from .errors import (
     PrivacyBoundError,
 )
 from .models import Dataset, LossConfig, full_gradient, loss
-from .trainer import TrainConfig, train_gd, train_sgd
+from .trainer import TrainConfig, TrainingHistory, train_gd, train_sgd
 
 EXIT_CODES = (
     (ParseError, 3),
@@ -115,23 +115,22 @@ def _requests_from_file(path, p: int):
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad id {rest!r}") from None
             elif op == "add":
-                row = np.zeros(p)
                 tokens = rest.split()
                 try:
                     label = float(tokens[0])
-                    for tok in tokens[1:]:
-                        idx_s, _, val_s = tok.partition(":")
-                        row[int(idx_s) - 1] = float(val_s)
                 except (ValueError, IndexError):
                     raise ParseError(f"{path}:{lineno}: bad row {rest!r}") from None
+                row = np.zeros(p)
+                for j, val in dataio.parse_feature_tokens(tokens[1:], f"{path}:{lineno}", p):
+                    row[j] = val
                 requests.append(engine.ChangeSet.add(row, [label]))
             else:
                 raise ParseError(f"{path}:{lineno}: expected 'del' or 'add'")
     return requests
 
 
-def cmd_train(args) -> int:
-    data = load_dataset(args)
+def _train_from_flags(args, data) -> TrainingHistory:
+    """Train with the training flags: GD when --batch is 0 or n, else SGD."""
     cfg = TrainConfig(
         loss=LossConfig(kind=args.loss, l2=args.l2),
         iterations=args.iters,
@@ -139,12 +138,15 @@ def cmd_train(args) -> int:
         eta_schedule=parse_lr_schedule(args.lr),
         seed=args.seed,
     )
+    return (train_gd if cfg.batch_size == data.n else train_sgd)(data, cfg)
+
+
+def cmd_train(args) -> int:
+    data = load_dataset(args)
     t0 = time.perf_counter()
-    if cfg.batch_size == data.n:
-        history = train_gd(data, cfg)
-    else:
-        history = train_sgd(data, cfg)
+    history = _train_from_flags(args, data)
     elapsed = time.perf_counter() - t0
+    cfg = history.config
     dataio.save_cache(history, args.cache_out)
     final_loss = loss(cfg.loss, data, history.params[-1])
     gnorm = float(np.linalg.norm(full_gradient(cfg.loss, data, history.params[-1])))
@@ -168,7 +170,7 @@ def cmd_train(args) -> int:
 
 
 def _resolve_change(args, data) -> engine.ChangeSet:
-    if args.add_file:
+    if args.command == "relearn":
         added = dataio.parse_libsvm(args.add_file)
         feats = added.features
         if feats.shape[1] < data.p:
@@ -182,14 +184,15 @@ def _resolve_change(args, data) -> engine.ChangeSet:
     return engine.ChangeSet.delete(ids)
 
 
-def cmd_update(args, direction: str) -> int:
+def cmd_update(args) -> int:
     data = load_dataset(args)
     history = dataio.load_cache(args.cache, data)
     cfg = engine.DeltaGradConfig(
         period=args.T0, burn_in=args.j0, history_size=args.m, mode=args.mode,
     )
 
-    if args.online:
+    online = args.command == "unlearn" and args.online
+    if online:
         if not args.requests:
             raise ValueError("--online needs --requests FILE")
         requests = _requests_from_file(args.requests, data.p)
@@ -224,10 +227,10 @@ def cmd_update(args, direction: str) -> int:
     summary = {label: outcome.mode_trace.count(label)
                for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")}
     report = {
-        "command": "unlearn" if direction == "delete" else "relearn",
+        "command": args.command,
         "config": {
             "T0": args.T0, "j0": args.j0, "m": args.m, "mode": args.mode,
-            "online": bool(args.online), **change_desc,
+            "online": online, **change_desc,
         },
         "distances": dict(outcome.distances),
         "accuracies": accuracies,
@@ -237,7 +240,7 @@ def cmd_update(args, direction: str) -> int:
         "model": str(args.out),
         "exit_status": 0,
     }
-    if args.online:
+    if online:
         report["per_request"] = outcome.diagnostics["requests"]
     write_report(args.report, report)
     for key, val in outcome.distances.items():
@@ -285,14 +288,7 @@ def cmd_noise(args) -> int:
 
 def cmd_bench(args) -> int:
     data = load_dataset(args)
-    cfg_train = TrainConfig(
-        loss=LossConfig(kind=args.loss, l2=args.l2),
-        iterations=args.iters,
-        batch_size=args.batch if args.batch else data.n,
-        eta_schedule=parse_lr_schedule(args.lr),
-        seed=args.seed,
-    )
-    history = train_gd(data, cfg_train) if cfg_train.batch_size == data.n else train_sgd(data, cfg_train)
+    history = _train_from_flags(args, data)
     rng = np.random.default_rng(args.seed + 1)
     rows = []
     for period in parse_id_list(args.T0_list):
@@ -372,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(unlearn)
     unlearn.add_argument("--delete-ids", default=None, help="comma/space separated row ids")
     unlearn.add_argument("--delete-file", default=None, help="file of row ids")
-    unlearn.add_argument("--add-file", default=None, help=argparse.SUPPRESS)
     unlearn.add_argument("--online", action="store_true",
                          help="process a request stream sequentially")
     unlearn.add_argument("--requests", default=None,
@@ -382,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(relearn)
     _add_engine_flags(relearn)
     relearn.add_argument("--add-file", required=True, help="libsvm rows to add")
-    relearn.add_argument("--delete-ids", default=None, help=argparse.SUPPRESS)
-    relearn.add_argument("--delete-file", default=None, help=argparse.SUPPRESS)
-    relearn.add_argument("--online", action="store_true", help=argparse.SUPPRESS)
-    relearn.add_argument("--requests", default=None, help=argparse.SUPPRESS)
 
     noise = subs.add_parser("noise", help="add calibrated Laplace noise to a model")
     _add_data_flags(noise)
@@ -420,10 +411,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "train":
             return cmd_train(args)
-        if args.command == "unlearn":
-            return cmd_update(args, "delete")
-        if args.command == "relearn":
-            return cmd_update(args, "add")
+        if args.command in ("unlearn", "relearn"):
+            return cmd_update(args)
         if args.command == "noise":
             return cmd_noise(args)
         if args.command == "bench":

@@ -25,6 +25,30 @@ _LOSS_CODES = {"ridge": 0, "logistic": 1}
 _LOSS_NAMES = {v: k for k, v in _LOSS_CODES.items()}
 
 
+def parse_feature_tokens(tokens, where: str, p: int | None = None) -> list:
+    """Parse `idx:val` tokens into (column, value) pairs. Indices are
+    1-based, strictly increasing and, when `p` is given, at most p;
+    anything else raises ParseError prefixed with `where`."""
+    entries = []
+    prev = 0
+    for tok in tokens:
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise ParseError(f"{where}: bad feature {tok!r}") from None
+        if idx < 1:
+            raise ParseError(f"{where}: indices are 1-based")
+        if idx <= prev:
+            raise ParseError(f"{where}: feature indices must be strictly increasing")
+        if p is not None and idx > p:
+            raise ParseError(f"{where}: feature index {idx} exceeds p = {p}")
+        prev = idx
+        entries.append((idx - 1, val))
+    return entries
+
+
 def parse_libsvm(path) -> Dataset:
     """Read `label idx:val ...` lines with 1-based, strictly increasing
     indices per line. p is the largest index seen. Labels must be -1, 0, or
@@ -44,24 +68,9 @@ def parse_libsvm(path) -> Dataset:
                 raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from None
             if label not in (-1.0, 0.0, 1.0):
                 raise ParseError(f"{path}:{lineno}: label must be -1, 0 or +1")
-            entries = []
-            prev = 0
-            for tok in tokens[1:]:
-                idx_s, _, val_s = tok.partition(":")
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad feature {tok!r}") from None
-                if idx < 1:
-                    raise ParseError(f"{path}:{lineno}: indices are 1-based")
-                if idx <= prev:
-                    raise ParseError(
-                        f"{path}:{lineno}: feature indices must be strictly increasing"
-                    )
-                prev = idx
-                entries.append((idx - 1, val))
-            p = max(p, prev)
+            entries = parse_feature_tokens(tokens[1:], f"{path}:{lineno}")
+            if entries:
+                p = max(p, entries[-1][0] + 1)
             rows.append(entries)
             labels.append(-1.0 if label <= 0.0 else 1.0)
     if not rows:
@@ -222,6 +231,18 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
         for _ in range(n_seg):
             start, rate = struct.unpack("<Qd", _read_exact(fh, 16, "eta schedule"))
             schedule.append((start, rate))
+        try:
+            cfg = TrainConfig(
+                loss=LossConfig(kind=_LOSS_NAMES[loss_code], l2=l2),
+                iterations=T,
+                batch_size=batch,
+                eta_schedule=tuple(schedule),
+                seed=seed,
+            )
+        except ValueError as exc:
+            raise CacheFormatError(f"invalid cache header: {exc}") from None
+        if batch > n:
+            raise CacheFormatError(f"invalid cache header: batch size {batch} exceeds n = {n}")
         fingerprint = _read_exact(fh, 32, "fingerprint")
         params = np.vstack([_read_vector(fh, p, f"parameter record {t}") for t in range(T + 1)])
         if T:
@@ -230,13 +251,6 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
             grads = np.zeros((0, p))
         if fh.read(1):
             raise CacheFormatError("trailing bytes after the last record")
-    cfg = TrainConfig(
-        loss=LossConfig(kind=_LOSS_NAMES[loss_code], l2=l2),
-        iterations=T,
-        batch_size=batch,
-        eta_schedule=tuple(schedule),
-        seed=seed,
-    )
     if data is not None and data.fingerprint() != fingerprint:
         raise FingerprintMismatchError("cache fingerprint does not match the dataset")
     return TrainingHistory(

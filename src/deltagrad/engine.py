@@ -16,10 +16,13 @@ new-trajectory gradient is computed exactly and the difference against the
 cached gradient is pushed into a curvature-pair buffer; in between, the
 gradient is reconstructed as cached_gradient + B(v) with v the parameter
 drift and B the quasi-Hessian from the buffer, so only the changed samples'
-gradients are ever evaluated.
+gradients are ever evaluated. The loop writes the corrected iterates and
+step gradients into the arrays it is given: the batch engines pass copies of
+the cached history and return them as `trajectory`; the online engine passes
+its working history.
 
 `baseline_retrain` is the correctness oracle: it replays the recorded
-schedule directly over the changed sample set.
+schedule over the changed sample set through the trainer's own descent loop.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChangeSetError, DivergenceError, FactorizationError, FingerprintMismatchError
+from .errors import ChangeSetError, FactorizationError, FingerprintMismatchError
 from .lbfgs import CurvaturePairBuffer, quasi_hvp
 from .models import Dataset, Objective, gradient_sum
-from .trainer import TrainingHistory
+from .trainer import TrainingHistory, _check_finite, _descend
 
 MODES = ("gd", "sgd", "general")
 DIRECTIONS = ("delete", "add")
@@ -125,15 +128,17 @@ class UpdateOutcome:
 
     mode_trace holds one entry per iteration: 'explicit', 'approximated',
     'fallback' (unscheduled exact recomputation), or 'skipped-empty-batch'.
-    distances/timings are filled when the baseline oracle was also run.
+    trajectory holds the corrected iterates w_0..w_T (for a request stream,
+    those of its last request). distances/timings are filled when the
+    baseline oracle was also run.
     """
 
     w_final: np.ndarray
     mode_trace: list
+    trajectory: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     distances: dict = field(default_factory=dict)
-    trajectory: np.ndarray | None = None
     updated_history: TrainingHistory | None = None
 
 
@@ -163,55 +168,31 @@ def _check_engine_convexity(history: TrainingHistory, cfg: DeltaGradConfig):
         )
 
 
-def _finite_or_raise(t: int, iw: np.ndarray, last: np.ndarray):
-    if not np.isfinite(iw).all():
-        raise DivergenceError(t, "non-finite updated parameters", last_finite=last)
-
-
 def baseline_retrain(data: Dataset, history: TrainingHistory, change: ChangeSet) -> np.ndarray:
     """Retrain from scratch on the changed sample set, replaying the recorded
-    schedule, and return the final parameters. This is the oracle the engines
-    are measured against; it shares no update code with them."""
+    schedule through the trainer's descent loop, and return the final
+    parameters. This is the oracle the engines are measured against; it
+    shares no update code with them."""
     _verify_fingerprint(history, data)
     change.validate_against(data.n, data.p)
     cfg = history.config
-    T = history.iterations
-    w = history.params[0].copy()
-
+    batches = None
     if change.direction == "add":
         if cfg.batch_size != data.n:
             raise ValueError("addition is defined for full-batch histories only")
-        grown = data.extended(change.features, change.labels) if change.r else data
-        obj = Objective(cfg.loss, grown)
-        for t in range(T):
-            w = w - cfg.eta_at(t) * obj.full_avg_gradient(w)
-            _finite_or_raise(t, w, w)
-        return w
-
-    if change.r:
-        keep = np.setdiff1d(np.arange(data.n), change.indices)
-        removed_mask = np.zeros(data.n, dtype=bool)
-        removed_mask[change.indices] = True
+        sample = data.extended(change.features, change.labels) if change.r else data
+    elif cfg.batch_size == data.n:
+        sample = data.subset(np.setdiff1d(np.arange(data.n), change.indices)) if change.r else data
     else:
-        keep = None
-        removed_mask = None
-
-    if cfg.batch_size == data.n:
-        sub = data if keep is None else data.subset(keep)
-        obj = Objective(cfg.loss, sub)
-        for t in range(T):
-            w = w - cfg.eta_at(t) * obj.full_avg_gradient(w)
-            _finite_or_raise(t, w, w)
-        return w
-
-    obj = Objective(cfg.loss, data)
-    for t, batch in enumerate(history.batches()):
-        members = batch if removed_mask is None else batch[~removed_mask[batch]]
-        if members.size == 0:
-            continue
-        w = w - cfg.eta_at(t) * obj.batch_avg_gradient(w, members)
-        _finite_or_raise(t, w, w)
-    return w
+        sample = data
+        batches = history.batches()
+        if change.r:
+            removed_mask = np.zeros(data.n, dtype=bool)
+            removed_mask[change.indices] = True
+            batches = [batch[~removed_mask[batch]] for batch in batches]
+    params, _ = _descend(Objective(cfg.loss, sample), history.params[0], cfg.eta_at,
+                         history.iterations, batches)
+    return params[-1].copy()
 
 
 def _run_gd_core(
@@ -225,8 +206,6 @@ def _run_gd_core(
     *,
     batches: list[np.ndarray] | None = None,
     guards: bool = False,
-    overwrite: bool = False,
-    keep_trajectory: bool = False,
 ):
     """The correction loop of every engine.
 
@@ -243,9 +222,10 @@ def _run_gd_core(
         n/(n -/+ r) * (B v + cached_grad) -/+ (changed_sum + r*l2*w)/(n -/+ r)
 
     which for r = 0 collapses bitwise to the cached update; a minibatch left
-    empty is skipped. With overwrite=True, params[t] and grads[t] are
-    replaced by the corrected iterate and the (exact or reconstructed)
-    new-objective gradient.
+    empty is skipped. params[t] and grads[t] are overwritten with the
+    corrected iterate and the (exact or reconstructed) new-objective step
+    gradient, zero for a skipped step, and params[T] with the final iterate;
+    callers that keep the cached history pass copies.
     """
     T = grads.shape[0]
     n = obj.n
@@ -267,7 +247,6 @@ def _run_gd_core(
     buf = CurvaturePairBuffer(cfg.history_size)
     iw = params[0].copy()
     trace: list[str] = []
-    trajectory = [iw.copy()] if keep_trajectory else None
     full_evals = 0
     convexity_events = 0
     smoothness_events = 0
@@ -284,8 +263,8 @@ def _run_gd_core(
             n, r = batch.size, removed_ids.size
             if n == r:
                 trace.append("skipped-empty-batch")
-                if keep_trajectory:
-                    trajectory.append(iw.copy())
+                params[t] = iw
+                grads[t] = zero
                 continue
         denom = n - r if added is None else n + r
         ratio = n / denom
@@ -343,18 +322,14 @@ def _run_gd_core(
             new_grad = ratio * (Bv + g_t) + sign * (changed_reg / denom)
 
         iw_next = iw - eta_at(t) * new_grad
-        _finite_or_raise(t, iw_next, iw)
+        _check_finite(t, iw_next, iw)
 
-        if overwrite:
-            params[t] = iw
-            grads[t] = new_grad
+        params[t] = iw
+        grads[t] = new_grad
         iw = iw_next
         trace.append(label)
-        if keep_trajectory:
-            trajectory.append(iw.copy())
 
-    if overwrite:
-        params[T] = iw
+    params[T] = iw
 
     diagnostics = {
         "full_gradient_evals": full_evals,
@@ -368,7 +343,7 @@ def _run_gd_core(
         "empty_buffer_fallbacks": empty_buffer_fallbacks,
         "skipped_batches": trace.count("skipped-empty-batch"),
     }
-    return iw, trace, diagnostics, (np.asarray(trajectory) if keep_trajectory else None)
+    return iw, trace, diagnostics
 
 
 def _with_baseline(outcome: UpdateOutcome, data, history, change, t_engine):
@@ -390,7 +365,7 @@ def _with_baseline(outcome: UpdateOutcome, data, history, change, t_engine):
     return outcome
 
 
-def _batch_gd(data, history, change, cfg, *, guards, with_baseline, keep_trajectory,
+def _batch_gd(data, history, change, cfg, *, guards, with_baseline,
               objective=None, minibatch=False):
     _verify_fingerprint(history, data)
     _check_engine_convexity(history, cfg)
@@ -408,18 +383,18 @@ def _batch_gd(data, history, change, cfg, *, guards, with_baseline, keep_traject
         removed, added = None, Dataset(change.features, change.labels)
     else:
         removed, added = np.asarray([], dtype=np.intp), None
+    trajectory, grads = history.params.copy(), history.gradients.copy()
     t0 = time.perf_counter()
-    w_final, trace, diag, traj = _run_gd_core(
+    w_final, trace, diag = _run_gd_core(
         obj,
-        history.params,
-        history.gradients,
+        trajectory,
+        grads,
         history.config.eta_at,
         cfg,
         removed,
         added,
         batches=batches,
         guards=guards,
-        keep_trajectory=keep_trajectory,
     )
     t_engine = time.perf_counter() - t0
     outcome = UpdateOutcome(
@@ -427,26 +402,23 @@ def _batch_gd(data, history, change, cfg, *, guards, with_baseline, keep_traject
         mode_trace=trace,
         diagnostics=diag,
         timings={"deltagrad_s": t_engine},
-        trajectory=traj,
+        trajectory=trajectory,
     )
     if with_baseline:
         _with_baseline(outcome, data, history, change, t_engine)
     return outcome
 
 
-def unlearn_batch_gd(data, history, change, cfg, *, with_baseline=False,
-                     keep_trajectory=False) -> UpdateOutcome:
+def unlearn_batch_gd(data, history, change, cfg, *, with_baseline=False) -> UpdateOutcome:
     """Correct a full-batch trajectory after deleting `change.indices`."""
     if cfg.mode != "gd":
         raise ValueError("unlearn_batch_gd requires cfg.mode == 'gd'")
     if change.direction != "delete":
         raise ValueError("unlearn_batch_gd handles deletions; use relearn_batch_gd to add")
-    return _batch_gd(data, history, change, cfg, guards=False,
-                     with_baseline=with_baseline, keep_trajectory=keep_trajectory)
+    return _batch_gd(data, history, change, cfg, guards=False, with_baseline=with_baseline)
 
 
-def relearn_batch_gd(data, history, change, cfg, *, with_baseline=False,
-                     keep_trajectory=False) -> UpdateOutcome:
+def relearn_batch_gd(data, history, change, cfg, *, with_baseline=False) -> UpdateOutcome:
     """Correct a full-batch trajectory after adding `change` rows.
 
     Mirror of the deletion rule: denominators become n + r and the added
@@ -456,12 +428,11 @@ def relearn_batch_gd(data, history, change, cfg, *, with_baseline=False,
         raise ValueError("relearn_batch_gd requires cfg.mode == 'gd'")
     if change.direction != "add":
         raise ValueError("relearn_batch_gd handles additions")
-    return _batch_gd(data, history, change, cfg, guards=False,
-                     with_baseline=with_baseline, keep_trajectory=keep_trajectory)
+    return _batch_gd(data, history, change, cfg, guards=False, with_baseline=with_baseline)
 
 
 def unlearn_general(data, history, change, cfg, *, with_baseline=False,
-                    keep_trajectory=False, objective=None) -> UpdateOutcome:
+                    objective=None) -> UpdateOutcome:
     """Guarded deletion engine for objectives without global strong convexity.
 
     Explicit iterations drop curvature pairs whenever the local convexity
@@ -474,12 +445,10 @@ def unlearn_general(data, history, change, cfg, *, with_baseline=False,
     if change.direction != "delete":
         raise ValueError("the general engine handles deletions")
     return _batch_gd(data, history, change, cfg, guards=True,
-                     with_baseline=with_baseline, keep_trajectory=keep_trajectory,
-                     objective=objective)
+                     with_baseline=with_baseline, objective=objective)
 
 
-def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False,
-                      keep_trajectory=False) -> UpdateOutcome:
+def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False) -> UpdateOutcome:
     """Correct a minibatch trajectory after deleting `change.indices`.
 
     Per iteration the deleted members of the recorded batch are masked out;
@@ -492,7 +461,7 @@ def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False,
     if change.direction != "delete":
         raise ValueError("addition is not defined for minibatch histories")
     return _batch_gd(data, history, change, cfg, guards=False, minibatch=True,
-                     with_baseline=with_baseline, keep_trajectory=keep_trajectory)
+                     with_baseline=with_baseline)
 
 
 def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> UpdateOutcome:
@@ -517,9 +486,10 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     # replay the stream's sample set so that a bad request fails before any work
     active_n = data.n
     to_delete: set[int] = set()
+    logistic = history.config.loss.kind == "logistic"
     for k, req in enumerate(requests):
         if req.r != 1:
-            raise ChangeSetError("online requests must touch exactly one sample")
+            raise ChangeSetError(f"request {k}: online requests must touch exactly one sample")
         if req.direction == "delete":
             idx = int(req.indices[0])
             if not 0 <= idx < active_n or idx in to_delete:
@@ -528,8 +498,11 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
             continue
         if req.features.shape[1] != data.p:
             raise ChangeSetError(
-                f"added row has {req.features.shape[1]} features, expected {data.p}"
+                f"request {k}: added row has {req.features.shape[1]} features, "
+                f"expected {data.p}"
             )
+        if logistic and abs(req.labels[0]) != 1.0:
+            raise ChangeSetError(f"request {k}: logistic loss needs a label of +1 or -1")
         if with_baseline:
             raise ValueError("baseline comparison is supported for pure deletion streams")
         active_n += 1
@@ -555,7 +528,7 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
         obj = Objective(history.config.loss, current, removed=sorted(deleted))
         start = time.perf_counter()
         w_prev = working.params[-1].copy()
-        w_final, trace, diag, _ = _run_gd_core(
+        w_final, trace, diag = _run_gd_core(
             obj,
             working.params,
             working.gradients,
@@ -563,7 +536,6 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
             cfg,
             removed,
             added,
-            overwrite=True,
         )
         dt = time.perf_counter() - start
         t_engine += dt
@@ -587,6 +559,7 @@ def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> Upda
     outcome = UpdateOutcome(
         w_final=working.params[-1].copy(),
         mode_trace=trace,
+        trajectory=working.params,
         diagnostics={**diag_total, "requests": records},
         timings={"deltagrad_s": t_engine},
         updated_history=working,

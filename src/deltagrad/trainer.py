@@ -129,15 +129,49 @@ def _warn_if_rate_too_large(cfg: TrainConfig, data: Dataset):
         warnings.warn(
             f"learning rate {worst:g} exceeds the contraction bound "
             f"2/(L+mu) = {bound:g}; training may not converge",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _check_finite(t: int, w: np.ndarray, g: np.ndarray, last: np.ndarray):
-    if not np.isfinite(g).all():
-        raise DivergenceError(t, "non-finite gradient", last_finite=last)
-    if not np.isfinite(w).all():
+def _check_finite(t: int, w_next: np.ndarray, last: np.ndarray):
+    """Raise at step t unless the next iterate is finite; `last` is the last
+    finite iterate. A non-finite step gradient always gives a non-finite
+    next iterate, since every rate is positive."""
+    if not np.isfinite(w_next).all():
         raise DivergenceError(t, "non-finite parameters", last_finite=last)
+
+
+def _descend(obj: Objective, w0, eta_at, iterations: int, batches=None):
+    """The plain gradient-descent loop of training and retraining.
+
+    Step t averages over every row of `obj` when `batches` is None, else
+    over batches[t]; an empty batch leaves the iterate unchanged and
+    records a zero step gradient. Returns the iterates w_0..w_T and the
+    step gradients.
+    """
+    w = np.array(w0, dtype=np.float64)
+    params = np.empty((iterations + 1, obj.p))
+    grads = np.zeros((iterations, obj.p))
+    params[0] = w
+    for t in range(iterations):
+        if batches is None:
+            g = obj.full_avg_gradient(w)
+        elif batches[t].size:
+            g = obj.batch_avg_gradient(w, batches[t])
+        else:
+            params[t + 1] = w
+            continue
+        w_next = w - eta_at(t) * g
+        _check_finite(t, w_next, w)
+        grads[t] = g
+        params[t + 1] = w = w_next
+    return params, grads
+
+
+def _train(data: Dataset, cfg: TrainConfig, obj: Objective, w0, batches=None):
+    _warn_if_rate_too_large(cfg, data)
+    params, grads = _descend(obj, w0, cfg.eta_at, cfg.iterations, batches)
+    return TrainingHistory(params, grads, cfg, data.n, data.p, data.fingerprint())
 
 
 def train_gd(data: Dataset, cfg: TrainConfig, objective: Objective | None = None,
@@ -151,24 +185,7 @@ def train_gd(data: Dataset, cfg: TrainConfig, objective: Objective | None = None
     if cfg.batch_size != data.n:
         raise ValueError("train_gd requires batch_size == n")
     obj = objective if objective is not None else Objective(cfg.loss, data)
-    _warn_if_rate_too_large(cfg, data)
-    w = np.zeros(data.p) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    params = [w.copy()]
-    grads = []
-    for t in range(cfg.iterations):
-        g = obj.full_avg_gradient(w)
-        w = w - cfg.eta_at(t) * g
-        _check_finite(t, w, g, params[-1])
-        grads.append(g)
-        params.append(w.copy())
-    return TrainingHistory(
-        params=np.asarray(params),
-        gradients=np.asarray(grads).reshape(len(grads), data.p),
-        config=cfg,
-        n=data.n,
-        p=data.p,
-        fingerprint=data.fingerprint(),
-    )
+    return _train(data, cfg, obj, np.zeros(data.p) if w0 is None else w0)
 
 
 def train_sgd(data: Dataset, cfg: TrainConfig) -> TrainingHistory:
@@ -176,23 +193,5 @@ def train_sgd(data: Dataset, cfg: TrainConfig) -> TrainingHistory:
     gradient used at each step."""
     if not 1 <= cfg.batch_size <= data.n:
         raise ValueError("need 1 <= batch_size <= n")
-    obj = Objective(cfg.loss, data)
-    _warn_if_rate_too_large(cfg, data)
     batches = derive_schedule(cfg.seed, data.n, cfg.batch_size, cfg.iterations)
-    w = np.zeros(data.p)
-    params = [w.copy()]
-    grads = []
-    for t in range(cfg.iterations):
-        g = obj.batch_avg_gradient(w, batches[t])
-        w = w - cfg.eta_at(t) * g
-        _check_finite(t, w, g, params[-1])
-        grads.append(g)
-        params.append(w.copy())
-    return TrainingHistory(
-        params=np.asarray(params),
-        gradients=np.asarray(grads).reshape(len(grads), data.p),
-        config=cfg,
-        n=data.n,
-        p=data.p,
-        fingerprint=data.fingerprint(),
-    )
+    return _train(data, cfg, Objective(cfg.loss, data), np.zeros(data.p), batches)

@@ -73,20 +73,17 @@ def test_criterion_01_null_change_exactness(bench):
     sdata, shist = logistic_problem(2000, 10, 150, batch=512)
     t0 = time.perf_counter()
     runs = {
-        "gd": unlearn_batch_gd(data, hist, ChangeSet.delete([]), GD, keep_trajectory=True),
+        "gd": unlearn_batch_gd(data, hist, ChangeSet.delete([]), GD),
         "add": relearn_batch_gd(
-            data, hist, ChangeSet("add", features=np.zeros((0, data.p)), labels=[]),
-            GD, keep_trajectory=True),
+            data, hist, ChangeSet("add", features=np.zeros((0, data.p)), labels=[]), GD),
         "general": unlearn_general(
             data, hist, ChangeSet.delete([]),
-            DeltaGradConfig(period=5, burn_in=10, history_size=2, mode="general"),
-            keep_trajectory=True),
-        "sgd": unlearn_batch_sgd(sdata, shist, ChangeSet.delete([]), SGD_CFG,
-                                 keep_trajectory=True),
+            DeltaGradConfig(period=5, burn_in=10, history_size=2, mode="general")),
+        "sgd": unlearn_batch_sgd(sdata, shist, ChangeSet.delete([]), SGD_CFG),
         "online": unlearn_online(data, hist, [], GD),
     }
     elapsed = time.perf_counter() - t0
-    for name in ("gd", "add", "general"):
+    for name in ("gd", "add", "general", "online"):
         assert np.array_equal(runs[name].trajectory, hist.params), name
     assert np.array_equal(runs["sgd"].trajectory, shist.params)
     assert np.array_equal(runs["online"].w_final, hist.params[-1])

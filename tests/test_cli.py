@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from deltagrad import delta_bound, load_cache, load_model
-from deltagrad.cli import main, parse_lr_schedule
+from deltagrad import CacheFormatError, ParseError, delta_bound, load_cache, load_model
+from deltagrad.cli import _requests_from_file, main, parse_lr_schedule
 from deltagrad.privacy import PrivacyParams, estimate_constants
 
 SYNTH = "n=1000,p=6,seed=5,noise=0.05,margin=2.0"
@@ -242,3 +243,61 @@ def test_exit_codes(tmp_path, cache):
     # missing file
     assert run("train", "--data", str(tmp_path / "nope.svm"), "--format", "libsvm",
                "--iters", "1", "--cache-out", str(tmp_path / "x.dgc")) == 11
+
+
+# A DGC1 header field of the `cache` fixture: its byte offset (after the
+# 4-byte magic and the version byte), struct format, stored value, and the
+# invalid value written over it.
+HEADER_EDITS = {
+    "batch-size-0": (29, "<Q", 1000, 0),
+    "batch-size-above-n": (29, "<Q", 1000, 1001),
+    "negative-l2": (46, "<d", 0.01, -0.5),
+    "zero-rate": (66, "<d", 0.2, 0.0),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_invalid_cache_header_field_is_a_format_error(tmp_path, cache, edit):
+    offset, fmt, stored, value = HEADER_EDITS[edit]
+    blob = bytearray(cache.read_bytes())
+    assert struct.unpack_from(fmt, blob, offset)[0] == stored
+    struct.pack_into(fmt, blob, offset, value)
+    bad = tmp_path / "bad.dgc"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CacheFormatError, match="invalid cache header"):
+        load_cache(bad)
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic",
+               "--cache", str(bad), "--delete-ids", "1",
+               "--out", str(tmp_path / "w.dgw")) == 4
+
+
+@pytest.mark.parametrize("row", ["+1 0:5.0", "+1 -1:5.0", "+1 2:1.0 2:3.0",
+                                 "+1 3:1.0 2:3.0", "+1 7:1.0"])
+def test_request_file_add_rows_follow_libsvm_indices(tmp_path, row):
+    reqs = tmp_path / "requests.txt"
+    reqs.write_text(f"del 4\nadd {row}\n")
+    with pytest.raises(ParseError, match=":2:"):
+        _requests_from_file(reqs, 6)
+
+
+def test_request_file_add_row_parses(tmp_path):
+    # real-valued labels stay accepted: ridge streams add them
+    reqs = tmp_path / "requests.txt"
+    reqs.write_text("add 0.37 1:5.0 6:-2.5\n")
+    (req,) = _requests_from_file(reqs, 6)
+    np.testing.assert_array_equal(req.features, [[5.0, 0, 0, 0, 0, -2.5]])
+    np.testing.assert_array_equal(req.labels, [0.37])
+
+
+@pytest.mark.parametrize("argv", [
+    ["unlearn", "--add-file", "extra.svm"],
+    ["relearn", "--add-file", "extra.svm", "--delete-ids", "1"],
+    ["relearn", "--add-file", "extra.svm", "--delete-file", "ids.txt"],
+    ["relearn", "--add-file", "extra.svm", "--online", "--requests", "r.txt"],
+])
+def test_subcommands_reject_foreign_flags(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(*argv, "--data", SYNTH, "--format", "synthetic",
+            "--cache", "c.dgc", "--out", "w.dgw")
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

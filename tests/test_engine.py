@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,11 +11,13 @@ from deltagrad import (
     ChangeSetError,
     Dataset,
     DeltaGradConfig,
+    DivergenceError,
     FingerprintMismatchError,
     LossConfig,
     Objective,
     SyntheticSpec,
     TrainConfig,
+    TrainingHistory,
     baseline_retrain,
     expected_full_gradient_evals,
     generate_synthetic,
@@ -84,11 +87,39 @@ def test_baseline_fingerprint_check(logistic_data, logistic_history):
         baseline_retrain(other, logistic_history, ChangeSet.delete([]))
 
 
+@pytest.mark.parametrize("runner", ["train_gd", "baseline_retrain", "unlearn_batch_gd"])
+def test_divergence_reports_last_finite_iterate(ridge_data, runner):
+    # eta = 1e6 on ridge overflows within a few dozen steps; every loop must
+    # hand back the iterate before the first non-finite one
+    T = 400
+    cfg = TrainConfig(loss=LossConfig("ridge", 0.1), iterations=T,
+                      batch_size=ridge_data.n, eta_schedule=((0, 1e6),))
+    hist = TrainingHistory(np.zeros((T + 1, ridge_data.p)), np.zeros((T, ridge_data.p)),
+                           cfg, ridge_data.n, ridge_data.p, ridge_data.fingerprint())
+    # a burn-in covering every step makes the engine's r = 0 steps the trainer's
+    every_step = DeltaGradConfig(period=1, burn_in=T, history_size=2, mode="gd")
+    run = {
+        "train_gd": lambda: train_gd(ridge_data, cfg),
+        "baseline_retrain": lambda: baseline_retrain(ridge_data, hist, ChangeSet.delete([])),
+        "unlearn_batch_gd": lambda: unlearn_batch_gd(
+            ridge_data, hist, ChangeSet.delete([]), every_step),
+    }[runner]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DivergenceError) as err:
+            run()
+        t = err.value.iteration
+        ref = train_gd(ridge_data, dataclasses.replace(cfg, iterations=t)).params[-1]
+    assert 0 < t < T
+    assert np.isfinite(err.value.last_finite).all()
+    assert np.array_equal(err.value.last_finite, ref)
+
+
 # ---------------------------------------------------------------- batch GD
 
 def test_gd_null_change_is_bit_exact():
     data, hist = train_problem()
-    out = unlearn_batch_gd(data, hist, ChangeSet.delete([]), GD, keep_trajectory=True)
+    out = unlearn_batch_gd(data, hist, ChangeSet.delete([]), GD)
     assert np.array_equal(out.trajectory, hist.params)
     assert set(out.mode_trace) <= {"explicit", "approximated"}
 
@@ -222,7 +253,7 @@ def test_sgd_add_rejected():
 
 def test_sgd_null_change_is_bit_exact():
     data, hist = train_problem(batch=64, T=60)
-    out = unlearn_batch_sgd(data, hist, ChangeSet.delete([]), SGD, keep_trajectory=True)
+    out = unlearn_batch_sgd(data, hist, ChangeSet.delete([]), SGD)
     assert np.array_equal(out.trajectory, hist.params)
 
 
@@ -379,6 +410,15 @@ def test_online_baseline_rejects_additions_before_any_work(core_calls):
     assert core_calls == []
 
 
+def test_online_rejects_non_pm1_added_label_before_any_work(core_calls):
+    data, hist = train_problem(T=30)
+    reqs = [ChangeSet.delete([1]), ChangeSet.delete([2]),
+            ChangeSet.add(np.full(data.p, 0.1), [0.0])]
+    with pytest.raises(ChangeSetError, match="request 2"):
+        unlearn_online(data, hist, reqs, GD)
+    assert core_calls == []
+
+
 def test_online_rejects_multi_sample_request():
     data, hist = train_problem(T=30)
     with pytest.raises(ChangeSetError):
@@ -504,7 +544,7 @@ def test_gd_engine_matches_naive_transcription():
     data, hist = train_problem(n=300, p=5, T=40, l2=0.02, eta=0.2, seed=21)
     R = np.asarray([7, 40, 182])
     cfg = DeltaGradConfig(period=4, burn_in=6, history_size=2, mode="gd")
-    out = unlearn_batch_gd(data, hist, ChangeSet.delete(R), cfg, keep_trajectory=True)
+    out = unlearn_batch_gd(data, hist, ChangeSet.delete(R), cfg)
 
     loss_cfg = hist.config.loss
     n, r = data.n, R.size
@@ -539,7 +579,7 @@ def test_sgd_engine_matches_naive_transcription():
     removed = np.zeros(data.n, bool)
     removed[R] = True
     cfg = DeltaGradConfig(period=4, burn_in=6, history_size=2, mode="sgd")
-    out = unlearn_batch_sgd(data, hist, ChangeSet.delete(R), cfg, keep_trajectory=True)
+    out = unlearn_batch_sgd(data, hist, ChangeSet.delete(R), cfg)
 
     obj = Objective(hist.config.loss, data)
     loss_cfg = hist.config.loss
