@@ -100,32 +100,50 @@ def write_report(path, report: dict):
             fh.write("\n")
 
 
-def _requests_from_file(path, p: int):
-    """Request-stream format: one `del <id>` or `add <libsvm-row>` per line."""
-    requests = []
+def _lines(path):
+    """(`path:lineno`, stripped line) for every non-blank line of a text file."""
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            op, _, rest = line.partition(" ")
-            if op == "del":
-                try:
-                    requests.append(engine.ChangeSet.delete([int(rest)]))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad id {rest!r}") from None
-            elif op == "add":
-                tokens = rest.split()
-                try:
-                    label = float(tokens[0])
-                except (ValueError, IndexError):
-                    raise ParseError(f"{path}:{lineno}: bad row {rest!r}") from None
-                row = np.zeros(p)
-                for j, val in dataio.parse_feature_tokens(tokens[1:], f"{path}:{lineno}", p):
-                    row[j] = val
-                requests.append(engine.ChangeSet.add(row, [label]))
-            else:
-                raise ParseError(f"{path}:{lineno}: expected 'del' or 'add'")
+            if line:
+                yield f"{path}:{lineno}", line
+
+
+def _parse_row(text: str, where: str, p: int, kind: str):
+    """One added row, `label idx:val ...` with libsvm indices (1-based,
+    strictly increasing, at most p), as (features, label). Ridge keeps the
+    label as written; logistic takes -1, 0 or +1 and reads 0 as -1."""
+    tokens = text.split()
+    try:
+        label = float(tokens[0])
+    except (ValueError, IndexError):
+        raise ParseError(f"{where}: bad row {text!r}") from None
+    if kind == "logistic":
+        if label not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"{where}: logistic labels must be -1, 0 or +1")
+        label = -1.0 if label == 0.0 else label
+    row = np.zeros(p)
+    for j, val in dataio.parse_feature_tokens(tokens[1:], where, p):
+        row[j] = val
+    return row, label
+
+
+def _requests_from_file(path, p: int, kind: str):
+    """Request-stream format: one `del <id>` or `add <row>` per line, each
+    row read by `_parse_row` under loss `kind`."""
+    requests = []
+    for where, line in _lines(path):
+        op, _, rest = line.partition(" ")
+        if op == "del":
+            try:
+                requests.append(engine.ChangeSet.delete([int(rest)]))
+            except ValueError:
+                raise ParseError(f"{where}: bad id {rest!r}") from None
+        elif op == "add":
+            row, label = _parse_row(rest, where, p, kind)
+            requests.append(engine.ChangeSet.add(row, [label]))
+        else:
+            raise ParseError(f"{where}: expected 'del' or 'add'")
     return requests
 
 
@@ -169,13 +187,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_change(args, data) -> engine.ChangeSet:
+def _resolve_change(args, data, kind: str) -> engine.ChangeSet:
     if args.command == "relearn":
-        added = dataio.parse_libsvm(args.add_file)
-        feats = added.features
-        if feats.shape[1] < data.p:
-            feats = np.hstack([feats, np.zeros((added.n, data.p - feats.shape[1]))])
-        return engine.ChangeSet.add(feats, added.labels)
+        rows = [_parse_row(line, where, data.p, kind) for where, line in _lines(args.add_file)]
+        if not rows:
+            raise ParseError(f"{args.add_file}: no samples")
+        features, labels = zip(*rows)
+        return engine.ChangeSet.add(np.array(features), labels)
     if args.delete_file:
         with open(args.delete_file, "r", encoding="ascii") as fh:
             ids = parse_id_list(fh.read())
@@ -184,38 +202,61 @@ def _resolve_change(args, data) -> engine.ChangeSet:
     return engine.ChangeSet.delete(ids)
 
 
+def _engine_for(mode: str, direction: str):
+    """The engine that serves a (mode, direction) pair."""
+    runner = {
+        ("gd", "delete"): engine.unlearn_batch_gd,
+        ("gd", "add"): engine.relearn_batch_gd,
+        ("sgd", "delete"): engine.unlearn_batch_sgd,
+        ("general", "delete"): engine.unlearn_general,
+    }.get((mode, direction))
+    if runner is None:
+        raise ValueError(f"mode {mode!r} does not support direction {direction!r}")
+    return runner
+
+
+def _trace_summary(trace) -> dict:
+    return {label: trace.count(label)
+            for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")}
+
+
+def _load_test_set(args, p: int) -> Dataset:
+    """The --test-data set with the model's p features; a libsvm file is as
+    wide as its highest index, so a narrower one gets zero columns."""
+    test = load_dataset(args, which="test_data")
+    if (args.test_format or args.format) == "libsvm" and test.p < p:
+        test = Dataset(np.pad(test.features, ((0, 0), (0, p - test.p))), test.labels)
+    if test.p != p:
+        raise DimensionMismatchError(f"test set has {test.p} features, the model has {p}")
+    return test
+
+
 def cmd_update(args) -> int:
     data = load_dataset(args)
     history = dataio.load_cache(args.cache, data)
+    kind = history.config.loss.kind
     cfg = engine.DeltaGradConfig(
         period=args.T0, burn_in=args.j0, history_size=args.m, mode=args.mode,
     )
+    test = _load_test_set(args, data.p) if args.test_data else None
 
     online = args.command == "unlearn" and args.online
     if online:
         if not args.requests:
             raise ValueError("--online needs --requests FILE")
-        requests = _requests_from_file(args.requests, data.p)
+        requests = _requests_from_file(args.requests, data.p, kind)
         outcome = engine.unlearn_online(data, history, requests, cfg,
                                         with_baseline=args.with_baseline)
         change_desc = {"requests": len(requests)}
     else:
-        change = _resolve_change(args, data)
-        runner = {
-            ("gd", "delete"): engine.unlearn_batch_gd,
-            ("gd", "add"): engine.relearn_batch_gd,
-            ("sgd", "delete"): engine.unlearn_batch_sgd,
-            ("general", "delete"): engine.unlearn_general,
-        }.get((args.mode, change.direction))
-        if runner is None:
-            raise ValueError(f"mode {args.mode!r} does not support direction {change.direction!r}")
+        change = _resolve_change(args, data, kind)
+        runner = _engine_for(args.mode, change.direction)
         outcome = runner(data, history, change, cfg, with_baseline=args.with_baseline)
         change_desc = {"direction": change.direction, "r": change.r}
 
     dataio.save_model(outcome.w_final, args.out)
     accuracies = {}
-    if args.test_data:
-        test = load_dataset(args, which="test_data")
+    if test is not None:
         accuracies["deltagrad"] = evaluate_predictions(history.config.loss, test, outcome.w_final)
         if args.with_baseline:
             accuracies["baseline"] = evaluate_predictions(
@@ -224,8 +265,6 @@ def cmd_update(args) -> int:
     if args.with_baseline:
         dataio.save_model(outcome.diagnostics["baseline_w"], args.out + ".baseline")
 
-    summary = {label: outcome.mode_trace.count(label)
-               for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")}
     report = {
         "command": args.command,
         "config": {
@@ -235,8 +274,8 @@ def cmd_update(args) -> int:
         "distances": dict(outcome.distances),
         "accuracies": accuracies,
         "timings": dict(outcome.timings),
-        "mode_trace_summary": summary,
-        "full_gradient_evals": outcome.diagnostics.get("full_gradient_evals"),
+        "mode_trace_summary": _trace_summary(outcome.mode_trace),
+        "full_gradient_evals": outcome.diagnostics["full_gradient_evals"],
         "model": str(args.out),
         "exit_status": 0,
     }
@@ -298,8 +337,20 @@ def cmd_bench(args) -> int:
             change = engine.ChangeSet.delete(ids)
             cfg = engine.DeltaGradConfig(period=period, burn_in=args.j0,
                                          history_size=args.m, mode=args.mode)
-            cell = engine.record_benchmark(data, history, change, cfg)
-            cell["rate"] = rate
+            outcome = _engine_for(args.mode, "delete")(data, history, change, cfg,
+                                                       with_baseline=True)
+            diag, timings = outcome.diagnostics, outcome.timings
+            cell = {
+                "n": data.n, "p": data.p, "r": change.r, "iterations": history.iterations,
+                "period": period, "burn_in": args.j0, "baseline_s": timings["baseline_s"],
+                "deltagrad_s": timings["deltagrad_s"], "speedup": timings["speedup"],
+                "distances": outcome.distances,
+                "full_gradient_evals": diag["full_gradient_evals"],
+                "scheduled_full_gradient_evals": diag["scheduled_full_gradient_evals"],
+                "baseline_gradient_evals": history.iterations,
+                "mode_trace_summary": _trace_summary(outcome.mode_trace),
+                "rate": rate,
+            }
             rows.append(cell)
             print(f"T0={period} rate={rate:.4f} r={r}: baseline {cell['baseline_s']:.3f}s "
                   f"deltagrad {cell['deltagrad_s']:.3f}s speedup {cell['speedup']:.2f}x "

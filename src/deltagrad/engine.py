@@ -1,6 +1,7 @@
 """Incremental model-update engines and the naive retraining baseline.
 
-Every engine is a setting of one correction loop, `_run_gd_core`, which
+Every engine is a setting of one request driver, `_update`, which runs each
+request of a list through one correction loop, `_run_gd_core`. The loop
 corrects a cached training trajectory after sample deletion or addition
 without retraining from scratch:
 
@@ -8,18 +9,17 @@ without retraining from scratch:
   unlearn_batch_sgd                    -- each recorded minibatch, minus its
                                           deleted rows
   unlearn_general                      -- all rows, with convexity guards
-  unlearn_online                       -- one single-sample request at a
-                                          time, rewriting the cached history
+  unlearn_online                       -- a stream of single-sample requests
 
 During a burn-in prefix and once every `period` iterations thereafter, the
 new-trajectory gradient is computed exactly and the difference against the
 cached gradient is pushed into a curvature-pair buffer; in between, the
 gradient is reconstructed as cached_gradient + B(v) with v the parameter
 drift and B the quasi-Hessian from the buffer, so only the changed samples'
-gradients are ever evaluated. The loop writes the corrected iterates and
-step gradients into the arrays it is given: the batch engines pass copies of
-the cached history and return them as `trajectory`; the online engine passes
-its working history.
+gradients are ever evaluated. The driver validates the whole request list
+first, then corrects a copy of the cached history request by request, each
+against the trajectory the previous request left; every engine returns that
+copy as `updated_history`, a cache the next update can start from.
 
 `baseline_retrain` is the correctness oracle: it replays the recorded
 schedule over the changed sample set through the trainer's own descent loop.
@@ -107,20 +107,6 @@ class ChangeSet:
     def r(self) -> int:
         return self.indices.size if self.direction == "delete" else self.features.shape[0]
 
-    def validate_against(self, n: int, p: int):
-        if self.direction == "delete":
-            if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
-                raise ChangeSetError(f"delete index out of range [0, {n})")
-        else:
-            if self.features.size and self.features.shape[1] != p:
-                raise ChangeSetError(f"added rows have {self.features.shape[1]} features, expected {p}")
-        if n and self.r / n > SMALL_FRACTION_WARN:
-            warnings.warn(
-                f"change touches {self.r}/{n} samples; the correction is only "
-                "guaranteed accurate for small fractions",
-                stacklevel=3,
-            )
-
 
 @dataclass
 class UpdateOutcome:
@@ -129,8 +115,9 @@ class UpdateOutcome:
     mode_trace holds one entry per iteration: 'explicit', 'approximated',
     'fallback' (unscheduled exact recomputation), or 'skipped-empty-batch'.
     trajectory holds the corrected iterates w_0..w_T (for a request stream,
-    those of its last request). distances/timings are filled when the
-    baseline oracle was also run.
+    those of its last request); updated_history holds them with their step
+    gradients, a cache the next update can start from. distances/timings
+    are filled when the baseline oracle was also run.
     """
 
     w_final: np.ndarray
@@ -168,13 +155,45 @@ def _check_engine_convexity(history: TrainingHistory, cfg: DeltaGradConfig):
         )
 
 
+def _check_requests(requests, data: Dataset, loss_kind: str):
+    """Check a request list, in arrival order, before any work runs.
+
+    Request k may delete only rows active when it arrives: rows of `data`
+    and rows added by earlier requests (numbered n, n+1, ... in arrival
+    order) that no earlier request deleted. Added rows need data.p features
+    and, under logistic loss, labels of +1 or -1.
+    """
+    active_n = data.n
+    deleted = np.zeros(data.n + sum(req.r for req in requests), dtype=bool)
+    for k, req in enumerate(requests):
+        if req.r / active_n > SMALL_FRACTION_WARN:
+            warnings.warn(f"request {k} touches {req.r}/{active_n} samples; the correction "
+                          "is only guaranteed accurate for small fractions", stacklevel=3)
+        if req.direction == "delete":
+            ids = req.indices
+            out_of_range = (ids < 0) | (ids >= active_n)
+            bad = ids[out_of_range] if out_of_range.any() else ids[deleted[ids]]
+            if bad.size:
+                raise ChangeSetError(f"request {k}: index {bad[0]} is not an active sample")
+            deleted[ids] = True
+        elif req.r:
+            if req.features.shape[1] != data.p:
+                raise ChangeSetError(
+                    f"request {k}: added rows have {req.features.shape[1]} features, "
+                    f"expected {data.p}"
+                )
+            if loss_kind == "logistic" and (np.abs(req.labels) != 1.0).any():
+                raise ChangeSetError(f"request {k}: logistic loss needs labels of +1 or -1")
+            active_n += req.r
+
+
 def baseline_retrain(data: Dataset, history: TrainingHistory, change: ChangeSet) -> np.ndarray:
     """Retrain from scratch on the changed sample set, replaying the recorded
     schedule through the trainer's descent loop, and return the final
     parameters. This is the oracle the engines are measured against; it
     shares no update code with them."""
     _verify_fingerprint(history, data)
-    change.validate_against(data.n, data.p)
+    _check_requests([change], data, history.config.loss.kind)
     cfg = history.config
     batches = None
     if change.direction == "add":
@@ -273,10 +292,8 @@ def _run_gd_core(
         g_t = grads[t]
         v = iw - w_t
 
-        if guards:
-            scheduled = t <= cfg.burn_in or (t - last_anchor) % cfg.period == 0
-        else:
-            scheduled = t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
+        # without guards nothing re-anchors, so last_anchor stays burn_in
+        scheduled = t <= cfg.burn_in or (t - last_anchor) % cfg.period == 0
 
         run_explicit = scheduled
         label = "explicit" if scheduled else "approximated"
@@ -346,66 +363,97 @@ def _run_gd_core(
     return iw, trace, diagnostics
 
 
-def _with_baseline(outcome: UpdateOutcome, data, history, change, t_engine):
-    t0 = time.perf_counter()
-    w_u = baseline_retrain(data, history, change)
-    t_base = time.perf_counter() - t0
-    w_cached = history.params[-1]
-    outcome.timings.update(
-        baseline_s=t_base,
-        deltagrad_s=t_engine,
-        speedup=(t_base / t_engine) if t_engine > 0 else float("inf"),
-    )
-    outcome.distances.update(
-        uw_w=float(np.linalg.norm(w_u - w_cached)),
-        uw_iw=float(np.linalg.norm(w_u - outcome.w_final)),
-        w_iw=float(np.linalg.norm(w_cached - outcome.w_final)),
-    )
-    outcome.diagnostics["baseline_w"] = w_u
-    return outcome
+# The counters `_run_gd_core` reports; `_update` sums them over its requests.
+_COUNTERS = ("full_gradient_evals", "scheduled_full_gradient_evals", "pair_rejections",
+             "convexity_guard_events", "smoothness_guard_events", "cholesky_fallbacks",
+             "empty_buffer_fallbacks", "skipped_batches")
 
 
-def _batch_gd(data, history, change, cfg, *, guards, with_baseline,
-              objective=None, minibatch=False):
+def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
+            objective=None, with_baseline=False) -> UpdateOutcome:
+    """The request driver of every engine.
+
+    Checks the inputs and the whole request list, then runs the correction
+    loop once per request on a copy of `history`. Each request corrects the
+    trajectory the previous one left, over the sample set the previous ones
+    left: deleted rows are subtracted from the all-rows sum and added rows
+    are appended as rows n, n+1, ... in arrival order. The counters are
+    summed over the requests, and diagnostics['requests'] holds one record
+    per request. With `with_baseline` the requests must be one request or
+    deletions only; that change is also retrained from scratch, timed, and
+    measured against (distances between cached, corrected and retrained).
+    """
     _verify_fingerprint(history, data)
     _check_engine_convexity(history, cfg)
-    change.validate_against(data.n, data.p)
     if minibatch:
         batches = history.batches()
     elif history.config.batch_size != data.n:
-        raise ValueError("history was trained with minibatches; use the sgd engine")
+        raise ValueError("this engine needs a full-batch history; "
+                         "minibatch histories go to the sgd engine")
     else:
         batches = None
-    obj = objective if objective is not None else Objective(history.config.loss, data)
-    if change.direction == "delete":
-        removed, added = change.indices, None
-    elif change.r:
-        removed, added = None, Dataset(change.features, change.labels)
-    else:
-        removed, added = np.asarray([], dtype=np.intp), None
-    trajectory, grads = history.params.copy(), history.gradients.copy()
-    t0 = time.perf_counter()
-    w_final, trace, diag = _run_gd_core(
-        obj,
-        trajectory,
-        grads,
-        history.config.eta_at,
-        cfg,
-        removed,
-        added,
-        batches=batches,
-        guards=guards,
-    )
-    t_engine = time.perf_counter() - t0
+    loss = history.config.loss
+    _check_requests(requests, data, loss.kind)
+
+    working = history.copy()
+    current, deleted = data, np.empty(0, dtype=np.intp)
+    totals = dict.fromkeys(_COUNTERS, 0)
+    records, trace, t_engine = [], [], 0.0
+    for k, req in enumerate(requests):
+        if req.direction == "delete":
+            added, rows = None, req.indices
+        else:
+            added = Dataset(req.features, req.labels) if req.r else None
+            rows = np.arange(current.n, current.n + req.r)
+        obj = objective if objective is not None else Objective(loss, current, removed=deleted)
+        w_prev = working.params[-1].copy()
+        start = time.perf_counter()
+        w_final, trace, diag = _run_gd_core(obj, working.params, working.gradients,
+                                            history.config.eta_at, cfg, req.indices, added,
+                                            batches=batches, guards=guards)
+        seconds = time.perf_counter() - start
+        t_engine += seconds
+        for key, val in diag.items():
+            totals[key] += val
+        records.append({
+            "request": k,
+            "direction": req.direction,
+            "index": int(rows[0]) if rows.size else None,
+            "shift": float(np.linalg.norm(w_final - w_prev)),
+            "seconds": seconds,
+        })
+        if k + 1 < len(requests):   # the next request runs on the sample set this one left
+            if req.direction == "add":
+                current = current.extended(req.features, req.labels)
+            else:
+                deleted = np.union1d(deleted, req.indices)
+
     outcome = UpdateOutcome(
-        w_final=w_final,
+        w_final=working.params[-1].copy(),
         mode_trace=trace,
-        diagnostics=diag,
+        trajectory=working.params,
+        diagnostics={**totals, "requests": records},
         timings={"deltagrad_s": t_engine},
-        trajectory=trajectory,
+        updated_history=working,
     )
     if with_baseline:
-        _with_baseline(outcome, data, history, change, t_engine)
+        change = requests[0] if len(requests) == 1 else ChangeSet.delete(
+            [i for req in requests for i in req.indices])
+        t0 = time.perf_counter()
+        w_u = baseline_retrain(data, history, change)
+        t_base = time.perf_counter() - t0
+        w_cached = history.params[-1]
+        outcome.timings.update(
+            baseline_s=t_base,
+            deltagrad_s=t_engine,
+            speedup=(t_base / t_engine) if t_engine > 0 else float("inf"),
+        )
+        outcome.distances.update(
+            uw_w=float(np.linalg.norm(w_u - w_cached)),
+            uw_iw=float(np.linalg.norm(w_u - outcome.w_final)),
+            w_iw=float(np.linalg.norm(w_cached - outcome.w_final)),
+        )
+        outcome.diagnostics["baseline_w"] = w_u
     return outcome
 
 
@@ -415,7 +463,7 @@ def unlearn_batch_gd(data, history, change, cfg, *, with_baseline=False) -> Upda
         raise ValueError("unlearn_batch_gd requires cfg.mode == 'gd'")
     if change.direction != "delete":
         raise ValueError("unlearn_batch_gd handles deletions; use relearn_batch_gd to add")
-    return _batch_gd(data, history, change, cfg, guards=False, with_baseline=with_baseline)
+    return _update(data, history, [change], cfg, with_baseline=with_baseline)
 
 
 def relearn_batch_gd(data, history, change, cfg, *, with_baseline=False) -> UpdateOutcome:
@@ -428,7 +476,7 @@ def relearn_batch_gd(data, history, change, cfg, *, with_baseline=False) -> Upda
         raise ValueError("relearn_batch_gd requires cfg.mode == 'gd'")
     if change.direction != "add":
         raise ValueError("relearn_batch_gd handles additions")
-    return _batch_gd(data, history, change, cfg, guards=False, with_baseline=with_baseline)
+    return _update(data, history, [change], cfg, with_baseline=with_baseline)
 
 
 def unlearn_general(data, history, change, cfg, *, with_baseline=False,
@@ -444,8 +492,8 @@ def unlearn_general(data, history, change, cfg, *, with_baseline=False,
         raise ValueError("unlearn_general requires cfg.mode == 'general'")
     if change.direction != "delete":
         raise ValueError("the general engine handles deletions")
-    return _batch_gd(data, history, change, cfg, guards=True,
-                     with_baseline=with_baseline, objective=objective)
+    return _update(data, history, [change], cfg, guards=True, objective=objective,
+                   with_baseline=with_baseline)
 
 
 def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False) -> UpdateOutcome:
@@ -460,145 +508,26 @@ def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False) -> Upd
         raise ValueError("unlearn_batch_sgd requires cfg.mode == 'sgd'")
     if change.direction != "delete":
         raise ValueError("addition is not defined for minibatch histories")
-    return _batch_gd(data, history, change, cfg, guards=False, minibatch=True,
-                     with_baseline=with_baseline)
+    return _update(data, history, [change], cfg, minibatch=True, with_baseline=with_baseline)
 
 
 def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> UpdateOutcome:
     """Process single-sample deletion/addition requests sequentially.
 
-    After each request the working history is overwritten: explicit
+    Each request corrects the trajectory the previous one left: explicit
     iterations store the exact new gradient, approximate iterations store
-    the reconstructed one, so the next request corrects against the
-    freshest trajectory. Added rows get indices n, n+1, ... in arrival
+    the reconstructed one. Added rows get indices n, n+1, ... in arrival
     order; deleting an index twice is an error.
 
     The returned outcome carries the final parameters, the last request's
     mode trace, per-request records in diagnostics['requests'], and the
-    mutated history (updated_history) for an explicit cache flush.
+    rewritten history (updated_history) for an explicit cache flush.
     """
     if cfg.mode != "gd":
         raise ValueError("unlearn_online requires cfg.mode == 'gd'")
-    _verify_fingerprint(history, data)
-    _check_engine_convexity(history, cfg)
-    if history.config.batch_size != data.n:
-        raise ValueError("the online engine requires a full-batch history")
-    # replay the stream's sample set so that a bad request fails before any work
-    active_n = data.n
-    to_delete: set[int] = set()
-    logistic = history.config.loss.kind == "logistic"
     for k, req in enumerate(requests):
         if req.r != 1:
             raise ChangeSetError(f"request {k}: online requests must touch exactly one sample")
-        if req.direction == "delete":
-            idx = int(req.indices[0])
-            if not 0 <= idx < active_n or idx in to_delete:
-                raise ChangeSetError(f"request {k}: index {idx} is not an active sample")
-            to_delete.add(idx)
-            continue
-        if req.features.shape[1] != data.p:
-            raise ChangeSetError(
-                f"request {k}: added row has {req.features.shape[1]} features, "
-                f"expected {data.p}"
-            )
-        if logistic and abs(req.labels[0]) != 1.0:
-            raise ChangeSetError(f"request {k}: logistic loss needs a label of +1 or -1")
-        if with_baseline:
-            raise ValueError("baseline comparison is supported for pure deletion streams")
-        active_n += 1
-
-    working = history.copy()
-    current = data
-    deleted: set[int] = set()
-    trace: list[str] = []
-    diag_total: dict = {"full_gradient_evals": 0, "pair_rejections": 0,
-                        "cholesky_fallbacks": 0, "empty_buffer_fallbacks": 0}
-    records = []
-
-    t_engine = 0.0
-    for k, req in enumerate(requests):
-        if req.direction == "delete":
-            idx = int(req.indices[0])
-            removed = np.asarray([idx], dtype=np.intp)
-            added = None
-        else:
-            removed = None
-            added = Dataset(req.features, req.labels)
-
-        obj = Objective(history.config.loss, current, removed=sorted(deleted))
-        start = time.perf_counter()
-        w_prev = working.params[-1].copy()
-        w_final, trace, diag = _run_gd_core(
-            obj,
-            working.params,
-            working.gradients,
-            history.config.eta_at,
-            cfg,
-            removed,
-            added,
-        )
-        dt = time.perf_counter() - start
-        t_engine += dt
-
-        # commit the sample change for the next request
-        if req.direction == "delete":
-            deleted.add(idx)
-        else:
-            current = current.extended(req.features, req.labels)
-
-        for key in diag_total:
-            diag_total[key] += diag.get(key, 0)
-        records.append({
-            "request": k,
-            "direction": req.direction,
-            "index": int(req.indices[0]) if req.direction == "delete" else current.n - 1,
-            "shift": float(np.linalg.norm(w_final - w_prev)),
-            "seconds": dt,
-        })
-
-    outcome = UpdateOutcome(
-        w_final=working.params[-1].copy(),
-        mode_trace=trace,
-        trajectory=working.params,
-        diagnostics={**diag_total, "requests": records},
-        timings={"deltagrad_s": t_engine},
-        updated_history=working,
-    )
-
-    if with_baseline:
-        _with_baseline(outcome, data, history, ChangeSet.delete(sorted(deleted)), t_engine)
-    return outcome
-
-
-def record_benchmark(data, history, change, cfg) -> dict:
-    """Run the matching engine and the baseline, timed, and report wall
-    times, distances, and full-gradient-evaluation counts against the
-    closed-form schedule."""
-    engine = {
-        "gd": unlearn_batch_gd if change.direction == "delete" else relearn_batch_gd,
-        "sgd": unlearn_batch_sgd,
-        "general": unlearn_general,
-    }[cfg.mode]
-    outcome = engine(data, history, change, cfg, with_baseline=True)
-    T = history.iterations
-    return {
-        "n": data.n,
-        "p": data.p,
-        "r": change.r,
-        "iterations": T,
-        "period": cfg.period,
-        "burn_in": cfg.burn_in,
-        "baseline_s": outcome.timings["baseline_s"],
-        "deltagrad_s": outcome.timings["deltagrad_s"],
-        "speedup": outcome.timings["speedup"],
-        "distances": dict(outcome.distances),
-        "full_gradient_evals": outcome.diagnostics["full_gradient_evals"],
-        "scheduled_full_gradient_evals": expected_full_gradient_evals(
-            T, cfg.burn_in, cfg.period
-        ),
-        "baseline_gradient_evals": T,
-        "mode_trace_summary": {
-            label: outcome.mode_trace.count(label)
-            for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")
-        },
-    }
+    if with_baseline and any(req.direction == "add" for req in requests):
+        raise ValueError("baseline comparison is supported for pure deletion streams")
+    return _update(data, history, requests, cfg, with_baseline=with_baseline)

@@ -4,8 +4,17 @@ import struct
 import numpy as np
 import pytest
 
-from deltagrad import CacheFormatError, ParseError, delta_bound, load_cache, load_model
-from deltagrad.cli import _requests_from_file, main, parse_lr_schedule
+from deltagrad import (
+    CacheFormatError,
+    ChangeSet,
+    DeltaGradConfig,
+    ParseError,
+    delta_bound,
+    load_cache,
+    load_model,
+    relearn_batch_gd,
+)
+from deltagrad.cli import _requests_from_file, load_dataset, main, parse_lr_schedule
 from deltagrad.privacy import PrivacyParams, estimate_constants
 
 SYNTH = "n=1000,p=6,seed=5,noise=0.05,margin=2.0"
@@ -181,8 +190,6 @@ def test_noise_command(tmp_path, noise_cache):
     assert noised.read_bytes() == noised2.read_bytes()
 
     # reported delta matches an offline evaluation of the bound
-    from deltagrad.cli import load_dataset
-
     class Args:
         data, format, label_column = NOISE_SYNTH, "synthetic", "label"
 
@@ -209,8 +216,10 @@ def test_bench_rows_and_counts(tmp_path):
     rows = json.loads(out_json.read_text())["rows"]
     assert len(rows) == 3
     for cell in rows:
-        assert cell["scheduled_full_gradient_evals"] == 30
+        assert cell["scheduled_full_gradient_evals"] == 30       # 10 + ceil(100/5)
+        assert cell["full_gradient_evals"] == 30
         assert cell["baseline_gradient_evals"] == 110
+        assert cell["speedup"] > 0
     dists = [cell["distances"]["uw_iw"] for cell in rows]
     assert dists == sorted(dists)        # error grows with the delete rate
     assert out_csv.read_text().count("\n") == 4
@@ -277,16 +286,67 @@ def test_request_file_add_rows_follow_libsvm_indices(tmp_path, row):
     reqs = tmp_path / "requests.txt"
     reqs.write_text(f"del 4\nadd {row}\n")
     with pytest.raises(ParseError, match=":2:"):
-        _requests_from_file(reqs, 6)
+        _requests_from_file(reqs, 6, "logistic")
 
 
 def test_request_file_add_row_parses(tmp_path):
     # real-valued labels stay accepted: ridge streams add them
     reqs = tmp_path / "requests.txt"
     reqs.write_text("add 0.37 1:5.0 6:-2.5\n")
-    (req,) = _requests_from_file(reqs, 6)
+    (req,) = _requests_from_file(reqs, 6, "ridge")
     np.testing.assert_array_equal(req.features, [[5.0, 0, 0, 0, 0, -2.5]])
     np.testing.assert_array_equal(req.labels, [0.37])
+    # a logistic stream follows the libsvm label rule
+    reqs.write_text("add 0 1:5.0\n")
+    (req,) = _requests_from_file(reqs, 6, "logistic")
+    np.testing.assert_array_equal(req.labels, [-1.0])
+    reqs.write_text("add 0.5 1:5.0\n")
+    with pytest.raises(ParseError, match=":1:"):
+        _requests_from_file(reqs, 6, "logistic")
+
+
+class SynthArgs:
+    data, format, label_column = SYNTH, "synthetic", "label"
+
+
+@pytest.mark.parametrize("kind,label,expect", [
+    ("ridge", "2.5", 2.5), ("ridge", "0", 0.0), ("logistic", "0", -1.0), ("logistic", "0.5", None),
+])
+def test_added_row_labels_follow_the_cache_loss(tmp_path, kind, label, expect):
+    cache = tmp_path / "c.dgc"
+    assert run("train", "--data", SYNTH, "--format", "synthetic", "--loss", kind,
+               "--l2", "0.01", "--lr", "0.2", "--iters", "30", "--cache-out", str(cache)) == 0
+    add = tmp_path / "add.svm"
+    add.write_text(f"{label} 1:0.5 6:1.0\n")
+    out = tmp_path / "w.dgw"
+    code = run("relearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--add-file", str(add), "--out", str(out))
+    if expect is None:
+        assert code == 3
+        return
+    assert code == 0
+    data = load_dataset(SynthArgs)
+    change = ChangeSet.add([0.5, 0, 0, 0, 0, 1.0], [expect])
+    ref = relearn_batch_gd(data, load_cache(cache, data), change, DeltaGradConfig())
+    assert np.array_equal(load_model(out), ref.w_final)
+
+
+def test_narrow_libsvm_test_set_is_padded(tmp_path, cache):
+    argv = ["unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+            "--delete-ids", "3", "--test-format", "libsvm"]
+    narrow = tmp_path / "narrow.svm"
+    narrow.write_text("+1 1:0.5 2:1.0\n-1 3:0.25\n")      # highest index 3 < p = 6
+    out, report = tmp_path / "w.dgw", tmp_path / "r.json"
+    assert run(*argv, "--test-data", str(narrow), "--out", str(out), "--report", str(report)) == 0
+    X = np.array([[0.5, 1.0, 0, 0, 0, 0], [0, 0, 0.25, 0, 0, 0]])
+    pred = np.where(X @ load_model(out) >= 0.0, 1.0, -1.0)
+    rep = json.loads(report.read_text())
+    assert rep["accuracies"]["deltagrad"]["accuracy"] == np.mean(pred == [1.0, -1.0])
+    # a wider test set is a dimension error, found before any model is written
+    wide = tmp_path / "wide.svm"
+    wide.write_text("+1 7:1.0\n")
+    assert run(*argv, "--test-data", str(wide), "--out", str(tmp_path / "x.dgw")) == 6
+    assert not (tmp_path / "x.dgw").exists()
 
 
 @pytest.mark.parametrize("argv", [

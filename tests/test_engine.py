@@ -21,7 +21,6 @@ from deltagrad import (
     baseline_retrain,
     expected_full_gradient_evals,
     generate_synthetic,
-    record_benchmark,
     relearn_batch_gd,
     smoothness_bound,
     train_gd,
@@ -419,19 +418,45 @@ def test_online_rejects_non_pm1_added_label_before_any_work(core_calls):
     assert core_calls == []
 
 
+def test_added_label_is_checked_before_any_work(core_calls):
+    # the batch engines and the oracle share the online stream's validator
+    data, hist = train_problem(T=30)
+    change = ChangeSet.add(np.full(data.p, 0.1), [0.0])
+    with pytest.raises(ChangeSetError, match="request 0"):
+        relearn_batch_gd(data, hist, change, GD)
+    with pytest.raises(ChangeSetError, match="request 0"):
+        baseline_retrain(data, hist, change)
+    assert core_calls == []
+
+
 def test_online_rejects_multi_sample_request():
     data, hist = train_problem(T=30)
     with pytest.raises(ChangeSetError):
         unlearn_online(data, hist, [ChangeSet.delete([1, 2])], GD)
 
 
-def test_online_history_is_replayable_cache():
-    # after the stream, the stored trajectory must chain consistently:
-    # w_{t+1} = w_t - eta * stored_gradient_t
-    data, hist = train_problem(n=400, p=5, T=40)
+@pytest.mark.parametrize("engine", ["unlearn_batch_gd", "relearn_batch_gd", "unlearn_general",
+                                    "unlearn_batch_sgd", "unlearn_online"])
+def test_online_history_is_replayable_cache(engine):
+    # every engine returns its corrected trajectory as a cache that chains:
+    # w_{t+1} = w_t - eta * stored_gradient_t, where a skipped minibatch
+    # stores a zero gradient and so keeps the iterate
+    data, hist = train_problem(n=400, p=5, T=40,
+                               batch=4 if engine == "unlearn_batch_sgd" else None)
     ids = [3, 77, 200]
-    out = unlearn_online(data, hist, [ChangeSet.delete([i]) for i in ids], GD)
+    if engine == "unlearn_batch_gd":
+        out = unlearn_batch_gd(data, hist, ChangeSet.delete(ids), GD)
+    elif engine == "relearn_batch_gd":
+        out = relearn_batch_gd(data, hist, ChangeSet.add(data.features[ids], data.labels[ids]), GD)
+    elif engine == "unlearn_general":
+        out = unlearn_general(data, hist, ChangeSet.delete(ids), GEN)
+    elif engine == "unlearn_batch_sgd":
+        out = unlearn_batch_sgd(data, hist, ChangeSet.delete(hist.batches()[0]), SGD)
+        assert out.mode_trace[0] == "skipped-empty-batch"
+    else:
+        out = unlearn_online(data, hist, [ChangeSet.delete([i]) for i in ids], GD)
     upd = out.updated_history
+    assert upd.params is out.trajectory
     for t in range(upd.iterations):
         step = upd.params[t] - hist.config.eta_at(t) * upd.gradients[t]
         np.testing.assert_allclose(step, upd.params[t + 1], atol=1e-12)
@@ -513,15 +538,16 @@ def test_general_accepts_unregularized_loss():
         unlearn_batch_gd(data, hist, ChangeSet.delete([0]), GD)
 
 
-# ---------------------------------------------------------------- benchmark
+# ---------------------------------------------------------------- schedule
 
 def test_benchmark_gradient_counts():
     data, hist = train_problem(n=300, p=4, T=110)
-    report = record_benchmark(data, hist, ChangeSet.delete([5]), GD)
-    assert report["scheduled_full_gradient_evals"] == 30       # 10 + ceil(100/5)
-    assert report["full_gradient_evals"] == 30
-    assert report["baseline_gradient_evals"] == 110
-    assert report["speedup"] > 0
+    out = unlearn_batch_gd(data, hist, ChangeSet.delete([5]), GD, with_baseline=True)
+    assert out.diagnostics["scheduled_full_gradient_evals"] == 30      # 10 + ceil(100/5)
+    assert expected_full_gradient_evals(hist.iterations, GD.burn_in, GD.period) == 30
+    assert out.diagnostics["full_gradient_evals"] == 30
+    assert hist.iterations == 110                 # the baseline takes one full gradient a step
+    assert out.timings["speedup"] > 0
 
 
 def test_expected_evals_closed_form():
