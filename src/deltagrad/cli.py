@@ -63,7 +63,8 @@ def parse_id_list(text: str):
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def load_dataset(args, which="data") -> Dataset:
+def load_dataset(args, which="data", kind="logistic") -> Dataset:
+    """The dataset named by `args.<which>`; libsvm labels follow loss `kind`."""
     source = getattr(args, which)
     fmt = getattr(args, which.replace("data", "format"), None) or args.format
     if fmt == "synthetic":
@@ -79,7 +80,7 @@ def load_dataset(args, which="data") -> Dataset:
             margin=float(spec.get("margin", 2.0)),
         ))
     if fmt == "libsvm":
-        return dataio.parse_libsvm(source)
+        return dataio.parse_libsvm(source, kind)
     if fmt == "csv":
         return dataio.parse_csv(source, args.label_column)
     raise ValueError(f"unknown format {fmt!r}")
@@ -111,17 +112,12 @@ def _lines(path):
 
 def _parse_row(text: str, where: str, p: int, kind: str):
     """One added row, `label idx:val ...` with libsvm indices (1-based,
-    strictly increasing, at most p), as (features, label). Ridge keeps the
-    label as written; logistic takes -1, 0 or +1 and reads 0 as -1."""
+    strictly increasing, at most p), as (features, label); the label
+    follows `dataio.parse_label` under loss `kind`."""
     tokens = text.split()
-    try:
-        label = float(tokens[0])
-    except (ValueError, IndexError):
-        raise ParseError(f"{where}: bad row {text!r}") from None
-    if kind == "logistic":
-        if label not in (-1.0, 0.0, 1.0):
-            raise ParseError(f"{where}: logistic labels must be -1, 0 or +1")
-        label = -1.0 if label == 0.0 else label
+    if not tokens:
+        raise ParseError(f"{where}: bad row {text!r}")
+    label = dataio.parse_label(tokens[0], where, kind)
     row = np.zeros(p)
     for j, val in dataio.parse_feature_tokens(tokens[1:], where, p):
         row[j] = val
@@ -220,10 +216,11 @@ def _trace_summary(trace) -> dict:
             for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")}
 
 
-def _load_test_set(args, p: int) -> Dataset:
-    """The --test-data set with the model's p features; a libsvm file is as
-    wide as its highest index, so a narrower one gets zero columns."""
-    test = load_dataset(args, which="test_data")
+def _load_test_set(args, p: int, kind: str) -> Dataset:
+    """The --test-data set with the model's p features and the labels of
+    loss `kind`; a libsvm file is as wide as its highest index, so a
+    narrower one gets zero columns."""
+    test = load_dataset(args, which="test_data", kind=kind)
     if (args.test_format or args.format) == "libsvm" and test.p < p:
         test = Dataset(np.pad(test.features, ((0, 0), (0, p - test.p))), test.labels)
     if test.p != p:
@@ -238,7 +235,7 @@ def cmd_update(args) -> int:
     cfg = engine.DeltaGradConfig(
         period=args.T0, burn_in=args.j0, history_size=args.m, mode=args.mode,
     )
-    test = _load_test_set(args, data.p) if args.test_data else None
+    test = _load_test_set(args, data.p, kind) if args.test_data else None
 
     online = args.command == "unlearn" and args.online
     if online:

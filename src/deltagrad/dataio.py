@@ -9,6 +9,7 @@ included) it was trained on.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,8 +28,8 @@ _LOSS_NAMES = {v: k for k, v in _LOSS_CODES.items()}
 
 def parse_feature_tokens(tokens, where: str, p: int | None = None) -> list:
     """Parse `idx:val` tokens into (column, value) pairs. Indices are
-    1-based, strictly increasing and, when `p` is given, at most p;
-    anything else raises ParseError prefixed with `where`."""
+    1-based, strictly increasing and, when `p` is given, at most p; values
+    are finite. Anything else raises ParseError prefixed with `where`."""
     entries = []
     prev = 0
     for tok in tokens:
@@ -38,6 +39,8 @@ def parse_feature_tokens(tokens, where: str, p: int | None = None) -> list:
             val = float(val_s)
         except ValueError:
             raise ParseError(f"{where}: bad feature {tok!r}") from None
+        if not math.isfinite(val):
+            raise ParseError(f"{where}: non-finite feature {tok!r}")
         if idx < 1:
             raise ParseError(f"{where}: indices are 1-based")
         if idx <= prev:
@@ -49,10 +52,27 @@ def parse_feature_tokens(tokens, where: str, p: int | None = None) -> list:
     return entries
 
 
-def parse_libsvm(path) -> Dataset:
+def parse_label(text: str, where: str, kind: str) -> float:
+    """A label under loss `kind`: ridge keeps any finite real as written;
+    logistic takes -1, 0 or +1 and reads 0 as -1."""
+    try:
+        label = float(text)
+    except ValueError:
+        raise ParseError(f"{where}: bad label {text!r}") from None
+    if kind == "logistic":
+        if label not in (-1.0, 0.0, 1.0):
+            raise ParseError(f"{where}: label must be -1, 0 or +1")
+        return -1.0 if label == 0.0 else label
+    if not math.isfinite(label):
+        raise ParseError(f"{where}: non-finite label {text!r}")
+    return label
+
+
+def parse_libsvm(path, kind: str = "logistic") -> Dataset:
     """Read `label idx:val ...` lines with 1-based, strictly increasing
-    indices per line. p is the largest index seen. Labels must be -1, 0, or
-    +1; 0 maps to -1. Blank lines separate nothing and are ignored."""
+    indices per line and finite values. p is the largest index seen. Labels
+    follow `parse_label` under loss `kind`. Blank lines separate nothing
+    and are ignored."""
     rows = []
     labels = []
     p = 0
@@ -62,17 +82,11 @@ def parse_libsvm(path) -> Dataset:
             if not line:
                 continue
             tokens = line.split()
-            try:
-                label = float(tokens[0])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad label {tokens[0]!r}") from None
-            if label not in (-1.0, 0.0, 1.0):
-                raise ParseError(f"{path}:{lineno}: label must be -1, 0 or +1")
+            labels.append(parse_label(tokens[0], f"{path}:{lineno}", kind))
             entries = parse_feature_tokens(tokens[1:], f"{path}:{lineno}")
             if entries:
                 p = max(p, entries[-1][0] + 1)
             rows.append(entries)
-            labels.append(-1.0 if label <= 0.0 else 1.0)
     if not rows:
         raise ParseError(f"{path}: no samples")
     X = np.zeros((len(rows), p))
@@ -93,7 +107,7 @@ def write_libsvm(data: Dataset, path):
 
 
 def parse_csv(path, label_column: str) -> Dataset:
-    """Dense CSV with a header row; every cell must be numeric."""
+    """Dense CSV with a header row; every cell must be a finite number."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -112,11 +126,16 @@ def parse_csv(path, label_column: str) -> Dataset:
             values = []
             for col, cell in zip(header, record):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}"
+                    )
+                values.append(value)
             labels.append(values[label_pos])
             rows.append([values[i] for i in feature_pos])
     if not rows:

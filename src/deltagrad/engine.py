@@ -21,12 +21,20 @@ first, then corrects a copy of the cached history request by request, each
 against the trajectory the previous request left; every engine returns that
 copy as `updated_history`, a cache the next update can start from.
 
+A request's change enters the loop as change terms with a sign: -1 for
+deletions, whose rows `Objective.rows` gathers from the objective itself (so
+a custom objective evaluates its own deleted rows), and +1 for additions, an
+Objective over the new rows. A full-batch request builds one term, used at
+every iteration; the minibatch engine builds one per recorded batch, over
+the batch's deleted members, as the loop reaches it.
+
 `baseline_retrain` is the correctness oracle: it replays the recorded
 schedule over the changed sample set through the trainer's own descent loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +43,7 @@ import numpy as np
 
 from .errors import ChangeSetError, FactorizationError, FingerprintMismatchError
 from .lbfgs import CurvaturePairBuffer, quasi_hvp
-from .models import Dataset, Objective, gradient_sum
+from .models import Dataset, Objective, gradient_sum  # noqa: F401 (dgbench patches it here)
 from .trainer import TrainingHistory, _check_finite, _descend
 
 MODES = ("gd", "sgd", "general")
@@ -147,8 +155,8 @@ def _verify_fingerprint(history: TrainingHistory, data: Dataset):
         )
 
 
-def _check_engine_convexity(history: TrainingHistory, cfg: DeltaGradConfig):
-    if cfg.mode != "general" and history.config.loss.l2 <= 0.0:
+def _check_engine_convexity(history: TrainingHistory, guards: bool):
+    if not guards and history.config.loss.l2 <= 0.0:
         raise ValueError(
             "l2 must be > 0 for the gd/sgd/online engines (mu = l2); "
             "use mode='general' for unregularized objectives"
@@ -161,13 +169,21 @@ def _check_requests(requests, data: Dataset, loss_kind: str):
     Request k may delete only rows active when it arrives: rows of `data`
     and rows added by earlier requests (numbered n, n+1, ... in arrival
     order) that no earlier request deleted. Added rows need data.p features
-    and, under logistic loss, labels of +1 or -1.
+    and, under logistic loss, labels of +1 or -1. A request that touches
+    more than SMALL_FRACTION_WARN of the active rows warns; so does, once, a
+    list whose requests so far touch more than that fraction of data.n.
     """
-    active_n = data.n
+    active_n, touched, warned = data.n, 0, False
     deleted = np.zeros(data.n + sum(req.r for req in requests), dtype=bool)
     for k, req in enumerate(requests):
+        touched += req.r
         if req.r / active_n > SMALL_FRACTION_WARN:
+            warned = True
             warnings.warn(f"request {k} touches {req.r}/{active_n} samples; the correction "
+                          "is only guaranteed accurate for small fractions", stacklevel=3)
+        elif not warned and touched / data.n > SMALL_FRACTION_WARN:
+            warned = True
+            warnings.warn(f"requests 0..{k} touch {touched}/{data.n} samples; the correction "
                           "is only guaranteed accurate for small fractions", stacklevel=3)
         if req.direction == "delete":
             ids = req.indices
@@ -220,25 +236,26 @@ def _run_gd_core(
     grads: np.ndarray,
     eta_at,
     cfg: DeltaGradConfig,
-    removed_ids: np.ndarray | None,
-    added: Dataset | None,
+    changes,
+    sign: float,
     *,
     batches: list[np.ndarray] | None = None,
     guards: bool = False,
 ):
     """The correction loop of every engine.
 
-    The sample change is either `removed_ids` (absolute rows of obj's data)
-    or `added` (a small Dataset of new rows). Iteration t runs over every
-    row of obj, or over the recorded minibatch batches[t], whose deleted
-    members are its changed rows. With n rows and r changed, the
-    changed-objective gradient at iterate w is
+    Iteration t runs over every row of obj, or over the recorded minibatch
+    batches[t]. `changes` yields one change term per iteration: an
+    Objective over the r changed rows of that step (None when r = 0), which
+    enter with `sign`, -1 for deleted rows (a subset of the step's rows)
+    and +1 for added rows. With n step rows the changed-objective gradient
+    at iterate w is
 
-        ( data_sum(rows) -/+ data_sum(changed) ) / (n -/+ r) + l2*w
+        ( data_sum(rows) + sign * data_sum(changed) ) / (n + sign*r) + l2*w
 
     at explicit iterations, and at approximate iterations
 
-        n/(n -/+ r) * (B v + cached_grad) -/+ (changed_sum + r*l2*w)/(n -/+ r)
+        n/(n + sign*r) * (B v + cached_grad) + sign * (changed_sum + r*l2*w)/(n + sign*r)
 
     which for r = 0 collapses bitwise to the cached update; a minibatch left
     empty is skipped. params[t] and grads[t] are overwritten with the
@@ -248,20 +265,8 @@ def _run_gd_core(
     """
     T = grads.shape[0]
     n = obj.n
-    sign = -1.0 if added is None else 1.0
-    r = (0 if removed_ids is None else len(removed_ids)) if added is None else added.n
-    if batches is None and added is None and n - r <= 0:
-        raise ChangeSetError("cannot delete every remaining sample")
-    if batches is not None:
-        removed_mask = np.zeros(obj.data.n, dtype=bool)
-        removed_mask[removed_ids] = True
     batch = None
     l2 = obj.l2
-
-    def changed_data_sum(w):
-        if added is not None:
-            return gradient_sum(obj.cfg, added, w)
-        return obj.data_grad_sum(w, removed_ids)
 
     buf = CurvaturePairBuffer(cfg.history_size)
     iw = params[0].copy()
@@ -276,16 +281,17 @@ def _run_gd_core(
     zero = np.zeros(obj.p)
 
     for t in range(T):
+        change = next(changes)
+        r = 0 if change is None else change.n
         if batches is not None:
             batch = batches[t]
-            removed_ids = batch[removed_mask[batch]]
-            n, r = batch.size, removed_ids.size
+            n = batch.size
             if n == r:
                 trace.append("skipped-empty-batch")
                 params[t] = iw
                 grads[t] = zero
                 continue
-        denom = n - r if added is None else n + r
+        denom = n + sign * r
         ratio = n / denom
 
         w_t = params[t]
@@ -332,10 +338,10 @@ def _run_gd_core(
                 convexity_events += 1        # concave stretch: do not trust the pair
             else:
                 buf.append_pair(v, dg, tag=t)
-            changed = changed_data_sum(iw) if r else zero
+            changed = change.data_grad_sum(iw) if r else zero
             new_grad = (S + sign * changed) / denom + l2 * iw
         else:
-            changed_reg = (changed_data_sum(iw) + r * l2 * iw) if r else zero
+            changed_reg = (change.data_grad_sum(iw) + r * l2 * iw) if r else zero
             new_grad = ratio * (Bv + g_t) + sign * (changed_reg / denom)
 
         iw_next = iw - eta_at(t) * new_grad
@@ -384,7 +390,7 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     measured against (distances between cached, corrected and retrained).
     """
     _verify_fingerprint(history, data)
-    _check_engine_convexity(history, cfg)
+    _check_engine_convexity(history, guards)
     if minibatch:
         batches = history.batches()
     elif history.config.batch_size != data.n:
@@ -400,16 +406,24 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     totals = dict.fromkeys(_COUNTERS, 0)
     records, trace, t_engine = [], [], 0.0
     for k, req in enumerate(requests):
-        if req.direction == "delete":
-            added, rows = None, req.indices
-        else:
-            added = Dataset(req.features, req.labels) if req.r else None
-            rows = np.arange(current.n, current.n + req.r)
         obj = objective if objective is not None else Objective(loss, current, removed=deleted)
+        if req.direction == "delete" and batches is None and req.r >= obj.n:
+            raise ChangeSetError("cannot delete every remaining sample")
         w_prev = working.params[-1].copy()
         start = time.perf_counter()
+        sign, rows = -1.0, req.indices
+        if req.direction == "add":
+            sign, rows = 1.0, np.arange(current.n, current.n + req.r)
+            change = Objective(loss, Dataset(req.features, req.labels)) if req.r else None
+            changes = itertools.repeat(change)
+        elif batches is None:
+            changes = itertools.repeat(obj.rows(rows))
+        else:
+            deleted_mask = np.zeros(obj.data.n, dtype=bool)
+            deleted_mask[rows] = True
+            changes = (obj.rows(batch[deleted_mask[batch]]) for batch in batches)
         w_final, trace, diag = _run_gd_core(obj, working.params, working.gradients,
-                                            history.config.eta_at, cfg, req.indices, added,
+                                            history.config.eta_at, cfg, changes, sign,
                                             batches=batches, guards=guards)
         seconds = time.perf_counter() - start
         t_engine += seconds

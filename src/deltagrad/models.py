@@ -8,14 +8,16 @@ gradient.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
 frozen after construction and safe to share across threads. A Dataset owns
-its labels and checks once, at construction, whether they are all +1 or -1;
+its labels and checks once, on first use, whether they are all +1 or -1;
 the logistic functions read that result instead of scanning the labels on
-every call.
+every call, and ridge never pays for it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -60,7 +62,10 @@ class Dataset:
         y.flags.writeable = False
         self.features = X
         self.labels = y
-        self._pm1_labels = bool((np.abs(y) == 1.0).all())
+
+    @functools.cached_property
+    def _pm1_labels(self) -> bool:
+        return bool((np.abs(self.labels) == 1.0).all())
 
     @property
     def n(self) -> int:
@@ -268,24 +273,31 @@ class Objective:
 
     The update engines and the trainer route every gradient evaluation
     through this adapter so that the r = 0 arithmetic is literally the
-    training-time expression. `removed` (sorted row ids, usually empty) is
-    subtracted from the all-rows sum; the online engine grows it per deletion.
-    The removed rows are gathered once, here, not on every evaluation.
+    training-time expression. Subclasses override `data_grad_sum`; `rows`
+    restricts an objective to some rows. The `removed` rows (the online
+    engine's deletions so far) are restricted once and subtracted from the
+    all-rows sum.
     """
 
     def __init__(self, cfg: LossConfig, data: Dataset, removed=()):
         self.cfg = cfg
         self.data = data
-        self.removed = np.asarray(removed, dtype=np.intp)
-        self._removed_rows = None
-        if self.removed.size:
-            if self.removed.min() < 0 or self.removed.max() >= data.n:
-                raise IndexError(f"removed index out of range [0, {data.n})")
-            self._removed_rows = data.subset(self.removed)
+        self.removed = self.rows(removed)
+
+    def rows(self, ids) -> "Objective | None":
+        """This objective over rows `ids` only, gathered once; None for no rows."""
+        idx = np.asarray(ids, dtype=np.intp)
+        if idx.size == 0:
+            return None
+        if idx.min() < 0 or idx.max() >= self.data.n:
+            raise IndexError(f"sample index out of range [0, {self.data.n})")
+        part = copy.copy(self)
+        part.data, part.removed = self.data.subset(idx), None
+        return part
 
     @property
     def n(self) -> int:
-        return self.data.n - self.removed.size
+        return self.data.n - (0 if self.removed is None else self.removed.data.n)
 
     @property
     def p(self) -> int:
@@ -301,8 +313,8 @@ class Objective:
         if indices is not None:
             return gradient_sum(self.cfg, self.data, w, indices)
         total = gradient_sum(self.cfg, self.data, w)
-        if self._removed_rows is not None:
-            total -= gradient_sum(self.cfg, self._removed_rows, w)
+        if self.removed is not None:
+            total -= self.removed.data_grad_sum(w)
         return total
 
     def full_avg_gradient(self, w) -> np.ndarray:

@@ -349,6 +349,38 @@ def test_narrow_libsvm_test_set_is_padded(tmp_path, cache):
     assert not (tmp_path / "x.dgw").exists()
 
 
+def test_ridge_libsvm_test_set_keeps_real_labels(tmp_path):
+    cache = tmp_path / "c.dgc"
+    assert run("train", "--data", SYNTH, "--format", "synthetic", "--loss", "ridge",
+               "--l2", "0.1", "--lr", "0.2", "--iters", "30", "--cache-out", str(cache)) == 0
+    test = tmp_path / "t.svm"
+    test.write_text("2.5 1:1.0 4:0.5\n0 2:-1.0\n")
+    out, report = tmp_path / "w.dgw", tmp_path / "r.json"
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--delete-ids", "3", "--test-data", str(test), "--test-format", "libsvm",
+               "--out", str(out), "--report", str(report)) == 0
+    X = np.array([[1.0, 0, 0, 0.5, 0, 0], [0, -1.0, 0, 0, 0, 0]])
+    mse = np.mean((X @ load_model(out) - [2.5, 0.0]) ** 2)
+    assert json.loads(report.read_text())["accuracies"]["deltagrad"]["mse"] == mse
+
+
+def test_non_finite_rows_are_parse_errors(tmp_path, cache):
+    argv = ["--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+            "--out", str(tmp_path / "w.dgw")]
+    add = tmp_path / "add.svm"
+    add.write_text("+1 1:0.5\n+1 1:nan\n")
+    assert run("relearn", *argv, "--add-file", str(add)) == 3
+    reqs = tmp_path / "requests.txt"
+    reqs.write_text("del 4\nadd +1 1:inf\n")
+    assert run("unlearn", *argv, "--online", "--requests", str(reqs)) == 3
+    with pytest.raises(ParseError, match=":2: non-finite"):
+        _requests_from_file(reqs, 6, "logistic")
+    reqs.write_text("add inf 1:1.0\n")
+    with pytest.raises(ParseError, match=":1: non-finite"):
+        _requests_from_file(reqs, 6, "ridge")
+    assert not (tmp_path / "w.dgw").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["unlearn", "--add-file", "extra.svm"],
     ["relearn", "--add-file", "extra.svm", "--delete-ids", "1"],

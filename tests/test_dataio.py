@@ -66,6 +66,23 @@ def test_libsvm_bad_label(tmp_path):
         parse_libsvm(path)
 
 
+@pytest.mark.parametrize("line", ["+1 1:0.5 2:nan", "+1 1:inf", "-1 3:-inf"])
+def test_libsvm_rejects_non_finite_features(tmp_path, line):
+    path = tmp_path / "nf.svm"
+    path.write_text(f"+1 1:1.0\n{line}\n")
+    with pytest.raises(ParseError, match=":2: non-finite"):
+        parse_libsvm(path)
+
+
+def test_libsvm_ridge_labels_stay_real(tmp_path):
+    path = tmp_path / "r.svm"
+    path.write_text("2.5 1:1.0\n0 2:1.0\n")
+    np.testing.assert_array_equal(parse_libsvm(path, "ridge").labels, [2.5, 0.0])
+    path.write_text("2.5 1:1.0\nnan 2:1.0\n")
+    with pytest.raises(ParseError, match=":2: non-finite"):
+        parse_libsvm(path, "ridge")
+
+
 def test_libsvm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.uniform(0.1, 1.0, size=(20, 7))      # dense nonzero keeps p stable
@@ -99,6 +116,14 @@ def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("label,x0\n1.0,two\n")
     with pytest.raises(ParseError, match="non-numeric"):
+        parse_csv(path, "label")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "a.csv"
+    path.write_text(f"label,x0\n1.0,2.0\n-1.0,{cell}\n")
+    with pytest.raises(ParseError, match=":3: non-finite"):
         parse_csv(path, "label")
 
 

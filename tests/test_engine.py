@@ -31,6 +31,7 @@ from deltagrad import (
     unlearn_online,
 )
 import deltagrad.engine as engine_mod
+import deltagrad.models as models_mod
 from deltagrad.errors import FactorizationError
 from oracles import ridge_solution
 
@@ -462,6 +463,87 @@ def test_online_history_is_replayable_cache(engine):
         np.testing.assert_allclose(step, upd.params[t + 1], atol=1e-12)
 
 
+def test_online_stream_warns_about_its_cumulative_change():
+    # 100 single-row deletions touch 10% of n = 1000 rows, each under 5%
+    data, hist = train_problem(n=1000, p=5, T=30)
+    ids = np.random.default_rng(15).choice(data.n, size=100, replace=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        unlearn_online(data, hist, [ChangeSet.delete([i]) for i in ids], GD)
+    assert [str(w.message).split(";")[0] for w in caught] == ["requests 0..50 touch 51/1000 samples"]
+    assert "small fraction" in str(caught[0].message)
+    # a single request warns as before, once, about itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        unlearn_batch_gd(data, hist, ChangeSet.delete(ids[:60]), GD)
+    assert [str(w.message).split(";")[0] for w in caught] == ["request 0 touches 60/1000 samples"]
+
+
+def test_changed_rows_are_gathered_once_per_request(monkeypatch):
+    # the change term holds its rows, so no kernel call selects rows by index
+    data, hist = train_problem(n=300, p=5, T=40)
+    calls = []
+    kernel = models_mod.gradient_sum
+    monkeypatch.setattr(models_mod, "gradient_sum",
+                        lambda cfg, d, w, indices=None: calls.append(indices) or
+                        kernel(cfg, d, w, indices))
+    ids = [3, 77, 200]
+    unlearn_batch_gd(data, hist, ChangeSet.delete(ids), GD)
+    relearn_batch_gd(data, hist, ChangeSet.add(data.features[ids], data.labels[ids]), GD)
+    unlearn_general(data, hist, ChangeSet.delete(ids), GEN)
+    unlearn_online(data, hist, [ChangeSet.delete([5]), ChangeSet.add(data.features[9], [1.0]),
+                                ChangeSet.delete([data.n])], GD)
+    assert len(calls) > 4 * hist.iterations
+    assert all(indices is None for indices in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    n=st.integers(10, 60),
+    p=st.integers(1, 5),
+    T=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    data_st=st.data(),
+)
+def test_online_mixed_stream_with_period_one_equals_retrain(kind, n, p, T, seed, data_st):
+    # every iteration explicit: each request rewrites the trajectory exactly,
+    # so a stream of adds and deletes (also of added rows) is plain GD on
+    # the sample set it leaves
+    rng = np.random.default_rng(seed)
+    data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
+    if kind == "ridge":
+        data = Dataset(data.features, rng.normal(size=n))
+    loss_cfg = LossConfig(kind, 0.01)
+    # added rows lie in [-1, 1]^p, so 1/eta bounds the smoothness of every sample set
+    row_sq = max(float(np.einsum("ij,ij->i", data.features, data.features).max()), p)
+    cfg = TrainConfig(loss=loss_cfg, iterations=T, batch_size=n,
+                      eta_schedule=((0, 1.0 / (row_sq + loss_cfg.l2)),), seed=seed)
+    hist = train_gd(data, cfg)
+    rows, labels = list(data.features), list(data.labels)
+    active = list(range(n))
+    requests = []
+    for _ in range(data_st.draw(st.integers(1, 8))):
+        if data_st.draw(st.booleans()):
+            row = rng.uniform(-1.0, 1.0, size=p)
+            label = float(rng.choice([-1.0, 1.0])) if kind == "logistic" else rng.normal()
+            requests.append(ChangeSet.add(row, [label]))
+            active.append(len(rows))
+            rows.append(row)
+            labels.append(label)
+        else:
+            gone = data_st.draw(st.sampled_from(active))
+            requests.append(ChangeSet.delete([gone]))
+            active.remove(gone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        out = unlearn_online(data, hist, requests,
+                             DeltaGradConfig(period=1, burn_in=2, history_size=2, mode="gd"))
+    final = Dataset(np.asarray(rows)[active], np.asarray(labels)[active])
+    w_ref = train_gd(final, dataclasses.replace(cfg, batch_size=final.n)).params[-1]
+    assert np.linalg.norm(out.w_final - w_ref) <= 1e-12 * (1 + np.linalg.norm(w_ref))
+
+
 # ---------------------------------------------------------------- general
 
 def test_general_matches_gd_when_guards_silent():
@@ -510,6 +592,24 @@ def test_general_convexity_guard_fires_and_finishes():
     out = unlearn_general(data, hist, change, cfg, objective=obj)
     assert out.diagnostics["convexity_guard_events"] >= 1
     assert np.isfinite(out.w_final).all()
+
+
+def test_custom_objective_supplies_the_change_gradient():
+    # with period 1 the guarded engine is exact, so it equals training the
+    # custom objective on the 38 remaining rows only if the two deleted rows
+    # are also evaluated through WavyObjective.data_grad_sum
+    data, obj, hist = wavy_problem()
+    ids = [4, 29]
+    cfg = DeltaGradConfig(period=1, burn_in=4, history_size=2, mode="general")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        out = unlearn_general(data, hist, ChangeSet.delete(ids), cfg, objective=obj)
+    rest = data.subset(np.setdiff1d(np.arange(data.n), ids))
+    train_cfg = dataclasses.replace(hist.config, batch_size=rest.n)
+    w_ref = train_gd(rest, train_cfg, objective=WavyObjective(rest), w0=hist.params[0]).params[-1]
+    assert np.linalg.norm(out.w_final - w_ref) <= 1e-12 * (1 + np.linalg.norm(w_ref))
+    w_plain = train_gd(rest, train_cfg, w0=hist.params[0]).params[-1]
+    assert np.linalg.norm(w_plain - w_ref) > 1e-3
 
 
 def test_general_all_explicit_equals_baseline():

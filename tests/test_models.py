@@ -177,6 +177,27 @@ def test_dimension_errors(logistic_data):
         hessian_vector_product(cfg, logistic_data, np.zeros(logistic_data.p), np.zeros(2))
 
 
+def test_objective_rows_keeps_class_and_gathers_once(ridge_data):
+    class Tagged(Objective):
+        pass
+
+    cfg = LossConfig("ridge", 0.1)
+    w = np.linspace(-1.0, 1.0, ridge_data.p)
+    obj = Tagged(cfg, ridge_data, removed=[1, 4])
+    obj.tag = "kept"
+    part = obj.rows([7, 2])
+    assert type(part) is Tagged and part.tag == "kept"
+    assert part.n == 2 and part.removed is None
+    assert np.array_equal(part.data_grad_sum(w), gradient_sum(cfg, ridge_data, w, [7, 2]))
+    assert obj.n == ridge_data.n - 2
+    assert np.array_equal(obj.data_grad_sum(w), gradient_sum(cfg, ridge_data, w)
+                          - gradient_sum(cfg, ridge_data, w, [1, 4]))
+    assert obj.rows([]) is None
+    for bad in ([ridge_data.n], [-1]):
+        with pytest.raises(IndexError):
+            obj.rows(bad)
+
+
 def test_logistic_requires_pm1_labels():
     data = Dataset([[1.0], [2.0]], [1.0, 0.5])
     with pytest.raises(ValueError):
