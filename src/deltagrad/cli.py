@@ -64,7 +64,8 @@ def parse_id_list(text: str):
 
 
 def load_dataset(args, which="data", kind="logistic") -> Dataset:
-    """The dataset named by `args.<which>`; libsvm labels follow loss `kind`."""
+    """The dataset named by `args.<which>`; libsvm and csv labels follow
+    loss `kind`."""
     source = getattr(args, which)
     fmt = getattr(args, which.replace("data", "format"), None) or args.format
     if fmt == "synthetic":
@@ -82,7 +83,7 @@ def load_dataset(args, which="data", kind="logistic") -> Dataset:
     if fmt == "libsvm":
         return dataio.parse_libsvm(source, kind)
     if fmt == "csv":
-        return dataio.parse_csv(source, args.label_column)
+        return dataio.parse_csv(source, args.label_column, kind)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -156,7 +157,7 @@ def _train_from_flags(args, data) -> TrainingHistory:
 
 
 def cmd_train(args) -> int:
-    data = load_dataset(args)
+    data = load_dataset(args, kind=args.loss)
     t0 = time.perf_counter()
     history = _train_from_flags(args, data)
     elapsed = time.perf_counter() - t0
@@ -183,9 +184,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_change(args, data, kind: str) -> engine.ChangeSet:
+def _resolve_change(args, p: int, kind: str) -> engine.ChangeSet:
     if args.command == "relearn":
-        rows = [_parse_row(line, where, data.p, kind) for where, line in _lines(args.add_file)]
+        rows = [_parse_row(line, where, p, kind) for where, line in _lines(args.add_file)]
         if not rows:
             raise ParseError(f"{args.add_file}: no samples")
         features, labels = zip(*rows)
@@ -229,24 +230,23 @@ def _load_test_set(args, p: int, kind: str) -> Dataset:
 
 
 def cmd_update(args) -> int:
-    data = load_dataset(args)
-    history = dataio.load_cache(args.cache, data)
+    # --data is read under the cache's loss; the engine checks its fingerprint
+    history = dataio.load_cache(args.cache)
     kind = history.config.loss.kind
+    data = load_dataset(args, kind=kind)
     cfg = engine.DeltaGradConfig(
         period=args.T0, burn_in=args.j0, history_size=args.m, mode=args.mode,
     )
-    test = _load_test_set(args, data.p, kind) if args.test_data else None
+    test = _load_test_set(args, history.p, kind) if args.test_data else None
 
-    online = args.command == "unlearn" and args.online
+    online = args.command == "unlearn" and args.requests is not None
     if online:
-        if not args.requests:
-            raise ValueError("--online needs --requests FILE")
-        requests = _requests_from_file(args.requests, data.p, kind)
+        requests = _requests_from_file(args.requests, history.p, kind)
         outcome = engine.unlearn_online(data, history, requests, cfg,
                                         with_baseline=args.with_baseline)
         change_desc = {"requests": len(requests)}
     else:
-        change = _resolve_change(args, data, kind)
+        change = _resolve_change(args, history.p, kind)
         runner = _engine_for(args.mode, change.direction)
         outcome = runner(data, history, change, cfg, with_baseline=args.with_baseline)
         change_desc = {"direction": change.direction, "r": change.r}
@@ -288,8 +288,9 @@ def cmd_update(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    data = load_dataset(args)
-    history = dataio.load_cache(args.cache, data)
+    history = dataio.load_cache(args.cache)
+    data = load_dataset(args, kind=history.config.loss.kind)
+    engine._verify_fingerprint(history, data)
     w = dataio.load_model(args.model)
     est = privacy.estimate_constants(
         data, history, history.config.loss,
@@ -323,7 +324,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    data = load_dataset(args)
+    data = load_dataset(args, kind=args.loss)
     history = _train_from_flags(args, data)
     rng = np.random.default_rng(args.seed + 1)
     rows = []
@@ -414,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     unlearn = subs.add_parser("unlearn", help="delete samples from a trained model")
     _add_data_flags(unlearn)
     _add_engine_flags(unlearn)
-    unlearn.add_argument("--delete-ids", default=None, help="comma/space separated row ids")
-    unlearn.add_argument("--delete-file", default=None, help="file of row ids")
-    unlearn.add_argument("--online", action="store_true",
-                         help="process a request stream sequentially")
-    unlearn.add_argument("--requests", default=None,
-                         help="request file: one 'del <id>' or 'add <libsvm-row>' per line")
+    change = unlearn.add_mutually_exclusive_group()
+    change.add_argument("--delete-ids", default=None, help="comma/space separated row ids")
+    change.add_argument("--delete-file", default=None, help="file of row ids")
+    change.add_argument("--requests", default=None,
+                        help="request stream, processed sequentially: one 'del <id>' "
+                             "or 'add <libsvm-row>' per line")
 
     relearn = subs.add_parser("relearn", help="add samples to a trained model")
     _add_data_flags(relearn)

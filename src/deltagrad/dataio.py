@@ -106,8 +106,10 @@ def write_libsvm(data: Dataset, path):
             fh.write(f"{label:+d} {feats}\n".rstrip() + "\n")
 
 
-def parse_csv(path, label_column: str) -> Dataset:
-    """Dense CSV with a header row; every cell must be a finite number."""
+def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
+    """Dense CSV with a header row; every cell must be a finite number.
+    Labels follow `parse_label` under loss `kind`; the default, ridge, keeps
+    any finite real."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,7 +138,7 @@ def parse_csv(path, label_column: str) -> Dataset:
                         f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}"
                     )
                 values.append(value)
-            labels.append(values[label_pos])
+            labels.append(parse_label(record[label_pos], f"{path}:{lineno}", kind))
             rows.append([values[i] for i in feature_pos])
     if not rows:
         raise ParseError(f"{path}: no samples")

@@ -122,19 +122,18 @@ class UpdateOutcome:
 
     mode_trace holds one entry per iteration: 'explicit', 'approximated',
     'fallback' (unscheduled exact recomputation), or 'skipped-empty-batch'.
-    trajectory holds the corrected iterates w_0..w_T (for a request stream,
-    those of its last request); updated_history holds them with their step
-    gradients, a cache the next update can start from. distances/timings
-    are filled when the baseline oracle was also run.
+    updated_history holds the corrected iterates w_0..w_T (for a request
+    stream, those of its last request) with their step gradients, a cache
+    the next update can start from. distances/timings are filled when the
+    baseline oracle was also run.
     """
 
     w_final: np.ndarray
     mode_trace: list
-    trajectory: np.ndarray
+    updated_history: TrainingHistory
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     distances: dict = field(default_factory=dict)
-    updated_history: TrainingHistory | None = None
 
 
 def expected_full_gradient_evals(iterations: int, burn_in: int, period: int) -> int:
@@ -244,8 +243,8 @@ def _run_gd_core(
 ):
     """The correction loop of every engine.
 
-    Iteration t runs over every row of obj, or over the recorded minibatch
-    batches[t]. `changes` yields one change term per iteration: an
+    Iteration t runs over every row of obj, or over `obj.rows(batches[t])`,
+    the recorded minibatch. `changes` yields one change term per iteration: an
     Objective over the r changed rows of that step (None when r = 0), which
     enter with `sign`, -1 for deleted rows (a subset of the step's rows)
     and +1 for added rows. With n step rows the changed-objective gradient
@@ -330,7 +329,7 @@ def _run_gd_core(
         if run_explicit:
             if guards:
                 last_anchor = t
-            S = obj.data_grad_sum(iw, batch)
+            S = (obj if batch is None else obj.rows(batch)).data_grad_sum(iw)
             full_evals += 1
             g_full = S / n + l2 * iw
             dg = g_full - g_t
@@ -445,10 +444,9 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     outcome = UpdateOutcome(
         w_final=working.params[-1].copy(),
         mode_trace=trace,
-        trajectory=working.params,
+        updated_history=working,
         diagnostics={**totals, "requests": records},
         timings={"deltagrad_s": t_engine},
-        updated_history=working,
     )
     if with_baseline:
         change = requests[0] if len(requests) == 1 else ChangeSet.delete(

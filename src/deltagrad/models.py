@@ -4,7 +4,8 @@ Two strongly convex empirical-risk objectives are provided: binary logistic
 regression (labels in {-1, +1}) and ridge regression. The regularizer
 (l2/2)*||w||^2 is part of every per-sample loss, so per-sample gradients
 carry an l2*w term and subset sums are consistent with n times the full
-gradient.
+gradient. The one gradient kernel, `gradient_sum`, sums every row it is
+given; rows are picked by `Objective.rows` alone.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
 frozen after construction and safe to share across threads. A Dataset owns
@@ -154,29 +155,21 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
     return core + 0.5 * cfg.l2 * float(w @ w)
 
 
-def gradient_sum(cfg: LossConfig, data: Dataset, w, indices=None) -> np.ndarray:
-    """Sum over rows of the data part of per-sample gradients (no l2 term).
+def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
+    """Sum over every row of `data` of the data part of per-sample
+    gradients (no l2 term).
 
-    indices=None sums over every row. This is the shared kernel for the
-    trainer and the update engines; the regularizer is added by callers so
-    that identical update formulas stay bitwise identical.
+    This is the shared kernel for the trainer and the update engines; the
+    regularizer is added by callers so that identical update formulas stay
+    bitwise identical.
 
     Rows are summed in blocks of BLOCK_BYTES: z = X_b @ w, the per-row
     coefficient a, then g += X_b.T @ a. The logistic coefficient is
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
-    `indices` gathers its rows first and runs the same blocks, so
-    indices=arange(n) reproduces indices=None bit for bit.
     """
     w = _check_w(data, w)
     X, y = data.features, data.labels
-    if indices is not None:
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            return np.zeros(data.p)
-        if idx.min() < 0 or idx.max() >= data.n:
-            raise IndexError(f"sample index out of range [0, {data.n})")
-        X, y = X[idx], y[idx]
     logistic = cfg.kind == "logistic"
     if logistic:
         _check_logistic_labels(data)
@@ -211,10 +204,8 @@ def subset_gradient_sum(cfg: LossConfig, data: Dataset, w, indices) -> np.ndarra
     over all rows gives n * full_gradient.
     """
     w = _check_w(data, w)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        return np.zeros(data.p)
-    return gradient_sum(cfg, data, w, idx) + idx.size * cfg.l2 * w
+    part = Objective(cfg, data).rows(indices)
+    return np.zeros(data.p) if part is None else part.data_grad_sum(w) + part.n * cfg.l2 * w
 
 
 def hessian_vector_product(cfg: LossConfig, data: Dataset, w, v) -> np.ndarray:
@@ -273,10 +264,10 @@ class Objective:
 
     The update engines and the trainer route every gradient evaluation
     through this adapter so that the r = 0 arithmetic is literally the
-    training-time expression. Subclasses override `data_grad_sum`; `rows`
-    restricts an objective to some rows. The `removed` rows (the online
-    engine's deletions so far) are restricted once and subtracted from the
-    all-rows sum.
+    training-time expression. Subclasses override `data_grad_sum(w)`. `rows`
+    is the one way to pick rows, for minibatch steps, deleted rows and the
+    `removed` rows (the online engine's deletions so far), which are
+    restricted once and subtracted from the all-rows sum.
     """
 
     def __init__(self, cfg: LossConfig, data: Dataset, removed=()):
@@ -291,6 +282,8 @@ class Objective:
             return None
         if idx.min() < 0 or idx.max() >= self.data.n:
             raise IndexError(f"sample index out of range [0, {self.data.n})")
+        if self.cfg.kind == "logistic":     # every label, not only the picked ones
+            _check_logistic_labels(self.data)
         part = copy.copy(self)
         part.data, part.removed = self.data.subset(idx), None
         return part
@@ -307,11 +300,8 @@ class Objective:
     def l2(self) -> float:
         return self.cfg.l2
 
-    def data_grad_sum(self, w, indices=None) -> np.ndarray:
-        """Sum of data-part gradients over `indices` (absolute row ids),
-        or over all rows not removed when indices is None."""
-        if indices is not None:
-            return gradient_sum(self.cfg, self.data, w, indices)
+    def data_grad_sum(self, w) -> np.ndarray:
+        """Sum of data-part gradients over all rows not removed."""
         total = gradient_sum(self.cfg, self.data, w)
         if self.removed is not None:
             total -= self.removed.data_grad_sum(w)
@@ -319,7 +309,3 @@ class Objective:
 
     def full_avg_gradient(self, w) -> np.ndarray:
         return self.data_grad_sum(w) / self.n + self.l2 * w
-
-    def batch_avg_gradient(self, w, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.intp)
-        return self.data_grad_sum(w, idx) / idx.size + self.l2 * w

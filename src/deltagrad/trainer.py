@@ -145,8 +145,8 @@ def _descend(obj: Objective, w0, eta_at, iterations: int, batches=None):
     """The plain gradient-descent loop of training and retraining.
 
     Step t averages over every row of `obj` when `batches` is None, else
-    over batches[t]; an empty batch leaves the iterate unchanged and
-    records a zero step gradient. Returns the iterates w_0..w_T and the
+    over `obj.rows(batches[t])`; an empty batch leaves the iterate unchanged
+    and records a zero step gradient. Returns the iterates w_0..w_T and the
     step gradients.
     """
     w = np.array(w0, dtype=np.float64)
@@ -154,13 +154,11 @@ def _descend(obj: Objective, w0, eta_at, iterations: int, batches=None):
     grads = np.zeros((iterations, obj.p))
     params[0] = w
     for t in range(iterations):
-        if batches is None:
-            g = obj.full_avg_gradient(w)
-        elif batches[t].size:
-            g = obj.batch_avg_gradient(w, batches[t])
-        else:
+        step = obj if batches is None else obj.rows(batches[t])
+        if step is None:
             params[t + 1] = w
             continue
+        g = step.full_avg_gradient(w)
         w_next = w - eta_at(t) * g
         _check_finite(t, w_next, w)
         grads[t] = g

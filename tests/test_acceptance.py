@@ -84,8 +84,8 @@ def test_criterion_01_null_change_exactness(bench):
     }
     elapsed = time.perf_counter() - t0
     for name in ("gd", "add", "general", "online"):
-        assert np.array_equal(runs[name].trajectory, hist.params), name
-    assert np.array_equal(runs["sgd"].trajectory, shist.params)
+        assert np.array_equal(runs[name].updated_history.params, hist.params), name
+    assert np.array_equal(runs["sgd"].updated_history.params, shist.params)
     assert np.array_equal(runs["online"].w_final, hist.params[-1])
     assert elapsed < 1.0
     report(1, f"five engines reproduce cached trajectories bit-exactly in {elapsed:.3f}s")

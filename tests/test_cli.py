@@ -7,14 +7,17 @@ import pytest
 from deltagrad import (
     CacheFormatError,
     ChangeSet,
+    Dataset,
     DeltaGradConfig,
     ParseError,
     delta_bound,
     load_cache,
     load_model,
     relearn_batch_gd,
+    unlearn_batch_gd,
 )
 from deltagrad.cli import _requests_from_file, load_dataset, main, parse_lr_schedule
+from deltagrad.dataio import write_csv
 from deltagrad.privacy import PrivacyParams, estimate_constants
 
 SYNTH = "n=1000,p=6,seed=5,noise=0.05,margin=2.0"
@@ -131,7 +134,7 @@ def test_online_request_stream(tmp_path, cache):
     with pytest.warns(UserWarning, match="small fraction"):
         code = run(
             "unlearn", "--data", SYNTH, "--format", "synthetic",
-            "--cache", str(cache), "--online", "--requests", str(reqs),
+            "--cache", str(cache), "--requests", str(reqs),
             "--with-baseline", "--out", str(out), "--report", str(report),
         )
     assert code == 0
@@ -372,7 +375,7 @@ def test_non_finite_rows_are_parse_errors(tmp_path, cache):
     assert run("relearn", *argv, "--add-file", str(add)) == 3
     reqs = tmp_path / "requests.txt"
     reqs.write_text("del 4\nadd +1 1:inf\n")
-    assert run("unlearn", *argv, "--online", "--requests", str(reqs)) == 3
+    assert run("unlearn", *argv, "--requests", str(reqs)) == 3
     with pytest.raises(ParseError, match=":2: non-finite"):
         _requests_from_file(reqs, 6, "logistic")
     reqs.write_text("add inf 1:1.0\n")
@@ -385,7 +388,7 @@ def test_non_finite_rows_are_parse_errors(tmp_path, cache):
     ["unlearn", "--add-file", "extra.svm"],
     ["relearn", "--add-file", "extra.svm", "--delete-ids", "1"],
     ["relearn", "--add-file", "extra.svm", "--delete-file", "ids.txt"],
-    ["relearn", "--add-file", "extra.svm", "--online", "--requests", "r.txt"],
+    ["relearn", "--add-file", "extra.svm", "--requests", "r.txt"],
 ])
 def test_subcommands_reject_foreign_flags(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -393,3 +396,64 @@ def test_subcommands_reject_foreign_flags(argv, capsys):
             "--cache", "c.dgc", "--out", "w.dgw")
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_requests_file_selects_the_stream(tmp_path, cache):
+    reqs = tmp_path / "requests.txt"
+    reqs.write_text("del 3\ndel 5\n")
+    out, report = tmp_path / "w.dgw", tmp_path / "r.json"
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--requests", str(reqs), "--out", str(out), "--report", str(report)) == 0
+    rep = json.loads(report.read_text())
+    assert rep["config"]["online"] is True and len(rep["per_request"]) == 2
+    assert not np.array_equal(load_model(out), load_cache(cache).params[-1])
+
+
+@pytest.mark.parametrize("second", [["--delete-ids", "1"], ["--delete-file", "ids.txt"]])
+def test_one_change_source_per_unlearn(second, capsys):
+    with pytest.raises(SystemExit) as err:
+        run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", "c.dgc",
+            "--out", "w.dgw", "--requests", "r.txt", *second)
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_ridge_libsvm_data_keeps_real_targets(tmp_path):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 3))
+    y = X @ [1.0, -2.0, 0.5] + 0.1 * rng.normal(size=120)
+    data = tmp_path / "r.svm"
+    data.write_text("".join(f"{float(y[i])!r} "
+                            + " ".join(f"{j + 1}:{float(X[i, j])!r}" for j in range(3)) + "\n"
+                            for i in range(120)))
+    flags = ["--data", str(data), "--format", "libsvm"]
+    cache, out = tmp_path / "c.dgc", tmp_path / "w.dgw"
+    assert run("train", *flags, "--loss", "ridge", "--l2", "0.1", "--lr", "0.2",
+               "--iters", "30", "--cache-out", str(cache)) == 0
+    hist = load_cache(cache)
+    assert hist.config.loss.kind == "ridge"
+    assert run("unlearn", *flags, "--cache", str(cache), "--delete-ids", "4,9",
+               "--out", str(out)) == 0
+    ref = unlearn_batch_gd(Dataset(X, y), hist, ChangeSet.delete([4, 9]), DeltaGradConfig())
+    assert np.array_equal(load_model(out), ref.w_final)
+    # the logistic rule still refuses a real label
+    assert run("train", *flags, "--iters", "1", "--cache-out", str(cache)) == 3
+
+
+def test_csv_test_labels_follow_the_cache_loss(tmp_path, cache):
+    test = load_dataset(SynthArgs)
+    pm1, zero_one, half = (tmp_path / name for name in ("pm1.csv", "01.csv", "half.csv"))
+    write_csv(Dataset(test.features[:200], test.labels[:200]), pm1)
+    write_csv(Dataset(test.features[:200], (test.labels[:200] + 1) / 2), zero_one)
+    write_csv(Dataset(test.features[:2], [1.0, 0.5]), half)
+    scores = []
+    for path in (pm1, zero_one):
+        report = tmp_path / "r.json"
+        assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+                   "--delete-ids", "3", "--test-data", str(path), "--test-format", "csv",
+                   "--out", str(tmp_path / "w.dgw"), "--report", str(report)) == 0
+        scores.append(json.loads(report.read_text())["accuracies"]["deltagrad"]["accuracy"])
+    assert scores[0] == scores[1]
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--delete-ids", "3", "--test-data", str(half), "--test-format", "csv",
+               "--out", str(tmp_path / "x.dgw")) == 3

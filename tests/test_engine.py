@@ -120,7 +120,7 @@ def test_divergence_reports_last_finite_iterate(ridge_data, runner):
 def test_gd_null_change_is_bit_exact():
     data, hist = train_problem()
     out = unlearn_batch_gd(data, hist, ChangeSet.delete([]), GD)
-    assert np.array_equal(out.trajectory, hist.params)
+    assert np.array_equal(out.updated_history.params, hist.params)
     assert set(out.mode_trace) <= {"explicit", "approximated"}
 
 
@@ -254,7 +254,7 @@ def test_sgd_add_rejected():
 def test_sgd_null_change_is_bit_exact():
     data, hist = train_problem(batch=64, T=60)
     out = unlearn_batch_sgd(data, hist, ChangeSet.delete([]), SGD)
-    assert np.array_equal(out.trajectory, hist.params)
+    assert np.array_equal(out.updated_history.params, hist.params)
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,7 +457,7 @@ def test_online_history_is_replayable_cache(engine):
     else:
         out = unlearn_online(data, hist, [ChangeSet.delete([i]) for i in ids], GD)
     upd = out.updated_history
-    assert upd.params is out.trajectory
+    assert np.array_equal(upd.params[-1], out.w_final)
     for t in range(upd.iterations):
         step = upd.params[t] - hist.config.eta_at(t) * upd.gradients[t]
         np.testing.assert_allclose(step, upd.params[t + 1], atol=1e-12)
@@ -480,21 +480,25 @@ def test_online_stream_warns_about_its_cumulative_change():
 
 
 def test_changed_rows_are_gathered_once_per_request(monkeypatch):
-    # the change term holds its rows, so no kernel call selects rows by index
-    data, hist = train_problem(n=300, p=5, T=40)
-    calls = []
-    kernel = models_mod.gradient_sum
-    monkeypatch.setattr(models_mod, "gradient_sum",
-                        lambda cfg, d, w, indices=None: calls.append(indices) or
-                        kernel(cfg, d, w, indices))
-    ids = [3, 77, 200]
-    unlearn_batch_gd(data, hist, ChangeSet.delete(ids), GD)
-    relearn_batch_gd(data, hist, ChangeSet.add(data.features[ids], data.labels[ids]), GD)
-    unlearn_general(data, hist, ChangeSet.delete(ids), GEN)
-    unlearn_online(data, hist, [ChangeSet.delete([5]), ChangeSet.add(data.features[9], [1.0]),
-                                ChangeSet.delete([data.n])], GD)
-    assert len(calls) > 4 * hist.iterations
-    assert all(indices is None for indices in calls)
+    # the change term holds its rows, so the rows a request gathers do not
+    # grow with the number of iterations
+    gathers = []
+    subset = models_mod.Dataset.subset
+    monkeypatch.setattr(models_mod.Dataset, "subset",
+                        lambda d, ids: gathers.append(len(ids)) or subset(d, ids))
+    counts = []
+    for T in (20, 40):
+        data, hist = train_problem(n=300, p=5, T=T)
+        gathers.clear()
+        ids = [3, 77, 200]
+        unlearn_batch_gd(data, hist, ChangeSet.delete(ids), GD)
+        relearn_batch_gd(data, hist, ChangeSet.add(data.features[ids], data.labels[ids]), GD)
+        unlearn_general(data, hist, ChangeSet.delete(ids), GEN)
+        unlearn_online(data, hist, [ChangeSet.delete([5]), ChangeSet.add(data.features[9], [1.0]),
+                                    ChangeSet.delete([data.n])], GD)
+        counts.append(len(gathers))
+    # 6 requests, each gathering its deleted rows and the rows deleted before it
+    assert 0 < counts[0] == counts[1] <= 2 * 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,13 +696,12 @@ def test_gd_engine_matches_naive_transcription():
         iw = iw - eta * step
         naive.append(iw.copy())
 
-    gap = np.max(np.abs(out.trajectory - np.asarray(naive)))
+    gap = np.max(np.abs(out.updated_history.params - np.asarray(naive)))
     assert gap <= 1e-11
 
 
 def test_sgd_engine_matches_naive_transcription():
-    from deltagrad import CurvaturePairBuffer, recursive_B_apply, subset_gradient_sum
-    from deltagrad.models import Objective
+    from deltagrad import CurvaturePairBuffer, full_gradient, recursive_B_apply, subset_gradient_sum
 
     data, hist = train_problem(n=300, p=5, T=40, l2=0.02, eta=0.2, seed=22, batch=64)
     R = np.asarray([3, 44, 260])
@@ -707,7 +710,6 @@ def test_sgd_engine_matches_naive_transcription():
     cfg = DeltaGradConfig(period=4, burn_in=6, history_size=2, mode="sgd")
     out = unlearn_batch_sgd(data, hist, ChangeSet.delete(R), cfg)
 
-    obj = Objective(hist.config.loss, data)
     loss_cfg = hist.config.loss
     buf = CurvaturePairBuffer(cfg.history_size)
     iw = hist.params[0].copy()
@@ -722,7 +724,7 @@ def test_sgd_engine_matches_naive_transcription():
         explicit = t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
         v = iw - hist.params[t]
         if explicit:
-            g = obj.batch_avg_gradient(iw, batch)
+            g = full_gradient(loss_cfg, data.subset(batch), iw)
             buf.append_pair(v, g - hist.gradients[t], tag=t)
             step = (B_t * g - subset_gradient_sum(loss_cfg, data, iw, hit)) / (B_t - hit.size)
         else:
@@ -732,7 +734,7 @@ def test_sgd_engine_matches_naive_transcription():
         iw = iw - eta * step
         naive.append(iw.copy())
 
-    gap = np.max(np.abs(out.trajectory - np.asarray(naive)))
+    gap = np.max(np.abs(out.updated_history.params - np.asarray(naive)))
     assert gap <= 1e-11
 
 

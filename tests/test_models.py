@@ -188,10 +188,10 @@ def test_objective_rows_keeps_class_and_gathers_once(ridge_data):
     part = obj.rows([7, 2])
     assert type(part) is Tagged and part.tag == "kept"
     assert part.n == 2 and part.removed is None
-    assert np.array_equal(part.data_grad_sum(w), gradient_sum(cfg, ridge_data, w, [7, 2]))
+    assert np.array_equal(part.data_grad_sum(w), gradient_sum(cfg, ridge_data.subset([7, 2]), w))
     assert obj.n == ridge_data.n - 2
     assert np.array_equal(obj.data_grad_sum(w), gradient_sum(cfg, ridge_data, w)
-                          - gradient_sum(cfg, ridge_data, w, [1, 4]))
+                          - gradient_sum(cfg, ridge_data.subset([1, 4]), w))
     assert obj.rows([]) is None
     for bad in ([ridge_data.n], [-1]):
         with pytest.raises(IndexError):
@@ -206,7 +206,7 @@ def test_logistic_requires_pm1_labels():
 
 LABEL_CHECKED_CALLS = {
     "gradient_sum": lambda cfg, d, w: gradient_sum(cfg, d, w),
-    "gradient_sum_indices": lambda cfg, d, w: gradient_sum(cfg, d, w, [0]),
+    "gradient_sum_indices": lambda cfg, d, w: Objective(cfg, d).rows([0]).data_grad_sum(w),
     "data_grad_sum": lambda cfg, d, w: Objective(cfg, d).data_grad_sum(w),
     "loss": lambda cfg, d, w: loss(cfg, d, w),
     "hessian_vector_product": lambda cfg, d, w: hessian_vector_product(cfg, d, w, w),
@@ -216,7 +216,7 @@ LABEL_CHECKED_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(LABEL_CHECKED_CALLS))
 def test_logistic_label_check_on_every_entry_point(call):
-    # row 0 is a valid label, so the indexed call is refused for the dataset,
+    # row 0 is a valid label, so `rows([0])` is refused for the dataset,
     # not for the rows it gathers
     cfg = LossConfig("logistic", 0.1)
     bad = Dataset([[1.0, 0.0], [0.5, 2.0], [1.0, 1.0]], [1.0, 0.0, -1.0])
@@ -272,7 +272,7 @@ def margin_problem(kind, n, p, margin, seed):
 
 def check_kernel_against_oracle(kind, data, w):
     """gradient_sum within a worst-case roundoff bound of the scalar oracle,
-    and indices=arange(n) equal to indices=None bit for bit.
+    and the gathered copy data.subset(arange(n)) equal to data bit for bit.
 
     Both sides round the dot products x_i . w (error ~ p*eps*sum_k |x_ik w_k|),
     the per-row coefficient (absolute error ~ eps*|y_i| at most, plus the
@@ -289,7 +289,7 @@ def check_kernel_against_oracle(kind, data, w):
     row_mag = np.abs(X) @ np.abs(w) + np.abs(y)
     tol = 8 * (n + p) * np.finfo(float).eps * (np.abs(X).T @ row_mag) / n
     assert np.all(np.abs(got / n - expected) <= tol)
-    assert np.array_equal(gradient_sum(cfg, data, w, np.arange(n)), got)
+    assert np.array_equal(gradient_sum(cfg, data.subset(np.arange(n)), w), got)
 
 
 @settings(max_examples=60, deadline=None)

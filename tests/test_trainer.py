@@ -113,8 +113,20 @@ def test_cached_sgd_gradients_are_recomputable(logistic_data):
     hist = train_sgd(logistic_data, cfg)
     obj = Objective(cfg.loss, logistic_data)
     for t, batch in enumerate(hist.batches()):
-        rebuilt = obj.batch_avg_gradient(hist.params[t], batch)
+        rebuilt = obj.rows(batch).full_avg_gradient(hist.params[t])
         np.testing.assert_allclose(rebuilt, hist.gradients[t], atol=1e-12)
+
+
+def test_sgd_refuses_a_bad_label_outside_every_batch():
+    # a logistic minibatch step checks the labels of the whole dataset,
+    # not only those of the rows its batch gathers
+    cfg = make_cfg("logistic", 0.1, 40, 2, 0.1, batch=10, seed=3)
+    seen = np.concatenate(derive_schedule(cfg.seed, 40, 10, 2))
+    labels = np.where(np.arange(40) % 2, 1.0, -1.0)
+    labels[np.setdiff1d(np.arange(40), seen)[0]] = 0.5
+    data = Dataset(np.random.default_rng(3).normal(size=(40, 3)), labels)
+    with pytest.raises(ValueError, match="labels exactly"):
+        train_sgd(data, cfg)
 
 
 def test_replay_reproduces_history(logistic_data, logistic_history):
