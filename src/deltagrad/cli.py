@@ -56,11 +56,16 @@ def parse_lr_schedule(text: str):
     return tuple(segments)
 
 
-def parse_id_list(text: str):
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def parse_id_list(text: str, where: str):
+    """Comma- or space-separated integers; a bad token is a ParseError that
+    names `where`, the flag or file the text came from."""
+    ids = []
+    for tok in text.replace(",", " ").split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{where}: bad integer {tok!r}") from None
+    return ids
 
 
 def load_dataset(args, which="data", kind="logistic") -> Dataset:
@@ -193,9 +198,9 @@ def _resolve_change(args, p: int, kind: str) -> engine.ChangeSet:
         return engine.ChangeSet.add(np.array(features), labels)
     if args.delete_file:
         with open(args.delete_file, "r", encoding="ascii") as fh:
-            ids = parse_id_list(fh.read())
+            ids = parse_id_list(fh.read(), args.delete_file)
     else:
-        ids = parse_id_list(args.delete_ids or "")
+        ids = parse_id_list(args.delete_ids or "", "--delete-ids")
     return engine.ChangeSet.delete(ids)
 
 
@@ -210,11 +215,6 @@ def _engine_for(mode: str, direction: str):
     if runner is None:
         raise ValueError(f"mode {mode!r} does not support direction {direction!r}")
     return runner
-
-
-def _trace_summary(trace) -> dict:
-    return {label: trace.count(label)
-            for label in ("explicit", "approximated", "fallback", "skipped-empty-batch")}
 
 
 def _load_test_set(args, p: int, kind: str) -> Dataset:
@@ -271,7 +271,8 @@ def cmd_update(args) -> int:
         "distances": dict(outcome.distances),
         "accuracies": accuracies,
         "timings": dict(outcome.timings),
-        "mode_trace_summary": _trace_summary(outcome.mode_trace),
+        "mode_trace_summary": {label: outcome.diagnostics[label]
+                               for label in engine.MODE_LABELS},
         "full_gradient_evals": outcome.diagnostics["full_gradient_evals"],
         "model": str(args.out),
         "exit_status": 0,
@@ -288,21 +289,17 @@ def cmd_update(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    if not args.epsilon > 0.0:
+        raise PrivacyBoundError("epsilon must be > 0")
     history = dataio.load_cache(args.cache)
     data = load_dataset(args, kind=history.config.loss.kind)
-    engine._verify_fingerprint(history, data)
     w = dataio.load_model(args.model)
-    est = privacy.estimate_constants(
-        data, history, history.config.loss,
-        history_size=args.m, independence=args.c1,
-    )
-    params = privacy.PrivacyParams.from_estimates(
-        est, epsilon=args.epsilon, p=data.p, n=data.n, r=args.deleted_count,
-        eta=history.config.eta_at(max(history.iterations - 1, 0)),
-    )
-    delta = privacy.delta_bound(params)
+    est = privacy.estimate_constants(data, history, history_size=args.m,
+                                     independence=args.c1)
+    delta = privacy.delta_bound(est, args.deleted_count)
     scale = delta / args.epsilon
-    noised = privacy.laplace_noise(w, scale, args.seed)
+    # delta = 0: the corrected model already is the retrained one
+    noised = privacy.laplace_noise(w, scale, args.seed) if delta > 0.0 else w
     dataio.save_model(noised, args.out)
     print(f"delta = {delta:.6e}  scale = {scale:.6e}")
     print(f"noised model written to {args.out}")
@@ -328,7 +325,7 @@ def cmd_bench(args) -> int:
     history = _train_from_flags(args, data)
     rng = np.random.default_rng(args.seed + 1)
     rows = []
-    for period in parse_id_list(args.T0_list):
+    for period in parse_id_list(args.T0_list, "--T0-list"):
         for rate in [float(tok) for tok in args.rates.split(",")]:
             r = int(round(rate * data.n))
             ids = rng.choice(data.n, size=r, replace=False) if r else []
@@ -346,7 +343,7 @@ def cmd_bench(args) -> int:
                 "full_gradient_evals": diag["full_gradient_evals"],
                 "scheduled_full_gradient_evals": diag["scheduled_full_gradient_evals"],
                 "baseline_gradient_evals": history.iterations,
-                "mode_trace_summary": _trace_summary(outcome.mode_trace),
+                "mode_trace_summary": {label: diag[label] for label in engine.MODE_LABELS},
                 "rate": rate,
             }
             rows.append(cell)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheFormatError, FingerprintMismatchError, ParseError
+from .errors import CacheFormatError, ParseError
 from .models import Dataset, LossConfig
-from .trainer import TrainConfig, TrainingHistory
+from .trainer import TrainConfig, TrainingHistory, verify_fingerprint
 
 CACHE_MAGIC = b"DGC1"
 MODEL_MAGIC = b"DGW1"
@@ -272,11 +272,12 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
             grads = np.zeros((0, p))
         if fh.read(1):
             raise CacheFormatError("trailing bytes after the last record")
-    if data is not None and data.fingerprint() != fingerprint:
-        raise FingerprintMismatchError("cache fingerprint does not match the dataset")
-    return TrainingHistory(
+    history = TrainingHistory(
         params=params, gradients=grads, config=cfg, n=n, p=p, fingerprint=fingerprint
     )
+    if data is not None:
+        verify_fingerprint(history, data)
+    return history
 
 
 def save_model(w: np.ndarray, path):

@@ -41,12 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChangeSetError, FactorizationError, FingerprintMismatchError
+from .errors import ChangeSetError, FactorizationError
 from .lbfgs import CurvaturePairBuffer, quasi_hvp
 from .models import Dataset, Objective, gradient_sum  # noqa: F401 (dgbench patches it here)
-from .trainer import TrainingHistory, _check_finite, _descend
+from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
 
 MODES = ("gd", "sgd", "general")
+MODE_LABELS = ("explicit", "approximated", "fallback", "skipped-empty-batch")
 DIRECTIONS = ("delete", "add")
 SMALL_FRACTION_WARN = 0.05
 
@@ -86,8 +87,11 @@ class ChangeSet:
             raise ChangeSetError(f"direction must be one of {DIRECTIONS}")
         self.direction = direction
         if direction == "delete":
-            idx = np.asarray([] if indices is None else indices, dtype=np.intp)
-            if idx.size and np.unique(idx).size != idx.size:
+            idx = np.asarray([] if indices is None else indices)
+            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+                raise ChangeSetError("delete indices must be a 1-D sequence of integers")
+            idx = idx.astype(np.intp)
+            if np.unique(idx).size != idx.size:
                 raise ChangeSetError("delete indices must be distinct")
             self.indices = np.sort(idx)     # canonical order; identity is the set
             self.features = None
@@ -120,8 +124,10 @@ class ChangeSet:
 class UpdateOutcome:
     """Corrected parameters plus per-run diagnostics.
 
-    mode_trace holds one entry per iteration: 'explicit', 'approximated',
-    'fallback' (unscheduled exact recomputation), or 'skipped-empty-batch'.
+    mode_trace holds one entry per iteration of the last request: 'explicit',
+    'approximated', 'fallback' (unscheduled exact recomputation), or
+    'skipped-empty-batch'; diagnostics[label] counts each label over every
+    request.
     updated_history holds the corrected iterates w_0..w_T (for a request
     stream, those of its last request) with their step gradients, a cache
     the next update can start from. distances/timings are filled when the
@@ -145,13 +151,6 @@ def expected_full_gradient_evals(iterations: int, burn_in: int, period: int) -> 
     if iterations <= burn_in + 1:
         return iterations
     return burn_in + 1 + (iterations - 1 - burn_in) // period
-
-
-def _verify_fingerprint(history: TrainingHistory, data: Dataset):
-    if history.fingerprint != data.fingerprint():
-        raise FingerprintMismatchError(
-            "training history was cached for a different dataset"
-        )
 
 
 def _check_engine_convexity(history: TrainingHistory, guards: bool):
@@ -207,8 +206,13 @@ def baseline_retrain(data: Dataset, history: TrainingHistory, change: ChangeSet)
     schedule through the trainer's descent loop, and return the final
     parameters. This is the oracle the engines are measured against; it
     shares no update code with them."""
-    _verify_fingerprint(history, data)
+    verify_fingerprint(history, data)
     _check_requests([change], data, history.config.loss.kind)
+    return _retrain(data, history, change)
+
+
+def _retrain(data: Dataset, history: TrainingHistory, change: ChangeSet) -> np.ndarray:
+    """`baseline_retrain` for a dataset and change already checked."""
     cfg = history.config
     batches = None
     if change.direction == "add":
@@ -270,7 +274,6 @@ def _run_gd_core(
     buf = CurvaturePairBuffer(cfg.history_size)
     iw = params[0].copy()
     trace: list[str] = []
-    full_evals = 0
     convexity_events = 0
     smoothness_events = 0
     cholesky_fallbacks = 0
@@ -330,7 +333,6 @@ def _run_gd_core(
             if guards:
                 last_anchor = t
             S = (obj if batch is None else obj.rows(batch)).data_grad_sum(iw)
-            full_evals += 1
             g_full = S / n + l2 * iw
             dg = g_full - g_t
             if guards and v.any() and float(dg @ v) <= 0.0:
@@ -353,8 +355,10 @@ def _run_gd_core(
 
     params[T] = iw
 
+    counts = {label: trace.count(label) for label in MODE_LABELS}
     diagnostics = {
-        "full_gradient_evals": full_evals,
+        **counts,
+        "full_gradient_evals": counts["explicit"] + counts["fallback"],
         "scheduled_full_gradient_evals": expected_full_gradient_evals(
             T, cfg.burn_in, cfg.period
         ),
@@ -363,15 +367,15 @@ def _run_gd_core(
         "smoothness_guard_events": smoothness_events,
         "cholesky_fallbacks": cholesky_fallbacks,
         "empty_buffer_fallbacks": empty_buffer_fallbacks,
-        "skipped_batches": trace.count("skipped-empty-batch"),
+        "skipped_batches": counts["skipped-empty-batch"],
     }
     return iw, trace, diagnostics
 
 
 # The counters `_run_gd_core` reports; `_update` sums them over its requests.
-_COUNTERS = ("full_gradient_evals", "scheduled_full_gradient_evals", "pair_rejections",
-             "convexity_guard_events", "smoothness_guard_events", "cholesky_fallbacks",
-             "empty_buffer_fallbacks", "skipped_batches")
+_COUNTERS = (*MODE_LABELS, "full_gradient_evals", "scheduled_full_gradient_evals",
+             "pair_rejections", "convexity_guard_events", "smoothness_guard_events",
+             "cholesky_fallbacks", "empty_buffer_fallbacks", "skipped_batches")
 
 
 def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
@@ -388,7 +392,7 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     deletions only; that change is also retrained from scratch, timed, and
     measured against (distances between cached, corrected and retrained).
     """
-    _verify_fingerprint(history, data)
+    verify_fingerprint(history, data)
     _check_engine_convexity(history, guards)
     if minibatch:
         batches = history.batches()
@@ -452,7 +456,7 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
         change = requests[0] if len(requests) == 1 else ChangeSet.delete(
             [i for req in requests for i in req.indices])
         t0 = time.perf_counter()
-        w_u = baseline_retrain(data, history, change)
+        w_u = _retrain(data, history, change)
         t_base = time.perf_counter() - t0
         w_cached = history.params[-1]
         outcome.timings.update(

@@ -2,10 +2,10 @@
 
 The noise scale is calibrated from a worst-case bound on the distance
 between the incrementally updated optimum and the truly retrained one. The
-bound's constants (strong convexity, smoothness, gradient bound, Hessian
-Lipschitz constant, quasi-Hessian conditioning) are empirical estimates
-from the cached trajectory; the resulting scale is a best-effort
-calibration, not a certified supremum.
+bound reads only r and what `estimate_constants` reads from a dataset and
+the cache trained on it. The trajectory's constants are empirical
+estimates, so the scale is a best-effort calibration, not a certified
+supremum.
 """
 
 from __future__ import annotations
@@ -17,27 +17,28 @@ import numpy as np
 from .errors import PrivacyBoundError
 from .models import (
     Dataset,
-    LossConfig,
     hessian_vector_product,
     per_sample_gradient_norms,
     smoothness_bound,
 )
-from .trainer import TrainingHistory
+from .trainer import TrainingHistory, verify_fingerprint
 
 DEFAULT_INDEPENDENCE = 0.2    # empirical floor on the normalized-update singular value
 
 
 @dataclass(frozen=True)
 class ConstantEstimates:
-    """Empirical problem constants measured from a dataset and its history."""
+    """The problem constants of a dataset and the cache trained on it:
+    everything `delta_bound` reads besides the deletion count r."""
 
+    n: int                     # samples
+    p: int                     # features
+    eta: float                 # learning rate of the last cached step
     mu: float                  # strong convexity (the l2 coefficient)
     smoothness: float          # per-sample gradient Lipschitz bound
     grad_bound: float          # max per-sample gradient norm over cached iterates
     hessian_lipschitz: float   # spectral Lipschitz constant of the Hessian map
     amplification: float       # quasi-Hessian error amplification factor
-    independence: float
-    history_size: int
 
     @property
     def m1(self) -> float:
@@ -80,11 +81,11 @@ def amplification_factor(mu: float, smoothness: float, history_size: int,
     return hessian_lipschitz * np.sqrt(m) * ((1.0 + e) ** m - 1.0) / independence + hessian_lipschitz
 
 
-def estimate_constants(data: Dataset, history: TrainingHistory, cfg: LossConfig,
-                       history_size: int = 2, independence: float = DEFAULT_INDEPENDENCE,
-                       pair_budget: int = 100, seed: int = 0) -> ConstantEstimates:
-    """Measure (mu, L, c2, c0) from the cached trajectory and derive the
-    amplification factor.
+def estimate_constants(data: Dataset, history: TrainingHistory, history_size: int = 2,
+                       independence: float = DEFAULT_INDEPENDENCE, pair_budget: int = 100,
+                       seed: int = 0) -> ConstantEstimates:
+    """Measure (mu, L, c2, c0) from the cached trajectory, under its loss and
+    on `data`, which must be its training set, and derive the amplification.
 
     mu is the l2 coefficient (an error if zero: no strong convexity). The
     gradient bound scans every (sample, iterate) pair. The Hessian Lipschitz
@@ -92,6 +93,8 @@ def estimate_constants(data: Dataset, history: TrainingHistory, cfg: LossConfig,
     `pair_budget` random iterate pairs of ||H(w_a)-H(w_b)|| / ||w_a-w_b||,
     spectral norms via power iteration (tol 1e-6).
     """
+    verify_fingerprint(history, data)
+    cfg = history.config.loss
     if cfg.l2 <= 0.0:
         raise PrivacyBoundError("l2 must be > 0: the bound needs strong convexity")
     mu = cfg.l2
@@ -116,66 +119,42 @@ def estimate_constants(data: Dataset, history: TrainingHistory, cfg: LossConfig,
 
     A = amplification_factor(mu, L, history_size, c0, independence)
     return ConstantEstimates(
+        n=data.n,
+        p=data.p,
+        eta=history.config.eta_at(max(history.iterations - 1, 0)),
         mu=mu,
         smoothness=L,
         grad_bound=grad_bound,
         hessian_lipschitz=c0,
         amplification=A,
-        independence=independence,
-        history_size=history_size,
     )
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Everything the noise-scale bound needs."""
-
-    epsilon: float
-    p: int
-    n: int
-    r: int
-    eta: float
-    mu: float
-    m1: float
-    hessian_lipschitz: float
-    amplification: float
-
-    @classmethod
-    def from_estimates(cls, est: ConstantEstimates, *, epsilon: float, p: int,
-                       n: int, r: int, eta: float) -> "PrivacyParams":
-        return cls(
-            epsilon=epsilon, p=p, n=n, r=r, eta=eta, mu=est.mu, m1=est.m1,
-            hessian_lipschitz=est.hessian_lipschitz, amplification=est.amplification,
-        )
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise PrivacyBoundError("epsilon must be > 0")
-        if self.r < 0 or self.n <= 0 or self.p <= 0 or self.eta <= 0.0 or self.mu <= 0.0:
-            raise PrivacyBoundError("n, p, eta, mu must be positive and r >= 0")
-
-
-def delta_bound(params: PrivacyParams) -> float:
-    """Upper bound on sqrt(p) * || retrained optimum - corrected optimum ||.
+def delta_bound(est: ConstantEstimates, r: int) -> float:
+    """Upper bound on sqrt(p) * || retrained optimum - corrected optimum ||
+    after r deletions.
 
         delta = sqrt(p) * A * M1^2 * r^2
                 / ( eta * (mu/2 - r*mu/(n-r) - c0*M1*r/(2n))^2 * (n-r) * (n/2-r) )
 
-    Raises PrivacyBoundError when the denominator is not positive (the
-    deleted fraction is too large for the bound to hold).
+    Raises PrivacyBoundError for r < 0 or a non-positive n, p, eta or mu,
+    and when the denominator is not positive (the deleted fraction is too
+    large for the bound to hold).
     """
-    n, r = params.n, params.r
+    n = est.n
+    if r < 0 or n <= 0 or est.p <= 0 or est.eta <= 0.0 or est.mu <= 0.0:
+        raise PrivacyBoundError("n, p, eta, mu must be positive and r >= 0")
     if n - r <= 0 or n / 2.0 - r <= 0:
         raise PrivacyBoundError("deletion fraction too large for privacy bound")
     gap = (
-        0.5 * params.mu
-        - (r / (n - r)) * params.mu
-        - params.hessian_lipschitz * params.m1 * r / (2.0 * n)
+        0.5 * est.mu
+        - (r / (n - r)) * est.mu
+        - est.hessian_lipschitz * est.m1 * r / (2.0 * n)
     )
     if gap <= 0.0:
         raise PrivacyBoundError("deletion fraction too large for privacy bound")
-    num = np.sqrt(params.p) * params.amplification * params.m1 ** 2 * r ** 2
-    den = params.eta * gap ** 2 * (n - r) * (n / 2.0 - r)
+    num = np.sqrt(est.p) * est.amplification * est.m1 ** 2 * r ** 2
+    den = est.eta * gap ** 2 * (n - r) * (n / 2.0 - r)
     return float(num / den)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, FingerprintMismatchError
 from .models import Dataset, LossConfig, Objective, smoothness_bound
 
 
@@ -95,6 +95,13 @@ class TrainingHistory:
             self.p,
             self.fingerprint,
         )
+
+
+def verify_fingerprint(history: TrainingHistory, data: Dataset):
+    """Raise FingerprintMismatchError unless `data` is the dataset `history`
+    was trained on."""
+    if history.fingerprint != data.fingerprint():
+        raise FingerprintMismatchError("training history was cached for a different dataset")
 
 
 def derive_schedule(seed: int, n: int, batch_size: int, iterations: int):

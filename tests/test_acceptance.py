@@ -13,11 +13,11 @@ import pytest
 
 from deltagrad import (
     ChangeSet,
+    ConstantEstimates,
     CurvaturePairBuffer,
     Dataset,
     DeltaGradConfig,
     LossConfig,
-    PrivacyParams,
     SyntheticSpec,
     TrainConfig,
     baseline_retrain,
@@ -295,14 +295,14 @@ def test_criterion_10_privacy():
     ks = ks_statistic(x, lambda t: laplace_cdf(t, 1.3))
     assert ks <= 0.002
 
-    def params(r, p=4):
-        return PrivacyParams(epsilon=1.0, p=p, n=1000, r=r, eta=0.1, mu=1.0,
-                             m1=1.0, hessian_lipschitz=0.0, amplification=1.0)
+    # m1 = 2 * grad_bound / mu = 1
+    est = ConstantEstimates(n=1000, p=4, eta=0.1, mu=1.0, smoothness=1.0, grad_bound=0.5,
+                            hessian_lipschitz=0.0, amplification=1.0)
 
     # independent rational-arithmetic evaluation: 7920/461041
-    assert delta_bound(params(10)) == pytest.approx(0.017178515576705758, abs=1e-12)
-    assert delta_bound(params(0)) == 0.0
-    values = [delta_bound(params(r)) for r in range(0, 200, 10)]
+    assert delta_bound(est, 10) == pytest.approx(0.017178515576705758, abs=1e-12)
+    assert delta_bound(est, 0) == 0.0
+    values = [delta_bound(est, r) for r in range(0, 200, 10)]
     assert all(b > a for a, b in zip(values, values[1:]))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -18,7 +18,7 @@ from deltagrad import (
 )
 from deltagrad.cli import _requests_from_file, load_dataset, main, parse_lr_schedule
 from deltagrad.dataio import write_csv
-from deltagrad.privacy import PrivacyParams, estimate_constants
+from deltagrad.privacy import estimate_constants
 
 SYNTH = "n=1000,p=6,seed=5,noise=0.05,margin=2.0"
 
@@ -198,12 +198,8 @@ def test_noise_command(tmp_path, noise_cache):
 
     data = load_dataset(Args)
     hist = load_cache(noise_cache, data)
-    est = estimate_constants(data, hist, hist.config.loss)
-    params = PrivacyParams.from_estimates(
-        est, epsilon=1e12, p=data.p, n=data.n, r=2,
-        eta=hist.config.eta_at(hist.iterations - 1),
-    )
-    assert rep["delta"] == pytest.approx(delta_bound(params), rel=1e-12)
+    assert rep["delta"] == pytest.approx(delta_bound(estimate_constants(data, hist), 2),
+                                         rel=1e-12)
 
 
 def test_bench_rows_and_counts(tmp_path):
@@ -457,3 +453,65 @@ def test_csv_test_labels_follow_the_cache_loss(tmp_path, cache):
     assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
                "--delete-ids", "3", "--test-data", str(half), "--test-format", "csv",
                "--out", str(tmp_path / "x.dgw")) == 3
+
+
+@pytest.mark.parametrize("loss,deleted", [("ridge", "2"), ("logistic", "0")])
+def test_noise_with_a_zero_bound_writes_the_model_unchanged(tmp_path, loss, deleted):
+    # a ridge Hessian is constant and no deletion moves nothing: either way
+    # delta = 0, so the corrected model already is the retrained one
+    data = ["--data", "n=1500,p=5,seed=2,noise=0.05", "--format", "synthetic"]
+    cache, model, noised = tmp_path / "c.dgc", tmp_path / "w.dgw", tmp_path / "n.dgw"
+    report = tmp_path / "r.json"
+    assert run("train", *data, "--loss", loss, "--l2", "0.5", "--lr", "0.2",
+               "--iters", "40", "--cache-out", str(cache)) == 0
+    assert run("unlearn", *data, "--cache", str(cache), "--delete-ids", "1,2",
+               "--out", str(model)) == 0
+    assert run("noise", *data, "--cache", str(cache), "--model", str(model),
+               "--epsilon", "1.0", "--deleted-count", deleted, "--out", str(noised),
+               "--report", str(report)) == 0
+    assert noised.read_bytes() == model.read_bytes()
+    rep = json.loads(report.read_text())
+    assert rep["delta"] == 0.0 and rep["scale"] == 0.0
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])
+def test_noise_needs_a_positive_epsilon(tmp_path, noise_cache, epsilon):
+    # the bound itself holds here: test_noise_command noises this cache with r = 2
+    from deltagrad import save_model
+    model, out = tmp_path / "w.dgw", tmp_path / "n.dgw"
+    save_model(np.zeros(6), model)
+    assert run("noise", "--data", NOISE_SYNTH, "--format", "synthetic",
+               "--cache", str(noise_cache), "--model", str(model),
+               f"--epsilon={epsilon}", "--deleted-count", "2", "--out", str(out)) == 8
+    assert not out.exists()
+
+
+def test_bad_delete_ids_are_parse_errors(tmp_path, cache, capsys):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("3\n1.5\n")
+    argv = ["unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+            "--out", str(tmp_path / "w.dgw")]
+    assert run(*argv, "--delete-ids", "3,x") == 3
+    assert "--delete-ids: bad integer 'x'" in capsys.readouterr().err
+    assert run(*argv, "--delete-file", str(ids)) == 3
+    assert f"{ids}: bad integer '1.5'" in capsys.readouterr().err
+    assert not (tmp_path / "w.dgw").exists()
+
+
+def test_bench_periods_are_parsed_as_integers(capsys):
+    assert run("bench", "--data", "n=200,p=4,seed=3", "--format", "synthetic",
+               "--l2", "0.01", "--iters", "20", "--T0-list", "5,x") == 3
+    assert "--T0-list: bad integer 'x'" in capsys.readouterr().err
+
+
+def test_stream_report_counts_every_request(tmp_path, cache):
+    reqs = tmp_path / "requests.txt"
+    reqs.write_text("del 3\ndel 5\ndel 7\n")
+    report = tmp_path / "r.json"
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--requests", str(reqs), "--out", str(tmp_path / "w.dgw"),
+               "--report", str(report)) == 0
+    rep = json.loads(report.read_text())
+    summary = rep["mode_trace_summary"]
+    assert summary["explicit"] + summary["fallback"] == rep["full_gradient_evals"]
+    assert sum(summary.values()) == 3 * 60

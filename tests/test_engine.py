@@ -207,6 +207,37 @@ def test_changeset_validation():
         unlearn_batch_gd(data, hist, ChangeSet.delete(np.arange(20)), GD)
 
 
+@pytest.mark.parametrize("ids", [[1.5, 7.9], np.array([False, True]), np.array(["3"]),
+                                 [[1, 2]], 4])
+def test_delete_ids_must_be_a_1d_integer_sequence(ids):
+    with pytest.raises(ChangeSetError, match="integers"):
+        ChangeSet.delete(ids)
+
+
+def test_delete_ids_accept_empty_and_any_integer_dtype():
+    assert ChangeSet.delete([]).r == 0
+    np.testing.assert_array_equal(ChangeSet.delete(np.array([7, 2], dtype=np.uint8)).indices,
+                                  [2, 7])
+
+
+def test_baseline_comparison_hashes_the_dataset_once(monkeypatch):
+    data, hist = train_problem(n=500, T=30)
+    calls = []
+    fingerprint = Dataset.fingerprint
+
+    def counted(self):
+        calls.append(self.n)
+        return fingerprint(self)
+
+    monkeypatch.setattr(Dataset, "fingerprint", counted)
+    unlearn_batch_gd(data, hist, ChangeSet.delete([1, 2]), GD, with_baseline=True)
+    assert calls == [500]
+    calls.clear()
+    requests = [ChangeSet.delete([i]) for i in range(20)]
+    unlearn_online(data, hist, requests, GD, with_baseline=True)
+    assert calls == [500]
+
+
 # ---------------------------------------------------------------- addition
 
 def test_add_null_change_is_bit_exact():

@@ -4,8 +4,9 @@ import pytest
 from deltagrad import (
     Dataset,
     LossConfig,
+    ConstantEstimates,
+    FingerprintMismatchError,
     PrivacyBoundError,
-    PrivacyParams,
     TrainConfig,
     delta_bound,
     estimate_constants,
@@ -17,17 +18,18 @@ from deltagrad import (
 from oracles import ks_statistic, laplace_cdf, per_sample_grad
 
 
-def make_params(**kw):
-    base = dict(epsilon=1.0, p=4, n=1000, r=10, eta=0.1, mu=1.0, m1=1.0,
+def make_params(r=10, **kw):
+    """(estimates, r) for delta_bound; grad_bound=0.5 with mu=1 gives m1=1."""
+    base = dict(n=1000, p=4, eta=0.1, mu=1.0, smoothness=1.0, grad_bound=0.5,
                 hessian_lipschitz=0.0, amplification=1.0)
     base.update(kw)
-    return PrivacyParams(**base)
+    return ConstantEstimates(**base), r
 
 
 # ------------------------------------------------------------- constants
 
 def test_ridge_has_constant_hessian(ridge_data, ridge_history):
-    est = estimate_constants(ridge_data, ridge_history, LossConfig("ridge", 0.1))
+    est = estimate_constants(ridge_data, ridge_history)
     assert est.hessian_lipschitz == 0.0
     assert est.mu == 0.1
 
@@ -41,13 +43,13 @@ def test_logistic_smoothness_formula():
     cfg = TrainConfig(loss=LossConfig("logistic", 0.01), iterations=5,
                       batch_size=30, eta_schedule=((0, 0.1),))
     hist = train_gd(data, cfg)
-    est = estimate_constants(data, hist, cfg.loss)
+    est = estimate_constants(data, hist)
     assert est.smoothness == pytest.approx(0.26, abs=1e-12)
 
 
 def test_gradient_bound_matches_bruteforce(logistic_data, logistic_history):
     cfg = logistic_history.config.loss
-    est = estimate_constants(logistic_data, logistic_history, cfg)
+    est = estimate_constants(logistic_data, logistic_history)
     brute = 0.0
     for t in range(logistic_history.params.shape[0]):
         w = logistic_history.params[t]
@@ -59,45 +61,52 @@ def test_gradient_bound_matches_bruteforce(logistic_data, logistic_history):
 
 
 def test_hessian_lipschitz_positive_for_logistic(logistic_data, logistic_history):
-    est = estimate_constants(logistic_data, logistic_history,
-                             logistic_history.config.loss, pair_budget=20)
+    est = estimate_constants(logistic_data, logistic_history, pair_budget=20)
     assert est.hessian_lipschitz > 0.0
     assert np.isfinite(est.amplification)
 
 
-def test_constants_require_regularization(logistic_data, logistic_history):
+def test_constants_require_regularization(logistic_data):
+    cfg = TrainConfig(loss=LossConfig("logistic", 0.0), iterations=5,
+                      batch_size=logistic_data.n, eta_schedule=((0, 0.1),))
     with pytest.raises(PrivacyBoundError):
-        estimate_constants(logistic_data, logistic_history, LossConfig("logistic", 0.0))
+        estimate_constants(logistic_data, train_gd(logistic_data, cfg))
+
+
+def test_constants_require_the_training_dataset(logistic_data, logistic_history):
+    other = Dataset(logistic_data.features + 1.0, logistic_data.labels)
+    with pytest.raises(FingerprintMismatchError):
+        estimate_constants(other, logistic_history)
 
 
 # ------------------------------------------------------------ delta bound
 
 def test_delta_zero_deletions():
-    assert delta_bound(make_params(r=0)) == 0.0
+    assert delta_bound(*make_params(r=0)) == 0.0
 
 
 def test_delta_matches_hand_evaluation():
     # p=4, A=1, M1=1, r=10, eta=0.1, mu=1, c0=0, n=1000 evaluated exactly
     # with rational arithmetic: 7920/461041
-    assert delta_bound(make_params()) == pytest.approx(0.017178515576705758, abs=1e-12)
+    assert delta_bound(*make_params()) == pytest.approx(0.017178515576705758, abs=1e-12)
 
 
 def test_delta_strictly_increasing_in_r():
-    values = [delta_bound(make_params(r=r)) for r in range(0, 120, 10)]
+    values = [delta_bound(*make_params(r=r)) for r in range(0, 120, 10)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_delta_scales_with_sqrt_p():
-    assert delta_bound(make_params(p=16)) == pytest.approx(
-        2.0 * delta_bound(make_params(p=4)), rel=1e-12
+    assert delta_bound(*make_params(p=16)) == pytest.approx(
+        2.0 * delta_bound(*make_params(p=4)), rel=1e-12
     )
 
 
 def test_delta_denominator_guard():
     with pytest.raises(PrivacyBoundError, match="too large"):
-        delta_bound(make_params(r=400))        # r/(n-r) term kills the gap
+        delta_bound(*make_params(r=400))        # r/(n-r) term kills the gap
     with pytest.raises(PrivacyBoundError, match="too large"):
-        delta_bound(make_params(r=600))        # n/2 - r <= 0
+        delta_bound(*make_params(r=600))        # n/2 - r <= 0
 
 
 # --------------------------------------------------------------- sampler
@@ -151,6 +160,4 @@ def test_density_ratio_is_exact_l1_formula():
 
 def test_params_validation():
     with pytest.raises(PrivacyBoundError):
-        make_params(epsilon=0.0)
-    with pytest.raises(PrivacyBoundError):
-        make_params(mu=0.0)
+        delta_bound(*make_params(mu=0.0))
