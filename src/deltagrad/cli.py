@@ -10,9 +10,11 @@ Synthetic datasets are addressed by a spec string instead of a path, e.g.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -44,28 +46,32 @@ EXIT_CODES = (
 )
 
 
+def _number(token: str, convert, where: str):
+    """int(token) or float(token); a bad token is a ParseError that names
+    `where`, the flag or file the text came from."""
+    try:
+        return convert(token)
+    except ValueError:
+        kind = "integer" if convert is int else "number"
+        raise ParseError(f"{where}: bad {kind} {token.strip()!r}") from None
+
+
 def parse_lr_schedule(text: str):
     """"0.1" for a constant rate, or "0:0.2,10:0.1" for breakpoints."""
     text = text.strip()
     if ":" not in text:
-        return ((0, float(text)),)
+        return ((0, _number(text, float, "--lr")),)
     segments = []
     for part in text.split(","):
         start_s, _, rate_s = part.partition(":")
-        segments.append((int(start_s), float(rate_s)))
+        segments.append((_number(start_s, int, "--lr"), _number(rate_s, float, "--lr")))
     return tuple(segments)
 
 
 def parse_id_list(text: str, where: str):
     """Comma- or space-separated integers; a bad token is a ParseError that
-    names `where`, the flag or file the text came from."""
-    ids = []
-    for tok in text.replace(",", " ").split():
-        try:
-            ids.append(int(tok))
-        except ValueError:
-            raise ParseError(f"{where}: bad integer {tok!r}") from None
-    return ids
+    names `where`."""
+    return [_number(tok, int, where) for tok in text.replace(",", " ").split()]
 
 
 def load_dataset(args, which="data", kind="logistic") -> Dataset:
@@ -74,17 +80,19 @@ def load_dataset(args, which="data", kind="logistic") -> Dataset:
     source = getattr(args, which)
     fmt = getattr(args, which.replace("data", "format"), None) or args.format
     if fmt == "synthetic":
+        flag = "--" + which.replace("_", "-")
+        types = typing.get_type_hints(dataio.SyntheticSpec)
         spec = {}
-        for part in source.split(","):
-            key, _, val = part.partition("=")
-            spec[key.strip()] = val.strip()
-        return dataio.generate_synthetic(dataio.SyntheticSpec(
-            n=int(spec["n"]),
-            p=int(spec["p"]),
-            noise=float(spec.get("noise", 0.0)),
-            seed=int(spec.get("seed", 0)),
-            margin=float(spec.get("margin", 2.0)),
-        ))
+        for part in filter(str.strip, source.split(",")):
+            key, _, val = (s.strip() for s in part.partition("="))
+            if key not in types:
+                raise ParseError(f"{flag}: unknown synthetic field {key!r}")
+            spec[key] = _number(val, types[key], f"{flag} {key}")
+        missing = [f.name for f in dataclasses.fields(dataio.SyntheticSpec)
+                   if f.default is dataclasses.MISSING and f.name not in spec]
+        if missing:
+            raise ParseError(f"{flag}: synthetic spec needs {' and '.join(missing)}")
+        return dataio.generate_synthetic(dataio.SyntheticSpec(**spec))
     if fmt == "libsvm":
         return dataio.parse_libsvm(source, kind)
     if fmt == "csv":
@@ -321,12 +329,14 @@ def cmd_noise(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    periods = parse_id_list(args.T0_list, "--T0-list")
+    rates = [_number(tok, float, "--rates") for tok in args.rates.split(",")]
     data = load_dataset(args, kind=args.loss)
     history = _train_from_flags(args, data)
     rng = np.random.default_rng(args.seed + 1)
     rows = []
-    for period in parse_id_list(args.T0_list, "--T0-list"):
-        for rate in [float(tok) for tok in args.rates.split(",")]:
+    for period in periods:
+        for rate in rates:
             r = int(round(rate * data.n))
             ids = rng.choice(data.n, size=r, replace=False) if r else []
             change = engine.ChangeSet.delete(ids)

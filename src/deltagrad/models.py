@@ -8,18 +8,26 @@ gradient. The one gradient kernel, `gradient_sum`, sums every row it is
 given; rows are picked by `Objective.rows` alone.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
-frozen after construction and safe to share across threads. A Dataset owns
-its labels and checks once, on first use, whether they are all +1 or -1;
-the logistic functions read that result instead of scanning the labels on
-every call, and ridge never pays for it.
+frozen after construction and safe to share across threads. The one piece
+of module state is the helper-thread pool of `gradient_sum`: built on the
+first gradient of two or more row blocks, at most MAX_HELPER_THREADS
+threads, shared by every calling thread and dropped in a forked child,
+which builds its own. It changes no bit of any result: the row blocks,
+fixed by BLOCK_BYTES, are summed in block order whatever thread computed
+them. A Dataset owns its labels and checks once, on first use, whether
+they are all +1 or -1; the logistic functions read that result instead of
+scanning the labels on every call, and ridge never pays for it.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import functools
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,12 @@ LOSS_KINDS = ("logistic", "ridge")
 # of X stays in a 2 MB L2 between `X_b @ w` and `X_b.T @ a`, so X is read
 # from memory once per gradient instead of twice.
 BLOCK_BYTES = 1 << 20
+
+# Most helper threads that join the caller of `gradient_sum`, and never more
+# than the cores this process may run on, less one. One helper is the only
+# configuration measured (2 cores); more would call BLAS concurrently beside
+# OpenBLAS's own threads, which is unmeasured.
+MAX_HELPER_THREADS = 1
 
 
 class Dataset:
@@ -155,6 +169,22 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
     return core + 0.5 * cfg.l2 * float(w @ w)
 
 
+def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
+    """Data-part gradient sum over rows lo .. lo+rows of (X, y): z = X_b @ w,
+    the per-row coefficient a, then X_b.T @ a. A logistic caller holds
+    np.errstate(over="ignore")."""
+    Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
+    z = Xb @ w
+    if logistic:
+        a = yb * z
+        np.exp(a, out=a)
+        np.subtract(-1.0, a, out=a)
+        np.divide(yb, a, out=a)
+    else:
+        a = z - yb
+    return Xb.T @ a
+
+
 def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     """Sum over every row of `data` of the data part of per-sample
     gradients (no l2 term).
@@ -164,9 +194,17 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     bitwise identical.
 
     Rows are summed in blocks of BLOCK_BYTES: z = X_b @ w, the per-row
-    coefficient a, then g += X_b.T @ a. The logistic coefficient is
+    coefficient a, then X_b.T @ a. The logistic coefficient is
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
+    The block sums are added into zeros in block order.
+
+    The block partition alone fixes the bits: a block's sum does not depend
+    on the thread that computes it, so the result is the same whatever the
+    worker count. Data of one block is summed on the caller's thread alone.
+    From two blocks on, the caller and the helper threads (one per further
+    core this process may run on, at most MAX_HELPER_THREADS) draw blocks
+    from one shared counter; the helper pool is built on first use.
     """
     w = _check_w(data, w)
     X, y = data.features, data.labels
@@ -174,21 +212,86 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     if logistic:
         _check_logistic_labels(data)
     rows = max(1, BLOCK_BYTES // (8 * data.p))
-    g = np.zeros(data.p)
+    block = functools.partial(_block_gradient, X, y, w, logistic, rows)
+    starts = range(0, y.size, rows)
     # exp(y*z) may overflow to inf, which makes the coefficient an exact 0
     with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
-        for lo in range(0, y.size, rows):
-            Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
-            z = Xb @ w
-            if logistic:
-                a = yb * z
-                np.exp(a, out=a)
-                np.subtract(-1.0, a, out=a)
-                np.divide(yb, a, out=a)
-            else:
-                a = z - yb
-            g += Xb.T @ a
+        pool, helpers = _helper_pool() if len(starts) > 1 else (None, 0)
+        parts = _parallel_blocks(pool, helpers, block, starts) if helpers else map(block, starts)
+        g = np.zeros(data.p)
+        for part in parts:
+            g += part
     return g
+
+
+def _parallel_blocks(pool, helpers: int, block, starts) -> list:
+    """[block(lo) for lo in starts], computed by the caller and up to
+    `helpers` jobs on `pool` that draw from one shared iterator.
+
+    Each job enters the caller's numpy error state, which a helper thread
+    would not see otherwise: numpy keeps it per thread (numpy 1) or per
+    context (numpy 2). Warning filters are process-wide, so the caller's
+    hold in the jobs as they are. Once the caller finds nothing left to
+    draw, it cancels the jobs not yet started and waits only for the
+    running ones; an error in any job is raised here.
+    """
+    parts = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+    err = np.geterr()
+
+    def drain():
+        with np.errstate(**err):
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                parts[i] = block(starts[i])
+
+    jobs = [pool.submit(drain) for _ in range(min(helpers, len(starts) - 1))]
+    try:
+        drain()
+    finally:
+        with lock:                  # on an error in the caller, stop the helpers too
+            collections.deque(todo, maxlen=0)
+        started = [job for job in jobs if not job.cancel()]
+        for job in started:
+            job.exception()         # waits for the job to end
+    for job in started:
+        job.result()
+    return parts
+
+
+_pool_lock = threading.Lock()
+_pool = None        # (executor or None, helper count), built by _helper_pool
+
+
+def _helper_pool():
+    """The gradient helper threads: one per core this process may run on,
+    less the caller's, at most MAX_HELPER_THREADS; (None, 0) on one core."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            helpers = min(cores - 1, MAX_HELPER_THREADS)
+            # imported here: concurrent.futures and the logging it loads add
+            # about 0.6 MB to a process whose gradients never fan out
+            from concurrent.futures import ThreadPoolExecutor
+            executor = ThreadPoolExecutor(helpers, "deltagrad-gradient") if helpers > 0 else None
+            _pool = (executor, helpers)
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads; it builds its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def full_gradient(cfg: LossConfig, data: Dataset, w) -> np.ndarray:

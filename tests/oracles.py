@@ -89,3 +89,18 @@ def ks_statistic(samples, cdf):
     upper = np.max(np.arange(1, n + 1) / n - theo)
     lower = np.max(theo - np.arange(0, n) / n)
     return max(upper, lower)
+
+
+def block_gradient_sum(kind, X, y, w, rows):
+    """Data-part gradient sum as the serial row-block loop computes it: each
+    block of `rows` rows gives X_b.T @ a(X_b @ w), and the block sums are
+    added into zeros in block order. The parallel kernel must match it bit
+    for bit."""
+    g = np.zeros(X.shape[1])
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(y), rows):
+            Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
+            z = Xb @ w
+            a = yb / (-1.0 - np.exp(yb * z)) if kind == "logistic" else z - yb
+            g += Xb.T @ a
+    return g

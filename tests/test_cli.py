@@ -515,3 +515,28 @@ def test_stream_report_counts_every_request(tmp_path, cache):
     summary = rep["mode_trace_summary"]
     assert summary["explicit"] + summary["fallback"] == rep["full_gradient_evals"]
     assert sum(summary.values()) == 3 * 60
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--lr", "0.1x"], "--lr: bad number '0.1x'"),
+    (["--lr", "0:0.1,x:0.2"], "--lr: bad integer 'x'"),
+    (["--rates", "0,x"], "--rates: bad number 'x'"),
+    (["--data", "n=abc,p=3"], "--data n: bad integer 'abc'"),
+    (["--data", "n=50,p=3,seed=1.5"], "--data seed: bad integer '1.5'"),
+    (["--data", "p=3"], "--data: synthetic spec needs n"),
+    (["--data", "n=50,p=3,sed=2"], "--data: unknown synthetic field 'sed'"),
+])
+def test_bad_numbers_in_flags_are_parse_errors(argv, message, capsys):
+    flags = {"--data": "n=200,p=4,seed=3", "--lr": "0.1", "--rates": "0"}
+    flags.update(zip(argv[::2], argv[1::2]))
+    assert run("bench", "--format", "synthetic", "--l2", "0.01", "--iters", "5",
+               *[tok for pair in flags.items() for tok in pair]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_bad_test_data_spec_names_its_flag(tmp_path, cache, capsys):
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               "--delete-ids", "3", "--out", str(tmp_path / "w.dgw"),
+               "--test-data", "n=20", "--test-format", "synthetic") == 3
+    assert "--test-data: synthetic spec needs p" in capsys.readouterr().err
+    assert not (tmp_path / "w.dgw").exists()

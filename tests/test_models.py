@@ -1,5 +1,13 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent import futures
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +27,14 @@ from deltagrad import (
 )
 from deltagrad import models
 from deltagrad.models import Objective, gradient_sum, per_sample_gradient_norms
-from oracles import fd_gradient, grad_scalar, loss_scalar, per_sample_grad, ridge_solution
+from oracles import (
+    block_gradient_sum,
+    fd_gradient,
+    grad_scalar,
+    loss_scalar,
+    per_sample_grad,
+    ridge_solution,
+)
 
 
 def test_loss_single_logistic_sample():
@@ -328,3 +343,194 @@ def test_logistic_gradient_at_exp_overflow(margin):
         g = gradient_sum(LossConfig("logistic", 0.0), data, w)
         assert np.isfinite(g).all()
         check_kernel_against_oracle("logistic", data, w)
+
+
+@contextlib.contextmanager
+def kernel_workers(workers, block_rows, p):
+    """gradient_sum with blocks of `block_rows` rows, fanned out from two
+    blocks on to the caller and workers - 1 helper threads."""
+    pool = futures.ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    try:
+        with mock.patch.multiple(models, BLOCK_BYTES=8 * p * block_rows,
+                                 _pool=(pool, workers - 1)):
+            yield
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+@contextlib.contextmanager
+def helper_takes_a_block(helper_block=None):
+    """Hold the calling thread at its first block until a helper thread has
+    finished one, so that a fanned-out gradient computes at least one block
+    off the caller's thread. Helpers compute their blocks with
+    `helper_block` when given."""
+    real = models._block_gradient
+    caller, helped = threading.get_ident(), threading.Event()
+
+    def block(*args):
+        if threading.get_ident() == caller:
+            assert helped.wait(10)
+            return real(*args)
+        try:
+            return (helper_block or real)(*args)
+        finally:
+            helped.set()
+
+    with mock.patch.object(models, "_block_gradient", block):
+        yield
+    assert helped.is_set()
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    n=st.integers(1, 150),
+    p=st.integers(1, 20),
+    block_rows=st.integers(1, 40),
+    margin=st.floats(0.0, 800.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parallel_gradient_sum_is_the_serial_block_sum(kind, n, p, block_rows, margin, seed):
+    # margins past 709 overflow exp(y*z) in the logistic coefficient; the
+    # suite turns a RuntimeWarning in any thread into a failure
+    data, w = margin_problem(kind, n, p, margin, seed)
+    expected = bits(block_gradient_sum(kind, data.features, data.labels, w, block_rows))
+    for workers in (1, 2, 3):
+        fans_out = workers > 1 and n > block_rows
+        with kernel_workers(workers, block_rows, p), \
+                helper_takes_a_block() if fans_out else contextlib.nullcontext():
+            assert bits(gradient_sum(LossConfig(kind, 0.0), data, w)) == expected
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(models, "_pool", None)
+    data, w = margin_problem("logistic", 300, 5, 3.0, seed=2)
+    before = threading.active_count()
+    g = gradient_sum(LossConfig("logistic", 0.0), data, w)
+    assert models._pool is None and threading.active_count() == before
+    assert bits(g) == bits(block_gradient_sum("logistic", data.features, data.labels, w, 300))
+
+
+def test_helper_threads_are_capped(monkeypatch):
+    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    pool, helpers = models._helper_pool()
+    pool.shutdown()
+    assert helpers == models.MAX_HELPER_THREADS
+
+
+def test_helper_warnings_reach_the_caller():
+    # X @ w = +inf and y = +inf on every row: z - y warns "invalid value" in
+    # each block, whichever thread computes it
+    n = 12
+    data = Dataset(np.ones((n, 2)), np.full(n, np.inf))
+    w = np.array([np.inf, 0.0])
+    with kernel_workers(2, 1, 2), helper_takes_a_block(), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = gradient_sum(LossConfig("ridge", 0.0), data, w)
+    assert np.isnan(g).all()
+    assert [str(c.message) for c in caught] == ["invalid value encountered in subtract"] * n
+    # the caller's numpy error state holds in the helpers too
+    with kernel_workers(2, 1, 2), helper_takes_a_block(), np.errstate(invalid="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bits(gradient_sum(LossConfig("ridge", 0.0), data, w)) == bits(g)
+
+
+def test_helper_errors_are_raised_in_the_caller():
+    def fail(*args):
+        raise ArithmeticError("in a helper")
+
+    data, w = margin_problem("ridge", 12, 3, 1.0, seed=5)
+    with kernel_workers(3, 1, 3), helper_takes_a_block(fail), \
+            pytest.raises(ArithmeticError, match="in a helper"):
+        gradient_sum(LossConfig("ridge", 0.0), data, w)
+
+
+def fork_child_gradient(cfg, data, w, out):
+    # the parent's helper thread does not exist here; the child builds its
+    # own pool, whose helper computes a block as well
+    fans_out = len(os.sched_getaffinity(0)) > 1
+    try:
+        with helper_takes_a_block() if fans_out else contextlib.nullcontext():
+            out.put(bits(gradient_sum(cfg, data, w)))
+    except BaseException as exc:
+        out.put(repr(exc))
+
+
+def test_fork_child_after_the_pool_is_live():
+    cfg = LossConfig("logistic", 0.0)
+    data, w = margin_problem("logistic", 400, 6, 5.0, seed=3)
+    with kernel_workers(2, 10, 6):
+        with helper_takes_a_block():
+            expected = bits(gradient_sum(cfg, data, w))
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=fork_child_gradient, args=(cfg, data, w, out))
+        child.start()
+        try:
+            got = out.get(timeout=30)
+            child.join(timeout=30)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+    assert child.exitcode == 0
+    assert got == expected
+
+
+def test_callers_share_the_pool():
+    # more threads than cores: two callers and two helpers, switching often
+    cfg = LossConfig("logistic", 0.0)
+    data, _ = margin_problem("logistic", 300, 4, 1.0, seed=9)
+    iterates = np.random.default_rng(1).normal(size=(40, 4))
+    expected = [bits(block_gradient_sum("logistic", data.features, data.labels, w, 7))
+                for w in iterates]
+    mismatches = []
+
+    def caller(order):
+        for i in order:
+            if bits(gradient_sum(cfg, data, iterates[i])) != expected[i]:
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with kernel_workers(3, 7, 4):
+            callers = [threading.Thread(target=caller, args=(order,))
+                       for order in (range(40), range(39, -1, -1))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+
+
+def test_process_with_helpers_exits_promptly():
+    # the pool's threads are joined at interpreter exit, before atexit hooks
+    script = (
+        "import atexit, threading\n"
+        "import numpy as np\n"
+        "from deltagrad import models\n"
+        "models.BLOCK_BYTES = 8 * 4 * 10\n"
+        "data = models.Dataset(np.ones((200, 4)), np.ones(200))\n"
+        "models.gradient_sum(models.LossConfig('logistic', 0.0), data, np.zeros(4))\n"
+        "atexit.register(lambda: print('left', threading.active_count()))\n"
+        "print('helpers', models._pool[1])\n"
+    )
+    src = str(Path(models.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    helpers = min(len(os.sched_getaffinity(0)) - 1, models.MAX_HELPER_THREADS)
+    assert proc.stdout.split("\n")[:2] == [f"helpers {helpers}", "left 1"]
