@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     PrivacyBoundError,
 )
-from .lbfgs import CurvaturePairBuffer, inverse_apply, quasi_hvp, recursive_B_apply
+from .lbfgs import CurvaturePairBuffer, quasi_hvp
 from .models import (
     Dataset,
     LossConfig,
@@ -44,14 +44,12 @@ from .models import (
     hessian_vector_product,
     loss,
     smoothness_bound,
-    subset_gradient_sum,
 )
 from .privacy import (
     ConstantEstimates,
     delta_bound,
     estimate_constants,
     laplace_noise,
-    log_density_ratio_bound,
     sample_laplace,
 )
 from .trainer import TrainConfig, TrainingHistory, derive_schedule, train_gd, train_sgd
@@ -87,22 +85,18 @@ __all__ = [
     "full_gradient",
     "generate_synthetic",
     "hessian_vector_product",
-    "inverse_apply",
     "laplace_noise",
     "load_cache",
     "load_model",
-    "log_density_ratio_bound",
     "loss",
     "parse_csv",
     "parse_libsvm",
     "quasi_hvp",
-    "recursive_B_apply",
     "relearn_batch_gd",
     "sample_laplace",
     "save_cache",
     "save_model",
     "smoothness_bound",
-    "subset_gradient_sum",
     "train_gd",
     "train_sgd",
     "unlearn_batch_gd",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -96,16 +97,6 @@ def parse_libsvm(path, kind: str = "logistic") -> Dataset:
     return Dataset(X, np.asarray(labels))
 
 
-def write_libsvm(data: Dataset, path):
-    """Inverse of parse_libsvm; zero entries are omitted."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i in range(data.n):
-            label = int(data.labels[i])
-            cols = np.nonzero(data.features[i])[0]
-            feats = " ".join(f"{j + 1}:{float(data.features[i, j])!r}" for j in cols)
-            fh.write(f"{label:+d} {feats}\n".rstrip() + "\n")
-
-
 def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
     """Dense CSV with a header row; every cell must be a finite number.
     Labels follow `parse_label` under loss `kind`; the default, ridge, keeps
@@ -143,15 +134,6 @@ def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
     if not rows:
         raise ParseError(f"{path}: no samples")
     return Dataset(np.asarray(rows), np.asarray(labels))
-
-
-def write_csv(data: Dataset, path, label_column: str = "label"):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([label_column] + [f"x{j}" for j in range(data.p)])
-        for i in range(data.n):
-            writer.writerow([repr(float(data.labels[i]))]
-                            + [repr(float(v)) for v in data.features[i]])
 
 
 @dataclass(frozen=True)
@@ -197,6 +179,19 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return blob
 
 
+def _check_body_length(fh, expect: int, what: str):
+    """Compare the body length that the lengths read from the file promise,
+    up to the end of `what`, with the bytes left in it. Run once, before any
+    record is read, so that a corrupt length fails to load instead of sizing
+    a read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < expect:
+        raise CacheFormatError(
+            f"truncated body: {left} bytes left, {expect} needed through the {what}")
+    if left > expect:
+        raise CacheFormatError(f"trailing bytes after the {what}")
+
+
 def _read_vector(fh, expect: int, what: str) -> np.ndarray:
     (size,) = struct.unpack("<Q", _read_exact(fh, 8, what))
     if size != expect:
@@ -232,8 +227,9 @@ def save_cache(history: TrainingHistory, path):
 
 
 def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
-    """Load a cache; verifies magic, version, record shapes, and (when a
-    dataset is supplied) the content fingerprint."""
+    """Load a cache; verifies magic, version, header fields, the body length
+    against the file size, record shapes, and (when a dataset is supplied)
+    the content fingerprint."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -265,13 +261,12 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
         if batch > n:
             raise CacheFormatError(f"invalid cache header: batch size {batch} exceeds n = {n}")
         fingerprint = _read_exact(fh, 32, "fingerprint")
+        _check_body_length(fh, (2 * T + 1) * (8 + 8 * p), "last record")
         params = np.vstack([_read_vector(fh, p, f"parameter record {t}") for t in range(T + 1)])
         if T:
             grads = np.vstack([_read_vector(fh, p, f"gradient record {t}") for t in range(T)])
         else:
             grads = np.zeros((0, p))
-        if fh.read(1):
-            raise CacheFormatError("trailing bytes after the last record")
     history = TrainingHistory(
         params=params, gradients=grads, config=cfg, n=n, p=p, fingerprint=fingerprint
     )
@@ -297,7 +292,6 @@ def load_model(path) -> np.ndarray:
         if version != FORMAT_VERSION:
             raise CacheFormatError(f"unsupported model version {version}")
         (size,) = struct.unpack("<Q", _read_exact(fh, 8, "model vector"))
+        _check_body_length(fh, 8 * size, "model vector")
         vec = np.frombuffer(_read_exact(fh, 8 * size, "model vector"), dtype="<f8")
-        if fh.read(1):
-            raise CacheFormatError("trailing bytes after the model vector")
     return vec.astype(np.float64)

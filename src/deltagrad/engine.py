@@ -50,6 +50,9 @@ MODES = ("gd", "sgd", "general")
 MODE_LABELS = ("explicit", "approximated", "fallback", "skipped-empty-batch")
 DIRECTIONS = ("delete", "add")
 SMALL_FRACTION_WARN = 0.05
+# The general engine's local smoothness guard: an approximate step whose
+# ||B v|| reaches this multiple of ||v|| is recomputed exactly.
+SMOOTHNESS_LIMIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,15 +61,13 @@ class DeltaGradConfig:
 
     period: explicit-gradient period T0 (exact recomputation cadence);
     burn_in: number of leading iterations j0 that are always explicit;
-    history_size: curvature pairs kept (m);
-    smoothness_limit: guard threshold for the general engine.
+    history_size: curvature pairs kept (m).
     """
 
     period: int = 5
     burn_in: int = 10
     history_size: int = 2
     mode: str = "gd"
-    smoothness_limit: float = 1.0
 
     def __post_init__(self):
         if self.period < 1:
@@ -166,10 +167,11 @@ def _check_requests(requests, data: Dataset, loss_kind: str):
 
     Request k may delete only rows active when it arrives: rows of `data`
     and rows added by earlier requests (numbered n, n+1, ... in arrival
-    order) that no earlier request deleted. Added rows need data.p features
-    and, under logistic loss, labels of +1 or -1. A request that touches
-    more than SMALL_FRACTION_WARN of the active rows warns; so does, once, a
-    list whose requests so far touch more than that fraction of data.n.
+    order) that no earlier request deleted. Added rows need a 2-D block of
+    data.p finite features and finite labels, under logistic loss +1 or -1.
+    A request that touches more than SMALL_FRACTION_WARN of the active rows
+    warns; so does, once, a list whose requests so far touch more than that
+    fraction of data.n.
     """
     active_n, touched, warned = data.n, 0, False
     deleted = np.zeros(data.n + sum(req.r for req in requests), dtype=bool)
@@ -191,11 +193,13 @@ def _check_requests(requests, data: Dataset, loss_kind: str):
                 raise ChangeSetError(f"request {k}: index {bad[0]} is not an active sample")
             deleted[ids] = True
         elif req.r:
-            if req.features.shape[1] != data.p:
+            X = req.features
+            if X.ndim != 2 or X.shape[1] != data.p:
                 raise ChangeSetError(
-                    f"request {k}: added rows have {req.features.shape[1]} features, "
-                    f"expected {data.p}"
+                    f"request {k}: added rows have shape {X.shape}, expected (r, {data.p})"
                 )
+            if not (np.isfinite(X).all() and np.isfinite(req.labels).all()):
+                raise ChangeSetError(f"request {k}: added rows must be finite")
             if loss_kind == "logistic" and (np.abs(req.labels) != 1.0).any():
                 raise ChangeSetError(f"request {k}: logistic loss needs labels of +1 or -1")
             active_n += req.r
@@ -324,7 +328,7 @@ def _run_gd_core(
                 if Bv is not None and guards:
                     # local smoothness guard: a drift estimate larger than the
                     # trusted Lipschitz cap means B is not believable here
-                    if np.linalg.norm(Bv) >= cfg.smoothness_limit * np.linalg.norm(v):
+                    if np.linalg.norm(Bv) >= SMOOTHNESS_LIMIT * np.linalg.norm(v):
                         run_explicit = True
                         label = "fallback"
                         smoothness_events += 1
@@ -338,7 +342,7 @@ def _run_gd_core(
             if guards and v.any() and float(dg @ v) <= 0.0:
                 convexity_events += 1        # concave stretch: do not trust the pair
             else:
-                buf.append_pair(v, dg, tag=t)
+                buf.append_pair(v, dg)
             changed = change.data_grad_sum(iw) if r else zero
             new_grad = (S + sign * changed) / denom + l2 * iw
         else:
@@ -367,7 +371,6 @@ def _run_gd_core(
         "smoothness_guard_events": smoothness_events,
         "cholesky_fallbacks": cholesky_fallbacks,
         "empty_buffer_fallbacks": empty_buffer_fallbacks,
-        "skipped_batches": counts["skipped-empty-batch"],
     }
     return iw, trace, diagnostics
 
@@ -375,7 +378,7 @@ def _run_gd_core(
 # The counters `_run_gd_core` reports; `_update` sums them over its requests.
 _COUNTERS = (*MODE_LABELS, "full_gradient_evals", "scheduled_full_gradient_evals",
              "pair_rejections", "convexity_guard_events", "smoothness_guard_events",
-             "cholesky_fallbacks", "empty_buffer_fallbacks", "skipped_batches")
+             "cholesky_fallbacks", "empty_buffer_fallbacks")
 
 
 def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
@@ -501,7 +504,8 @@ def unlearn_general(data, history, change, cfg, *, with_baseline=False,
 
     Explicit iterations drop curvature pairs whenever the local convexity
     check (dg . dw <= 0) fails; approximate iterations recompute exactly
-    (and re-anchor the explicit period) whenever ||B v|| >= limit * ||v||.
+    (and re-anchor the explicit period) whenever
+    ||B v|| >= SMOOTHNESS_LIMIT * ||v||.
     Accepts l2 = 0 and a custom per-sample objective.
     """
     if cfg.mode != "general":

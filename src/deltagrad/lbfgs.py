@@ -18,14 +18,10 @@ With E = J^-1 L D^-1 and F = [E, J^-1],
     M^-1 = F'F - [[D^-1, 0], [0, 0]].
 
 The middle matrix uses L D^-1 L'; the plain L D L' variant does not
-reproduce the rank-2 update recursion (cross-checked against
-`recursive_B_apply`, which is the arbiter). Building K and M^-1 costs
-O(m^2*p + m^3) once per insert; each product is then three small
-matrix-vector products, O(m*p).
-
-`recursive_B_apply` and `inverse_apply` materialize dense p x p operators
-from the textbook rank-2 recursions; they are O(m*p^2) test oracles, not
-hot-path code.
+reproduce the rank-2 update recursion. The arbiter is the dense p x p
+operator built by that recursion, `recursive_B_apply` in tests/oracles.py.
+Building K and M^-1 costs O(m^2*p + m^3) once per insert; each product is
+then three small matrix-vector products, O(m*p).
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ class CurvaturePairBuffer:
         self.capacity = capacity
         self._dw: list[np.ndarray] = []
         self._dg: list[np.ndarray] = []
-        self.tags: list[int] = []
         self.rejected = 0
         self._fact: CompactFactorization | None = None
         self._strict_lower = np.tri(capacity, k=-1, dtype=bool)
@@ -74,7 +69,7 @@ class CurvaturePairBuffer:
     def __len__(self) -> int:
         return len(self._dw)
 
-    def append_pair(self, dw, dg, tag: int = -1) -> bool:
+    def append_pair(self, dw, dg) -> bool:
         """Store a pair; returns False (and counts it) when curvature fails."""
         dw = np.asarray(dw, dtype=np.float64)
         dg = np.asarray(dg, dtype=np.float64)
@@ -87,11 +82,9 @@ class CurvaturePairBuffer:
             return False
         self._dw.append(dw.copy())
         self._dg.append(dg.copy())
-        self.tags.append(tag)
         if len(self._dw) > self.capacity:
             self._dw.pop(0)
             self._dg.pop(0)
-            self.tags.pop(0)
         self._fact = None
         return True
 
@@ -131,40 +124,3 @@ def quasi_hvp(buf: CurvaturePairBuffer, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     return buf.factorization().apply(v)
-
-
-def _materialize(buf: CurvaturePairBuffer) -> np.ndarray:
-    if len(buf) == 0:
-        raise ValueError("buffer is empty")
-    dWs, dGs = buf._dw, buf._dg
-    p = dWs[0].size
-    sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
-    B = sigma * np.eye(p)
-    for s, y in zip(dWs, dGs):
-        Bs = B @ s
-        B = B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (y @ s)
-    return B
-
-
-def recursive_B_apply(buf: CurvaturePairBuffer, v) -> np.ndarray:
-    """Oracle: apply the rank-2 update recursion, oldest pair first,
-    starting from sigma * I with sigma from the newest pair."""
-    v = np.asarray(v, dtype=np.float64)
-    return _materialize(buf) @ v
-
-
-def inverse_apply(buf: CurvaturePairBuffer, v) -> np.ndarray:
-    """Oracle: apply B^-1 via the equivalent inverse recursion."""
-    if len(buf) == 0:
-        raise ValueError("buffer is empty")
-    v = np.asarray(v, dtype=np.float64)
-    dWs, dGs = buf._dw, buf._dg
-    p = dWs[0].size
-    sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
-    Binv = np.eye(p) / sigma
-    eye = np.eye(p)
-    for s, y in zip(dWs, dGs):
-        ys = float(y @ s)
-        left = eye - np.outer(s, y) / ys
-        Binv = left @ Binv @ left.T + np.outer(s, s) / ys
-    return Binv @ v

@@ -229,11 +229,11 @@ def _parallel_blocks(pool, helpers: int, block, starts) -> list:
     `helpers` jobs on `pool` that draw from one shared iterator.
 
     Each job enters the caller's numpy error state, which a helper thread
-    would not see otherwise: numpy keeps it per thread (numpy 1) or per
-    context (numpy 2). Warning filters are process-wide, so the caller's
-    hold in the jobs as they are. Once the caller finds nothing left to
-    draw, it cancels the jobs not yet started and waits only for the
-    running ones; an error in any job is raised here.
+    would not see otherwise: numpy keeps it per context. Warning filters
+    are process-wide, so the caller's hold in the jobs as they are. Once
+    the caller finds nothing left to draw, it cancels the jobs not yet
+    started and waits only for the running ones; an error in any job is
+    raised here.
     """
     parts = [None] * len(starts)
     todo = iter(range(len(starts)))
@@ -298,17 +298,6 @@ def full_gradient(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     """Gradient of the average regularized loss."""
     w = _check_w(data, w)
     return gradient_sum(cfg, data, w) / data.n + cfg.l2 * w
-
-
-def subset_gradient_sum(cfg: LossConfig, data: Dataset, w, indices) -> np.ndarray:
-    """Unnormalized sum of per-sample gradients over the given row indices.
-
-    Per-sample gradients include the l2*w regularization term, so summing
-    over all rows gives n * full_gradient.
-    """
-    w = _check_w(data, w)
-    part = Objective(cfg, data).rows(indices)
-    return np.zeros(data.p) if part is None else part.data_grad_sum(w) + part.n * cfg.l2 * w
 
 
 def hessian_vector_product(cfg: LossConfig, data: Dataset, w, v) -> np.ndarray:

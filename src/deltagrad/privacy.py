@@ -24,6 +24,10 @@ from .models import (
 from .trainer import TrainingHistory, verify_fingerprint
 
 DEFAULT_INDEPENDENCE = 0.2    # empirical floor on the normalized-update singular value
+PAIR_BUDGET = 100             # random iterate pairs probed for the Hessian Lipschitz constant
+PAIR_SEED = 0                 # seed of the pair draw and of the power iteration's start
+POWER_TOL = 1e-6              # relative change that stops the power iteration
+POWER_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -45,13 +49,13 @@ class ConstantEstimates:
         return 2.0 * self.grad_bound / self.mu
 
 
-def _spectral_norm_diff(cfg, data, w_a, w_b, tol=1e-6, max_iter=200, seed=0):
+def _spectral_norm_diff(cfg, data, w_a, w_b):
     """Power iteration for || H(w_a) - H(w_b) ||_2 (symmetric operator)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PAIR_SEED)
     v = rng.normal(size=data.p)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = hessian_vector_product(cfg, data, w_a, v) - hessian_vector_product(
             cfg, data, w_b, v
         )
@@ -59,7 +63,7 @@ def _spectral_norm_diff(cfg, data, w_a, w_b, tol=1e-6, max_iter=200, seed=0):
         if norm == 0.0:
             return 0.0
         v = y / norm
-        if abs(norm - lam) <= tol * max(norm, 1e-30):
+        if abs(norm - lam) <= POWER_TOL * max(norm, 1e-30):
             return norm
         lam = norm
     return lam
@@ -82,16 +86,15 @@ def amplification_factor(mu: float, smoothness: float, history_size: int,
 
 
 def estimate_constants(data: Dataset, history: TrainingHistory, history_size: int = 2,
-                       independence: float = DEFAULT_INDEPENDENCE, pair_budget: int = 100,
-                       seed: int = 0) -> ConstantEstimates:
+                       independence: float = DEFAULT_INDEPENDENCE) -> ConstantEstimates:
     """Measure (mu, L, c2, c0) from the cached trajectory, under its loss and
     on `data`, which must be its training set, and derive the amplification.
 
     mu is the l2 coefficient (an error if zero: no strong convexity). The
     gradient bound scans every (sample, iterate) pair. The Hessian Lipschitz
     constant is 0 for ridge (constant Hessian) and otherwise the max over
-    `pair_budget` random iterate pairs of ||H(w_a)-H(w_b)|| / ||w_a-w_b||,
-    spectral norms via power iteration (tol 1e-6).
+    PAIR_BUDGET random iterate pairs of ||H(w_a)-H(w_b)|| / ||w_a-w_b||,
+    spectral norms via power iteration (relative tolerance POWER_TOL).
     """
     verify_fingerprint(history, data)
     cfg = history.config.loss
@@ -106,11 +109,11 @@ def estimate_constants(data: Dataset, history: TrainingHistory, history_size: in
     if cfg.kind == "ridge":
         c0 = 0.0
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(PAIR_SEED)
         iters = history.params
         c0 = 0.0
         if iters.shape[0] >= 2:
-            for _ in range(pair_budget):
+            for _ in range(PAIR_BUDGET):
                 a, b = rng.choice(iters.shape[0], size=2, replace=False)
                 gap = float(np.linalg.norm(iters[a] - iters[b]))
                 if gap == 0.0:
@@ -178,11 +181,3 @@ def laplace_noise(w: np.ndarray, scale: float, seed: int) -> np.ndarray:
     under the seed."""
     w = np.asarray(w, dtype=np.float64)
     return w + sample_laplace(w.size, scale, seed)
-
-
-def log_density_ratio_bound(w_a, w_b, scale: float) -> float:
-    """Analytic sup over outputs of |log p_a(z) - log p_b(z)| for the
-    Laplace mechanism applied at w_a vs w_b: the l1 gap over the scale."""
-    if scale <= 0.0:
-        raise PrivacyBoundError("noise scale must be > 0")
-    return float(np.abs(np.asarray(w_a) - np.asarray(w_b)).sum() / scale)

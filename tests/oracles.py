@@ -4,6 +4,7 @@ Everything here is deliberately written as plain scalar loops (or textbook
 closed forms) and stays independent of the package's vectorized code paths.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -35,6 +36,15 @@ def loss_scalar(kind, l2, X, y, w):
     return total / len(y) + reg
 
 
+def subset_gradient_sum(cfg, data, w, indices):
+    """Sum over the rows `indices` of per-sample gradients, l2*w included,
+    one row at a time; summing over every row gives n * full gradient."""
+    total = np.zeros(data.p)
+    for i in indices:
+        total += per_sample_grad(cfg.kind, cfg.l2, data.features[i], data.labels[i], w)
+    return total
+
+
 def grad_scalar(kind, l2, X, y, w):
     acc = np.zeros(len(w))
     for i in range(len(y)):
@@ -61,6 +71,40 @@ def compact_factors(dws, dgs):
     return Minv, np.concatenate([Gt, sigma * Wt])
 
 
+def recursive_B_apply(buf, v):
+    """B @ v with B the dense p x p matrix of the rank-2 update recursion,
+    oldest pair first, starting from sigma * I with sigma from the newest
+    pair; the arbiter of the compact form in `deltagrad.lbfgs`."""
+    if len(buf) == 0:
+        raise ValueError("buffer is empty")
+    v = np.asarray(v, dtype=np.float64)
+    dWs, dGs = buf._dw, buf._dg
+    p = dWs[0].size
+    sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
+    B = sigma * np.eye(p)
+    for s, y in zip(dWs, dGs):
+        Bs = B @ s
+        B = B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (y @ s)
+    return B @ v
+
+
+def inverse_apply(buf, v):
+    """B^-1 @ v via the equivalent inverse recursion."""
+    if len(buf) == 0:
+        raise ValueError("buffer is empty")
+    v = np.asarray(v, dtype=np.float64)
+    dWs, dGs = buf._dw, buf._dg
+    p = dWs[0].size
+    sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
+    Binv = np.eye(p) / sigma
+    eye = np.eye(p)
+    for s, y in zip(dWs, dGs):
+        ys = float(y @ s)
+        left = eye - np.outer(s, y) / ys
+        Binv = left @ Binv @ left.T + np.outer(s, s) / ys
+    return Binv @ v
+
+
 def fd_gradient(f, w, h=1e-6):
     w = np.asarray(w, dtype=float)
     g = np.zeros_like(w)
@@ -80,6 +124,12 @@ def ridge_solution(X, y, l2):
 def laplace_cdf(x, scale):
     x = np.asarray(x, dtype=float)
     return np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
+
+
+def log_density_ratio_bound(w_a, w_b, scale):
+    """Analytic sup over outputs of |log p_a(z) - log p_b(z)| for the
+    Laplace mechanism applied at w_a vs w_b: the l1 gap over the scale."""
+    return float(np.abs(np.asarray(w_a) - np.asarray(w_b)).sum() / scale)
 
 
 def ks_statistic(samples, cdf):
@@ -104,3 +154,24 @@ def block_gradient_sum(kind, X, y, w, rows):
             a = yb / (-1.0 - np.exp(yb * z)) if kind == "logistic" else z - yb
             g += Xb.T @ a
     return g
+
+
+def write_libsvm(data, path):
+    """Inverse of parse_libsvm; zero entries are omitted."""
+    with open(path, "w", encoding="ascii") as fh:
+        for i in range(data.n):
+            label = int(data.labels[i])
+            cols = np.nonzero(data.features[i])[0]
+            feats = " ".join(f"{j + 1}:{float(data.features[i, j])!r}" for j in cols)
+            fh.write(f"{label:+d} {feats}\n".rstrip() + "\n")
+
+
+def write_csv(data, path, label_column="label"):
+    """Inverse of parse_csv: a header row, then the label and the features
+    of each row, every value written with repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([label_column] + [f"x{j}" for j in range(data.p)])
+        for i in range(data.n):
+            writer.writerow([repr(float(data.labels[i]))]
+                            + [repr(float(v)) for v in data.features[i]])

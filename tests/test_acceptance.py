@@ -28,7 +28,6 @@ from deltagrad import (
     hessian_vector_product,
     loss,
     quasi_hvp,
-    recursive_B_apply,
     relearn_batch_gd,
     sample_laplace,
     train_gd,
@@ -39,7 +38,7 @@ from deltagrad import (
     unlearn_online,
 )
 from deltagrad.models import Objective
-from oracles import fd_gradient, ks_statistic, laplace_cdf
+from oracles import fd_gradient, ks_statistic, laplace_cdf, recursive_B_apply
 
 GD = DeltaGradConfig(period=5, burn_in=10, history_size=2, mode="gd")
 SGD_CFG = DeltaGradConfig(period=5, burn_in=10, history_size=2, mode="sgd")

@@ -17,8 +17,8 @@ from deltagrad import (
     unlearn_batch_gd,
 )
 from deltagrad.cli import _requests_from_file, load_dataset, main, parse_lr_schedule
-from deltagrad.dataio import write_csv
 from deltagrad.privacy import estimate_constants
+from oracles import write_csv
 
 SYNTH = "n=1000,p=6,seed=5,noise=0.05,margin=2.0"
 
@@ -274,6 +274,27 @@ def test_invalid_cache_header_field_is_a_format_error(tmp_path, cache, edit):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CacheFormatError, match="invalid cache header"):
         load_cache(bad)
+    assert run("unlearn", "--data", SYNTH, "--format", "synthetic",
+               "--cache", str(bad), "--delete-ids", "1",
+               "--out", str(tmp_path / "w.dgw")) == 4
+
+
+def test_length_fields_beyond_the_file_exit_4(tmp_path, cache):
+    # lengths whose 8x overflows ssize_t: a read sized by one raised
+    # OverflowError, which exits 1 with a traceback
+    model = tmp_path / "huge.dgw"
+    model.write_bytes(b"DGW1\x01" + struct.pack("<Q", 2 ** 62) + bytes(16))
+    assert run("noise", "--data", SYNTH, "--format", "synthetic",
+               "--cache", str(cache), "--model", str(model),
+               "--epsilon", "1.0", "--deleted-count", "1",
+               "--out", str(tmp_path / "n.dgw")) == 4
+    blob = bytearray(cache.read_bytes())
+    p, T = struct.unpack_from("<QQ", blob, 13)
+    first = len(blob) - (2 * T + 1) * (8 + 8 * p)
+    struct.pack_into("<Q", blob, 13, 2 ** 61)
+    struct.pack_into("<Q", blob, first, 2 ** 61)
+    bad = tmp_path / "huge.dgc"
+    bad.write_bytes(bytes(blob))
     assert run("unlearn", "--data", SYNTH, "--format", "synthetic",
                "--cache", str(bad), "--delete-ids", "1",
                "--out", str(tmp_path / "w.dgw")) == 4

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from deltagrad import (
     save_model,
     train_gd,
 )
-from deltagrad.dataio import parse_csv, parse_libsvm, write_csv, write_libsvm
+from deltagrad.dataio import parse_csv, parse_libsvm
+from oracles import write_csv, write_libsvm
 
 
 # ----------------------------------------------------------------- libsvm
@@ -245,3 +248,39 @@ def test_model_file_round_trip(tmp_path):
     assert np.array_equal(load_model(path), w)
     with pytest.raises(CacheFormatError):
         load_cache(path)            # wrong magic for a cache
+
+
+# Length fields whose 8x overflows ssize_t: a read sized by one raises
+# OverflowError, so they must be checked against the file size first.
+HUGE_P = 2 ** 61
+HUGE_MODEL_LENGTH = 2 ** 62
+
+
+def test_model_length_beyond_the_file_fails_to_load(tmp_path):
+    path = tmp_path / "huge.dgw"
+    path.write_bytes(b"DGW1\x01" + struct.pack("<Q", HUGE_MODEL_LENGTH) + bytes(16))
+    with pytest.raises(CacheFormatError, match="truncated"):
+        load_model(path)
+
+
+def test_model_trailing_bytes(tmp_path):
+    path = tmp_path / "w.dgw"
+    save_model(np.ones(3), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CacheFormatError, match="trailing"):
+        load_model(path)
+
+
+def test_cache_record_lengths_beyond_the_file_fail_to_load(cached, tmp_path):
+    # p in the header and the first record's length prefix agree, so only a
+    # check against the bytes left in the file can catch them
+    blob = bytearray(cached.read_bytes())
+    p, T = struct.unpack_from("<QQ", blob, 13)
+    first = len(blob) - (2 * T + 1) * (8 + 8 * p)
+    assert struct.unpack_from("<Q", blob, first) == (p,)
+    struct.pack_into("<Q", blob, 13, HUGE_P)
+    struct.pack_into("<Q", blob, first, HUGE_P)
+    bad = tmp_path / "huge.dgc"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CacheFormatError, match="truncated"):
+        load_cache(bad)

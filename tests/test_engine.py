@@ -346,7 +346,7 @@ def test_sgd_empty_batch_skipped():
         w_u = baseline_retrain(data, hist, change)
     skipped = out.mode_trace.count("skipped-empty-batch")
     assert skipped >= 1
-    assert out.diagnostics["skipped_batches"] == skipped
+    assert out.diagnostics["skipped-empty-batch"] == skipped
     assert np.linalg.norm(out.w_final - w_u) < 1.0
 
 
@@ -459,6 +459,98 @@ def test_added_label_is_checked_before_any_work(core_calls):
     with pytest.raises(ChangeSetError, match="request 0"):
         baseline_retrain(data, hist, change)
     assert core_calls == []
+
+
+@pytest.mark.parametrize("bad", ["nan-feature", "inf-label", "3-d-features"])
+def test_bad_added_row_is_rejected_before_any_work(bad, core_calls):
+    # ridge, whose label check lets any float through
+    X = generate_synthetic(SyntheticSpec(n=600, p=8, seed=0)).features
+    data = Dataset(X, X @ np.ones(X.shape[1]))
+    hist = train_gd(data, TrainConfig(loss=LossConfig("ridge", 0.01), iterations=30,
+                                      batch_size=data.n, eta_schedule=((0, 0.1),)))
+    row, label = np.full(data.p, 0.1), [1.0]
+    if bad == "nan-feature":
+        row[2] = np.nan
+    elif bad == "inf-label":
+        label = [np.inf]
+    else:
+        row = row.reshape(1, data.p, 1)
+    reqs = [ChangeSet.delete([0]), ChangeSet.add(row, label)]
+    with pytest.raises(ChangeSetError, match="request 1"):
+        unlearn_online(data, hist, reqs, GD)
+    assert core_calls == []
+
+
+BAD_REQUESTS = ("inactive", "deleted-twice", "wrong-width", "3-d-features",
+                "label", "non-finite-feature", "non-finite-label")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    bad=st.sampled_from(BAD_REQUESTS),
+    seed=st.integers(0, 2**16),
+    data_st=st.data(),
+)
+def test_stream_with_one_bad_request_fails_whole(kind, bad, seed, data_st):
+    # a valid mixed stream with one bad request at position k: the validator
+    # names request k before any work, the input history is unchanged, and
+    # no RuntimeWarning (from arithmetic on the bad values) is emitted
+    rng = np.random.default_rng(seed)
+    n, p = 30, 3
+    data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
+    if kind == "ridge":
+        data = Dataset(data.features, rng.normal(size=n))
+    hist = train_gd(data, TrainConfig(loss=LossConfig(kind, 0.01), iterations=15,
+                                      batch_size=n, eta_schedule=((0, 0.1),), seed=seed))
+    params, grads = hist.params.copy(), hist.gradients.copy()
+
+    def good_label():
+        return float(rng.choice([-1.0, 1.0])) if kind == "logistic" else float(rng.normal())
+
+    active, deleted, total = list(range(n)), [], n
+    requests = []
+    for _ in range(data_st.draw(st.integers(0, 6))):
+        if data_st.draw(st.booleans()):
+            requests.append(ChangeSet.add(rng.uniform(-1, 1, size=p), [good_label()]))
+            active.append(total)
+            total += 1
+        else:
+            gone = data_st.draw(st.sampled_from(active))
+            requests.append(ChangeSet.delete([gone]))
+            active.remove(gone)
+            deleted.append(gone)
+    k = len(requests)
+    row, label = rng.uniform(-1, 1, size=p), [good_label()]
+    if bad == "inactive":
+        requests.append(ChangeSet.delete([data_st.draw(st.sampled_from([-1, total, total + 5]))]))
+    elif bad == "deleted-twice" and deleted:
+        requests.append(ChangeSet.delete([data_st.draw(st.sampled_from(deleted))]))
+    elif bad == "deleted-twice":
+        requests.append(ChangeSet.delete([total]))
+    elif bad == "wrong-width":
+        requests.append(ChangeSet.add(rng.uniform(-1, 1, size=data_st.draw(
+            st.sampled_from([p - 1, p + 1]))), label))
+    elif bad == "3-d-features":
+        requests.append(ChangeSet.add(row.reshape(1, p, 1), label))
+    elif bad == "label" and kind == "logistic":
+        requests.append(ChangeSet.add(row, [data_st.draw(st.sampled_from([0.0, 0.5, 2.0]))]))
+    elif bad in ("label", "non-finite-label"):
+        requests.append(ChangeSet.add(row, [data_st.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))]))
+    else:
+        row[data_st.draw(st.integers(0, p - 1))] = data_st.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        requests.append(ChangeSet.add(row, label))
+    for _ in range(data_st.draw(st.integers(0, 3))):
+        requests.append(ChangeSet.delete([data_st.draw(st.sampled_from(active))]))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ChangeSetError, match=rf"^request {k}:"):
+            unlearn_online(data, hist, requests, GD)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.array_equal(hist.params, params) and np.array_equal(hist.gradients, grads)
 
 
 def test_online_rejects_multi_sample_request():
@@ -700,7 +792,8 @@ def test_gd_engine_matches_naive_transcription():
     # re-derive the whole corrected trajectory with a deliberately naive
     # loop over public gradient calls and the dense recursive quasi-Hessian;
     # the engine (compact products, fused sums) must agree step by step
-    from deltagrad import CurvaturePairBuffer, full_gradient, recursive_B_apply, subset_gradient_sum
+    from deltagrad import CurvaturePairBuffer, full_gradient
+    from oracles import recursive_B_apply, subset_gradient_sum
 
     data, hist = train_problem(n=300, p=5, T=40, l2=0.02, eta=0.2, seed=21)
     R = np.asarray([7, 40, 182])
@@ -718,7 +811,7 @@ def test_gd_engine_matches_naive_transcription():
         v = iw - hist.params[t]
         if explicit:
             g = full_gradient(loss_cfg, data, iw)
-            buf.append_pair(v, g - hist.gradients[t], tag=t)
+            buf.append_pair(v, g - hist.gradients[t])
             step = (n * g - subset_gradient_sum(loss_cfg, data, iw, R)) / (n - r)
         else:
             Bv = recursive_B_apply(buf, v)
@@ -732,7 +825,8 @@ def test_gd_engine_matches_naive_transcription():
 
 
 def test_sgd_engine_matches_naive_transcription():
-    from deltagrad import CurvaturePairBuffer, full_gradient, recursive_B_apply, subset_gradient_sum
+    from deltagrad import CurvaturePairBuffer, full_gradient
+    from oracles import recursive_B_apply, subset_gradient_sum
 
     data, hist = train_problem(n=300, p=5, T=40, l2=0.02, eta=0.2, seed=22, batch=64)
     R = np.asarray([3, 44, 260])
@@ -756,7 +850,7 @@ def test_sgd_engine_matches_naive_transcription():
         v = iw - hist.params[t]
         if explicit:
             g = full_gradient(loss_cfg, data.subset(batch), iw)
-            buf.append_pair(v, g - hist.gradients[t], tag=t)
+            buf.append_pair(v, g - hist.gradients[t])
             step = (B_t * g - subset_gradient_sum(loss_cfg, data, iw, hit)) / (B_t - hit.size)
         else:
             Bv = recursive_B_apply(buf, v)

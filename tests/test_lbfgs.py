@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltagrad import (
-    CurvaturePairBuffer,
-    FactorizationError,
-    inverse_apply,
-    quasi_hvp,
-    recursive_B_apply,
-)
-from oracles import compact_factors
+from deltagrad import CurvaturePairBuffer, FactorizationError, quasi_hvp
+from oracles import compact_factors, inverse_apply, recursive_B_apply
 
 
 def spd_pairs(rng, p, m, cond=1.0):
@@ -23,20 +17,21 @@ def spd_pairs(rng, p, m, cond=1.0):
 def filled_buffer(rng, p, m, capacity=None):
     H, dws, dgs = spd_pairs(rng, p, m)
     buf = CurvaturePairBuffer(capacity or m)
-    for t, (s, y) in enumerate(zip(dws, dgs)):
-        assert buf.append_pair(s, y, tag=t)
+    for s, y in zip(dws, dgs):
+        assert buf.append_pair(s, y)
     return buf, H, dws, dgs
 
 
 def test_append_and_eviction_semantics():
     buf = CurvaturePairBuffer(2)
     e = np.eye(3)
-    assert buf.append_pair(e[0], e[0], tag=0)
+    assert buf.append_pair(e[0], e[0])
     assert len(buf) == 1
-    buf.append_pair(e[1], e[1], tag=4)
-    buf.append_pair(e[2], e[2], tag=9)
+    buf.append_pair(e[1], e[1])
+    buf.append_pair(e[2], e[2])
     assert len(buf) == 2
-    assert buf.tags == [4, 9]       # oldest entry evicted
+    # oldest entry evicted
+    assert np.array_equal(buf._dw, e[1:]) and np.array_equal(buf._dg, e[1:])
 
 
 def test_negative_curvature_rejected():

@@ -23,7 +23,6 @@ from deltagrad import (
     hessian_vector_product,
     loss,
     smoothness_bound,
-    subset_gradient_sum,
 )
 from deltagrad import models
 from deltagrad.models import Objective, gradient_sum, per_sample_gradient_norms
@@ -97,8 +96,9 @@ def test_gradient_stationary_at_least_squares():
 def test_subset_sum_empty_and_all(ridge_data):
     cfg = LossConfig("ridge", 0.1)
     w = np.linspace(-1, 1, ridge_data.p)
-    assert np.array_equal(subset_gradient_sum(cfg, ridge_data, w, []), np.zeros(ridge_data.p))
-    total = subset_gradient_sum(cfg, ridge_data, w, np.arange(ridge_data.n))
+    obj = Objective(cfg, ridge_data)
+    assert obj.rows([]) is None
+    total = obj.rows(np.arange(ridge_data.n)).data_grad_sum(w) + ridge_data.n * cfg.l2 * w
     # per-sample gradients carry the l2 term, so the full sum is n * full gradient
     np.testing.assert_allclose(total, ridge_data.n * full_gradient(cfg, ridge_data, w),
                                rtol=1e-12)
@@ -113,14 +113,13 @@ def test_subset_sum_matches_scalar_oracle():
     w = rng.normal(size=5)
     idx = rng.choice(100, size=5, replace=False)
     expected = sum(per_sample_grad("logistic", 0.02, X[i], y[i], w) for i in idx)
-    got = subset_gradient_sum(cfg, data, w, idx)
+    got = Objective(cfg, data).rows(idx).data_grad_sum(w) + idx.size * cfg.l2 * w
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_subset_sum_rejects_out_of_range(ridge_data):
     with pytest.raises(IndexError):
-        subset_gradient_sum(LossConfig("ridge", 0.0), ridge_data, np.zeros(ridge_data.p),
-                            [ridge_data.n])
+        Objective(LossConfig("ridge", 0.0), ridge_data).rows([ridge_data.n])
 
 
 def test_hvp_zero_vector(logistic_data):

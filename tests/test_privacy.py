@@ -11,11 +11,10 @@ from deltagrad import (
     delta_bound,
     estimate_constants,
     laplace_noise,
-    log_density_ratio_bound,
     sample_laplace,
     train_gd,
 )
-from oracles import ks_statistic, laplace_cdf, per_sample_grad
+from oracles import ks_statistic, laplace_cdf, log_density_ratio_bound, per_sample_grad
 
 
 def make_params(r=10, **kw):
@@ -61,7 +60,7 @@ def test_gradient_bound_matches_bruteforce(logistic_data, logistic_history):
 
 
 def test_hessian_lipschitz_positive_for_logistic(logistic_data, logistic_history):
-    est = estimate_constants(logistic_data, logistic_history, pair_budget=20)
+    est = estimate_constants(logistic_data, logistic_history)
     assert est.hessian_lipschitz > 0.0
     assert np.isfinite(est.amplification)
 
