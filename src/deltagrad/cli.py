@@ -302,6 +302,9 @@ def cmd_noise(args) -> int:
     history = dataio.load_cache(args.cache)
     data = load_dataset(args, kind=history.config.loss.kind)
     w = dataio.load_model(args.model)
+    if w.shape != (data.p,):
+        raise DimensionMismatchError(
+            f"model has {w.size} coordinates, the dataset has p = {data.p}")
     est = privacy.estimate_constants(data, history, history_size=args.m,
                                      independence=args.c1)
     delta = privacy.delta_bound(est, args.deleted_count)

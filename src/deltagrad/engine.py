@@ -269,22 +269,26 @@ def _run_gd_core(
     corrected iterate and the (exact or reconstructed) new-objective step
     gradient, zero for a skipped step, and params[T] with the final iterate;
     callers that keep the cached history pass copies.
+
+    The step sizes are read once, not per iteration, and the step
+    arithmetic runs in place, in the operation order of the formulas above.
     """
     T = grads.shape[0]
-    n = obj.n
-    batch = None
-    l2 = obj.l2
+    n, p, l2 = obj.n, obj.p, obj.l2
+    burn_in, period = cfg.burn_in, cfg.period
+    etas = list(map(eta_at, range(T)))
+    last_anchor = burn_in
 
     buf = CurvaturePairBuffer(cfg.history_size)
     iw = params[0].copy()
+    nxt, v, tmp = np.empty(p), np.empty(p), np.empty(p)
+    zero = np.zeros(p)
     trace: list[str] = []
     convexity_events = 0
     smoothness_events = 0
     cholesky_fallbacks = 0
     empty_buffer_fallbacks = 0
-    last_anchor = cfg.burn_in
-
-    zero = np.zeros(obj.p)
+    batch = None
 
     for t in range(T):
         change = next(changes)
@@ -298,21 +302,18 @@ def _run_gd_core(
                 grads[t] = zero
                 continue
         denom = n + sign * r
-        ratio = n / denom
-
-        w_t = params[t]
-        g_t = grads[t]
-        v = iw - w_t
+        g_t = grads[t]                  # read, then overwritten with the new step gradient
+        np.subtract(iw, params[t], out=v)
 
         # without guards nothing re-anchors, so last_anchor stays burn_in
-        scheduled = t <= cfg.burn_in or (t - last_anchor) % cfg.period == 0
+        scheduled = t <= burn_in or (t - last_anchor) % period == 0
 
         run_explicit = scheduled
         label = "explicit" if scheduled else "approximated"
         Bv = None
 
         if not scheduled:
-            if not v.any():
+            if not np.count_nonzero(v):
                 Bv = zero
             elif len(buf) == 0:
                 run_explicit = True
@@ -337,24 +338,38 @@ def _run_gd_core(
             if guards:
                 last_anchor = t
             S = (obj if batch is None else obj.rows(batch)).data_grad_sum(iw)
-            g_full = S / n + l2 * iw
-            dg = g_full - g_t
-            if guards and v.any() and float(dg @ v) <= 0.0:
+            l2iw = l2 * iw
+            dg = S / n
+            dg += l2iw                  # the exact gradient g_full
+            dg -= g_t
+            if guards and np.count_nonzero(v) and float(dg @ v) <= 0.0:
                 convexity_events += 1        # concave stretch: do not trust the pair
             else:
                 buf.append_pair(v, dg)
-            changed = change.data_grad_sum(iw) if r else zero
-            new_grad = (S + sign * changed) / denom + l2 * iw
+            # (S + sign*changed) / denom + l2*w
+            np.multiply(change.data_grad_sum(iw) if r else zero, sign, out=g_t)
+            g_t += S
+            g_t /= denom
+            g_t += l2iw
         else:
-            changed_reg = (change.data_grad_sum(iw) + r * l2 * iw) if r else zero
-            new_grad = ratio * (Bv + g_t) + sign * (changed_reg / denom)
+            # n/denom * (B v + g_t) + sign * ((changed + r*l2*w) / denom); sign is
+            # +-1, so dividing by sign*denom gives the same bits
+            if r:
+                np.multiply(iw, r * l2, out=tmp)
+                np.add(change.data_grad_sum(iw), tmp, out=tmp)
+            else:
+                tmp.fill(0.0)
+            tmp /= sign * denom
+            np.add(Bv, g_t, out=g_t)
+            g_t *= n / denom
+            g_t += tmp
 
-        iw_next = iw - eta_at(t) * new_grad
-        _check_finite(t, iw_next, iw)
+        np.multiply(g_t, etas[t], out=nxt)
+        np.subtract(iw, nxt, out=nxt)
+        _check_finite(t, nxt, iw)
 
         params[t] = iw
-        grads[t] = new_grad
-        iw = iw_next
+        iw, nxt = nxt, iw
         trace.append(label)
 
     params[T] = iw

@@ -185,6 +185,32 @@ def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
     return Xb.T @ a
 
 
+# exp(a) overflows from a = log(DBL_MAX) ~ 709.78 on; the one-row logistic
+# coefficient enters np.errstate only above this margin
+EXP_SAFE_MARGIN = 709.0
+
+
+def _one_row_gradient(X, y, w, logistic: bool) -> np.ndarray:
+    """`_block_gradient` of the one row of (X, y), added into zeros, with
+    the coefficient as a scalar: z = x . w as the same 1 x p product, then
+    x * a (the entries of X_b.T @ a are the products x_j * a), and the
+    addition of 0.0 turns -0.0 into 0.0 as the sum into zeros does."""
+    z = (X @ w)[0]
+    if logistic:
+        a = y[0] * z
+        if a > EXP_SAFE_MARGIN:
+            with np.errstate(over="ignore"):    # exp(a) = inf: the coefficient is an exact 0
+                e = np.exp(a)
+        else:
+            e = np.exp(a)
+        a = y[0] / (-1.0 - e)
+    else:
+        a = z - y[0]
+    g = X[0] * a
+    g += 0.0
+    return g
+
+
 def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     """Sum over every row of `data` of the data part of per-sample
     gradients (no l2 term).
@@ -197,7 +223,9 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     coefficient a, then X_b.T @ a. The logistic coefficient is
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
-    The block sums are added into zeros in block order.
+    The block sums are added into zeros in block order. One row, the size
+    of most change terms in an online stream, skips the block machinery and
+    its per-call set-up (`_one_row_gradient`), with the same bits.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
@@ -211,6 +239,8 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     logistic = cfg.kind == "logistic"
     if logistic:
         _check_logistic_labels(data)
+    if y.size == 1:
+        return _one_row_gradient(X, y, w, logistic)
     rows = max(1, BLOCK_BYTES // (8 * data.p))
     block = functools.partial(_block_gradient, X, y, w, logistic, rows)
     starts = range(0, y.size, rows)

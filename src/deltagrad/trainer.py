@@ -143,8 +143,10 @@ def _warn_if_rate_too_large(cfg: TrainConfig, data: Dataset):
 def _check_finite(t: int, w_next: np.ndarray, last: np.ndarray):
     """Raise at step t unless the next iterate is finite; `last` is the last
     finite iterate. A non-finite step gradient always gives a non-finite
-    next iterate, since every rate is positive."""
-    if not np.isfinite(w_next).all():
+    next iterate, since every rate is positive. (count_nonzero is one C
+    call; ndarray.all goes through a Python wrapper, about 1 us more per
+    step at p = 20.)"""
+    if np.count_nonzero(np.isfinite(w_next)) != w_next.size:
         raise DivergenceError(t, "non-finite parameters", last_finite=last)
 
 

@@ -52,18 +52,28 @@ def grad_scalar(kind, l2, X, y, w):
     return acc / len(y) + l2 * np.asarray(w, dtype=float)
 
 
+def schur_complement(dws, dgs):
+    """C = sigma*W'W + L D^-1 L', the matrix whose Cholesky factor is the
+    compact form's SPD test, built with np.tril and np.diag."""
+    Wt = np.array(dws)
+    Gt = np.array(dgs)
+    sigma = float(Gt[-1] @ Wt[-1]) / float(Wt[-1] @ Wt[-1])
+    WtG = Wt @ Gt.T
+    Ltri = np.tril(WtG, -1)
+    return sigma * (Wt @ Wt.T) + (Ltri / np.diag(WtG)) @ Ltri.T
+
+
 def compact_factors(dws, dgs):
-    """(Minv, Kt) of the compact quasi-Hessian form built with np.tril and
-    np.diag, as the library first wrote it. Raises LinAlgError when the
-    middle matrix is not SPD."""
+    """(Minv, Kt) of the compact quasi-Hessian form built with np.tril,
+    np.diag and np.linalg, as the library first wrote it. Raises LinAlgError
+    when the middle matrix is not SPD."""
     Wt = np.array(dws)
     Gt = np.array(dgs)
     sigma = float(Gt[-1] @ Wt[-1]) / float(Wt[-1] @ Wt[-1])
     WtG = Wt @ Gt.T
     D = np.diag(WtG)
-    Ltri = np.tril(WtG, -1)
-    LDinv = Ltri / D
-    J = np.linalg.cholesky(sigma * (Wt @ Wt.T) + LDinv @ Ltri.T)
+    LDinv = np.tril(WtG, -1) / D
+    J = np.linalg.cholesky(schur_complement(dws, dgs))
     Jinv = np.linalg.inv(J)
     F = np.concatenate([Jinv @ LDinv, Jinv], axis=1)
     Minv = F.T @ F
@@ -78,7 +88,7 @@ def recursive_B_apply(buf, v):
     if len(buf) == 0:
         raise ValueError("buffer is empty")
     v = np.asarray(v, dtype=np.float64)
-    dWs, dGs = buf._dw, buf._dg
+    dWs, dGs = buf._W[:len(buf)], buf._G[:len(buf)]
     p = dWs[0].size
     sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
     B = sigma * np.eye(p)
@@ -93,7 +103,7 @@ def inverse_apply(buf, v):
     if len(buf) == 0:
         raise ValueError("buffer is empty")
     v = np.asarray(v, dtype=np.float64)
-    dWs, dGs = buf._dw, buf._dg
+    dWs, dGs = buf._W[:len(buf)], buf._G[:len(buf)]
     p = dWs[0].size
     sigma = float(dGs[-1] @ dWs[-1]) / float(dWs[-1] @ dWs[-1])
     Binv = np.eye(p) / sigma

@@ -14,8 +14,10 @@ from deltagrad import (
     load_cache,
     load_model,
     relearn_batch_gd,
+    save_model,
     unlearn_batch_gd,
 )
+from deltagrad import privacy
 from deltagrad.cli import _requests_from_file, load_dataset, main, parse_lr_schedule
 from deltagrad.privacy import estimate_constants
 from oracles import write_csv
@@ -153,6 +155,20 @@ def noise_cache(tmp_path):
                "--loss", "logistic", "--l2", "0.1", "--lr", "0.2",
                "--iters", "60", "--seed", "1", "--cache-out", str(path)) == 0
     return path
+
+
+@pytest.mark.parametrize("width", [3, 7])
+def test_noise_rejects_a_model_of_another_width(tmp_path, noise_cache, monkeypatch, width):
+    # the model must have the dataset's p = 6 coordinates; a mismatch exits 6
+    # before any constant is estimated and writes no model
+    model, noised = tmp_path / "w.dgw", tmp_path / "noised.dgw"
+    save_model(np.zeros(width), model)
+    monkeypatch.setattr(privacy, "estimate_constants",
+                        lambda *a, **k: pytest.fail("constants estimated"))
+    assert run("noise", "--data", NOISE_SYNTH, "--format", "synthetic",
+               "--cache", str(noise_cache), "--model", str(model),
+               "--epsilon", "1.0", "--deleted-count", "2", "--out", str(noised)) == 6
+    assert not noised.exists()
 
 
 def test_noise_command(tmp_path, noise_cache):

@@ -777,6 +777,23 @@ def test_benchmark_gradient_counts():
     assert out.timings["speedup"] > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(T=st.integers(1, 60), burn_in=st.integers(2, 30), period=st.integers(1, 12),
+       online=st.booleans())
+def test_explicit_steps_follow_the_schedule(T, burn_in, period, online):
+    # the explicit steps sit exactly where the schedule puts them, for the
+    # batch engine and a one-request stream
+    data, hist = train_problem(n=120, p=4, T=T)
+    cfg = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2, mode="gd")
+    change = ChangeSet.delete([3])
+    out = (unlearn_online(data, hist, [change], cfg) if online
+           else unlearn_batch_gd(data, hist, change, cfg))
+    explicit = [t for t, label in enumerate(out.mode_trace) if label == "explicit"]
+    assert explicit == [t for t in range(T) if t <= burn_in or (t - burn_in) % period == 0]
+    assert out.diagnostics["full_gradient_evals"] == expected_full_gradient_evals(
+        T, burn_in, period) + out.mode_trace.count("fallback")
+
+
 def test_expected_evals_closed_form():
     for T, j0, T0 in ((110, 10, 5), (300, 10, 5), (57, 9, 7), (40, 10, 1)):
         direct = sum(

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltagrad import CurvaturePairBuffer, FactorizationError, quasi_hvp
-from oracles import compact_factors, inverse_apply, recursive_B_apply
+from deltagrad import CurvaturePairBuffer, FactorizationError, lbfgs, quasi_hvp
+from oracles import compact_factors, inverse_apply, recursive_B_apply, schur_complement
 
 
 def spd_pairs(rng, p, m, cond=1.0):
@@ -31,7 +31,7 @@ def test_append_and_eviction_semantics():
     buf.append_pair(e[2], e[2])
     assert len(buf) == 2
     # oldest entry evicted
-    assert np.array_equal(buf._dw, e[1:]) and np.array_equal(buf._dg, e[1:])
+    assert np.array_equal(buf._W[:len(buf)], e[1:]) and np.array_equal(buf._G[:len(buf)], e[1:])
 
 
 def test_negative_curvature_rejected():
@@ -168,15 +168,82 @@ def test_near_collinear_quadratic_pairs_recover_all_secants():
 
 
 def test_cholesky_failure_signals_fallback(monkeypatch):
+    # a pivot of the float Cholesky factorization that is not positive, NaN
+    # included, raises FactorizationError; injected here by overwriting one
+    # diagonal entry of the Schur complement C the routine is given
+    real = lbfgs._cholesky_inverse
     rng = np.random.default_rng(11)
-    buf, *_ = filled_buffer(rng, 5, 2)
+    for k in (0, 1):
+        for value in (0.0, -1.0, np.nan):
+            def poisoned(C, k=k, value=value):
+                C = [list(row) for row in C]
+                C[k][k] = value
+                return real(C)
 
-    def boom(_):
-        raise np.linalg.LinAlgError("not positive definite")
+            buf, *_ = filled_buffer(rng, 5, 2)
+            monkeypatch.setattr(lbfgs, "_cholesky_inverse", poisoned)
+            with pytest.raises(FactorizationError, match=f"pivot {k}"):
+                quasi_hvp(buf, rng.normal(size=5))
+            monkeypatch.setattr(lbfgs, "_cholesky_inverse", real)
+            quasi_hvp(buf, rng.normal(size=5))
 
-    monkeypatch.setattr(np.linalg, "cholesky", boom)
-    with pytest.raises(FactorizationError):
-        quasi_hvp(buf, rng.normal(size=5))
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_float_and_linalg_factors_agree(m):
+    # the buffer computes F = [E, J^-1] in floats up to FLOAT_FACTOR_MAX_M
+    # pairs and through np.linalg beyond; both give the same matrix to
+    # roundoff (well-conditioned pairs) and both reject a C that is not SPD
+    rng = np.random.default_rng(m)
+    buf, *_ = filled_buffer(rng, 7, m)
+    W, G = buf._W[:m], buf._G[:m]
+    grams = W @ np.concatenate([G, W]).T
+    sigma = float(grams[-1, m - 1] / grams[-1, -1])
+    F = lbfgs._float_factors(grams, sigma)
+    assert F.shape == (m, 2 * m)
+    # np.linalg.inv leaves roundoff above the diagonal of J^-1, where the
+    # float routine has exact zeros
+    assert np.allclose(F, lbfgs._linalg_factors(grams, sigma),
+                       rtol=1e-9, atol=1e-12 * np.abs(F).max())
+    for factors in (lbfgs._float_factors, lbfgs._linalg_factors):
+        with pytest.raises(FactorizationError):
+            factors(grams, -sigma)          # C = -sigma W'W + L D^-1 L' has C[0, 0] < 0
+
+
+def test_buffer_picks_the_float_factors_up_to_the_limit(monkeypatch):
+    calls = []
+    for name in ("_float_factors", "_linalg_factors"):
+        real = getattr(lbfgs, name)
+        monkeypatch.setattr(lbfgs, name,
+                            lambda g, s, name=name, real=real: calls.append(name) or real(g, s))
+    limit = lbfgs.FLOAT_FACTOR_MAX_M
+    buf, *_ = filled_buffer(np.random.default_rng(3), 6, limit + 1)
+    buf.factorization()
+    buf, *_ = filled_buffer(np.random.default_rng(3), 6, limit)
+    buf.factorization()
+    assert calls == ["_linalg_factors", "_float_factors"]
+
+
+def test_factorization_snapshot_is_frozen():
+    # a snapshot owns its arrays: later inserts and evictions, which shift
+    # the buffer's preallocated rows, leave it unchanged; every accepted
+    # insert gives a new snapshot, a rejected one keeps the old
+    rng = np.random.default_rng(12)
+    H, dws, dgs = spd_pairs(rng, 6, 7)
+    buf = CurvaturePairBuffer(3)
+    v = rng.normal(size=6)
+    snapshots = []
+    for s, y in zip(dws, dgs):
+        assert buf.append_pair(s, y)
+        fact = buf.factorization()
+        assert all(fact is not old for old, *_ in snapshots)
+        assert buf.factorization() is fact
+        snapshots.append((fact, fact.Kt.copy(), fact.Minv.copy(), fact.KMinv.copy(),
+                          fact.apply(v)))
+    assert not buf.append_pair(dws[0], -dgs[0])
+    assert buf.factorization() is snapshots[-1][0]
+    for fact, Kt, Minv, KMinv, Bv in snapshots:
+        assert np.array_equal(fact.Kt, Kt) and np.array_equal(fact.Minv, Minv)
+        assert np.array_equal(fact.KMinv, KMinv) and np.array_equal(fact.apply(v), Bv)
 
 
 def test_empty_buffer_rejected():
@@ -197,8 +264,9 @@ def test_empty_buffer_rejected():
 def test_factorization_matches_tril_diag_oracle(m, spare, evicted, p, noise, seed):
     # up to m pairs (a noisy pair may fail the curvature test) in a capacity
     # of m + spare (at most 5), after `evicted` older pairs were pushed out
-    # of a full buffer; Minv and Kt must equal the np.tril/np.diag
-    # formulation bit for bit, or both must fail Cholesky
+    # of a full buffer; Minv and Kt must agree with the np.tril/np.diag/
+    # np.linalg formulation and B v with the rank-2 recursion to within
+    # roundoff, or both formulations must fail Cholesky
     rng = np.random.default_rng(seed)
     capacity = min(m + spare, 5)
     A = rng.normal(size=(p, p))
@@ -220,5 +288,18 @@ def test_factorization_matches_tril_diag_oracle(m, spare, evicted, p, noise, see
             buf.factorization()
         return
     fact = buf.factorization()
-    assert np.array_equal(fact.Minv, Minv)
-    assert np.array_equal(fact.Kt, Kt)
+    # The two sides sum each Gram entry w_i . g_j, a length-p dot product,
+    # in another order: relative error up to p eps times its conditioning
+    # |w_i|.|g_i| / w_i.g_i (the diagonal D enters M^-1 as 1/D). The float
+    # Cholesky factor J and J^-1 add O(m eps), and C^-1 = J^-T J^-1
+    # amplifies every relative error of C by its condition number.
+    gram_cond = max(float(np.abs(s) @ np.abs(y) / (s @ y)) for s, y in zip(dws, dgs))
+    cond_C = np.linalg.cond(schur_complement(dws, dgs))
+    tol = 8 * (len(buf) + p) * np.finfo(float).eps * cond_C * gram_cond
+    assert np.max(np.abs(fact.Minv - Minv)) <= tol * np.max(np.abs(Minv))
+    assert np.max(np.abs(fact.Kt - Kt)) <= tol * np.max(np.abs(Kt))
+    v = rng.normal(size=p)
+    # B v = sigma*v - K M^-1 K' v: the error scales with the terms that cancel
+    scale = (abs(fact.sigma) + np.linalg.norm(Kt, 2) ** 2 * np.linalg.norm(Minv, 2)) \
+        * np.linalg.norm(v)
+    assert np.linalg.norm(fact.apply(v) - recursive_B_apply(buf, v)) <= tol * scale

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltagrad import (
@@ -385,6 +385,19 @@ def bits(a):
     return np.asarray(a).tobytes()
 
 
+def one_row_examples(test):
+    """Hypothesis examples of one row (n = 1, p = 3), the kernel's scalar
+    path, for both losses at margins 0, 709.5 (exp(y*z) still finite, past
+    EXP_SAFE_MARGIN) and 800 (exp overflows when y*z > 0); with p = 3,
+    seed 0 gives a logistic row y*z = +margin and seed 1 gives -margin."""
+    for kind in ("logistic", "ridge"):
+        for margin in (0.0, 709.5, 800.0):
+            for seed in (0, 1):
+                test = example(kind=kind, n=1, p=3, block_rows=1, margin=margin,
+                               seed=seed)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["logistic", "ridge"]),
@@ -394,6 +407,7 @@ def bits(a):
     margin=st.floats(0.0, 800.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@one_row_examples
 def test_parallel_gradient_sum_is_the_serial_block_sum(kind, n, p, block_rows, margin, seed):
     # margins past 709 overflow exp(y*z) in the logistic coefficient; the
     # suite turns a RuntimeWarning in any thread into a failure
@@ -404,6 +418,18 @@ def test_parallel_gradient_sum_is_the_serial_block_sum(kind, n, p, block_rows, m
         with kernel_workers(workers, block_rows, p), \
                 helper_takes_a_block() if fans_out else contextlib.nullcontext():
             assert bits(gradient_sum(LossConfig(kind, 0.0), data, w)) == expected
+
+
+@pytest.mark.parametrize("kind", ["logistic", "ridge"])
+def test_one_row_gradient_keeps_signed_zeros_of_the_block_sum(kind):
+    # zero entries of the row times a negative coefficient give -0.0, which
+    # the block loop's sum into zeros turns into 0.0; so does an exact-zero
+    # coefficient, the logistic one where exp overflows (y*z = 1000)
+    data = Dataset([[0.0, -0.0, 2.0, -1.0]], [1.0])
+    for w in ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 500.0, 0.0], [0.0, 0.0, 0.5, 0.0]):
+        w = np.asarray(w)
+        expected = block_gradient_sum(kind, data.features, data.labels, w, 1)
+        assert bits(gradient_sum(LossConfig(kind, 0.0), data, w)) == bits(expected)
 
 
 def test_one_block_starts_no_thread(monkeypatch):
