@@ -192,11 +192,9 @@ def _check_body_length(fh, expect: int, what: str):
         raise CacheFormatError(f"trailing bytes after the {what}")
 
 
-def _read_vector(fh, expect: int, what: str) -> np.ndarray:
-    (size,) = struct.unpack("<Q", _read_exact(fh, 8, what))
-    if size != expect:
-        raise CacheFormatError(f"{what}: record length {size} != header p {expect}")
-    return np.frombuffer(_read_exact(fh, 8 * size, what), dtype="<f8").astype(np.float64)
+def _record_dtype(p: int) -> np.dtype:
+    """One cache body record: a little-endian u64 length, then p f64."""
+    return np.dtype([("size", "<u8"), ("vector", "<f8", (p,))])
 
 
 def save_cache(history: TrainingHistory, path):
@@ -205,6 +203,7 @@ def save_cache(history: TrainingHistory, path):
     Layout: magic, version byte, header (n, p, T, B, seed, loss kind, l2,
     eta schedule, 32-byte dataset fingerprint), then T+1 parameter records
     and T gradient records, each a length-prefixed little-endian f64 vector.
+    The body is built as one structured array and written in one call.
     """
     cfg = history.config
     T = history.iterations
@@ -220,16 +219,18 @@ def save_cache(history: TrainingHistory, path):
         for start, rate in cfg.eta_schedule:
             fh.write(struct.pack("<Qd", start, rate))
         fh.write(history.fingerprint)
-        for row in history.params:
-            fh.write(_pack_vector(row))
-        for row in history.gradients:
-            fh.write(_pack_vector(row))
+        body = np.empty(2 * T + 1, dtype=_record_dtype(history.p))
+        body["size"] = history.p
+        body["vector"][:T + 1] = history.params
+        body["vector"][T + 1:] = history.gradients
+        fh.write(body.data)
 
 
 def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
     """Load a cache; verifies magic, version, header fields, the body length
-    against the file size, record shapes, and (when a dataset is supplied)
-    the content fingerprint."""
+    against the file size, every record's length (naming the first bad
+    record), and (when a dataset is supplied) the content fingerprint. The
+    body is read in one call and viewed as structured records."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -262,11 +263,15 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
             raise CacheFormatError(f"invalid cache header: batch size {batch} exceeds n = {n}")
         fingerprint = _read_exact(fh, 32, "fingerprint")
         _check_body_length(fh, (2 * T + 1) * (8 + 8 * p), "last record")
-        params = np.vstack([_read_vector(fh, p, f"parameter record {t}") for t in range(T + 1)])
-        if T:
-            grads = np.vstack([_read_vector(fh, p, f"gradient record {t}") for t in range(T)])
-        else:
-            grads = np.zeros((0, p))
+        body = np.frombuffer(_read_exact(fh, (2 * T + 1) * (8 + 8 * p), "body"),
+                             dtype=_record_dtype(p))
+        bad = np.flatnonzero(body["size"] != p)
+        if bad.size:
+            i = int(bad[0])
+            what = f"parameter record {i}" if i <= T else f"gradient record {i - T - 1}"
+            raise CacheFormatError(f"{what}: record length {body['size'][i]} != header p {p}")
+        params = body["vector"][:T + 1].astype(np.float64)
+        grads = body["vector"][T + 1:].astype(np.float64)
     history = TrainingHistory(
         params=params, gradients=grads, config=cfg, n=n, p=p, fingerprint=fingerprint
     )

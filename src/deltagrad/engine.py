@@ -5,8 +5,8 @@ request of a list through one correction loop, `_run_gd_core`. The loop
 corrects a cached training trajectory after sample deletion or addition
 without retraining from scratch:
 
-  unlearn_batch_gd / relearn_batch_gd  -- all rows, minus or plus the change
-  unlearn_batch_sgd                    -- each recorded minibatch, minus its
+  unlearn_batch_gd / relearn_batch_gd  -- all rows, less or plus the change
+  unlearn_batch_sgd                    -- each recorded minibatch, less its
                                           deleted rows
   unlearn_general                      -- all rows, with convexity guards
   unlearn_online                       -- a stream of single-sample requests
@@ -16,10 +16,13 @@ new-trajectory gradient is computed exactly and the difference against the
 cached gradient is pushed into a curvature-pair buffer; in between, the
 gradient is reconstructed as cached_gradient + B(v) with v the parameter
 drift and B the quasi-Hessian from the buffer, so only the changed samples'
-gradients are ever evaluated. The driver validates the whole request list
-first, then corrects a copy of the cached history request by request, each
-against the trajectory the previous request left; every engine returns that
-copy as `updated_history`, a cache the next update can start from.
+gradients are ever evaluated. Such an approximate step is one product of a
+row of float coefficients with a small stacked matrix (see `_run_gd_core`).
+The driver validates the whole request list first, then corrects a copy of
+the cached history request by request, each against the trajectory the
+previous request left and over the sample set it left (`ActiveRows`);
+every engine returns that copy as `updated_history`, a cache the next
+update can start from.
 
 A request's change enters the loop as change terms with a sign: -1 for
 deletions, whose rows `Objective.rows` gathers from the objective itself (so
@@ -43,7 +46,8 @@ import numpy as np
 
 from .errors import ChangeSetError, FactorizationError
 from .lbfgs import CurvaturePairBuffer, quasi_hvp
-from .models import Dataset, Objective, gradient_sum  # noqa: F401 (dgbench patches it here)
+from .models import gradient_sum  # noqa: F401 (dgbench patches it here)
+from .models import ActiveRows, Dataset, Objective, coefficient
 from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
 
 MODES = ("gd", "sgd", "general")
@@ -162,18 +166,19 @@ def _check_engine_convexity(history: TrainingHistory, guards: bool):
         )
 
 
-def _check_requests(requests, data: Dataset, loss_kind: str):
+def _check_requests(requests, data: Dataset, loss_kind: str, full_batch: bool):
     """Check a request list, in arrival order, before any work runs.
 
     Request k may delete only rows active when it arrives: rows of `data`
     and rows added by earlier requests (numbered n, n+1, ... in arrival
-    order) that no earlier request deleted. Added rows need a 2-D block of
-    data.p finite features and finite labels, under logistic loss +1 or -1.
+    order) that no earlier request deleted. Over a full-batch history it
+    may not delete every active row. Added rows need a 2-D block of data.p
+    finite features and finite labels, under logistic loss +1 or -1.
     A request that touches more than SMALL_FRACTION_WARN of the active rows
     warns; so does, once, a list whose requests so far touch more than that
     fraction of data.n.
     """
-    active_n, touched, warned = data.n, 0, False
+    ids, active_n, touched, warned = data.n, data.n, 0, False
     deleted = np.zeros(data.n + sum(req.r for req in requests), dtype=bool)
     for k, req in enumerate(requests):
         touched += req.r
@@ -186,12 +191,15 @@ def _check_requests(requests, data: Dataset, loss_kind: str):
             warnings.warn(f"requests 0..{k} touch {touched}/{data.n} samples; the correction "
                           "is only guaranteed accurate for small fractions", stacklevel=3)
         if req.direction == "delete":
-            ids = req.indices
-            out_of_range = (ids < 0) | (ids >= active_n)
-            bad = ids[out_of_range] if out_of_range.any() else ids[deleted[ids]]
+            idx = req.indices
+            out_of_range = (idx < 0) | (idx >= ids)
+            bad = idx[out_of_range] if out_of_range.any() else idx[deleted[idx]]
             if bad.size:
                 raise ChangeSetError(f"request {k}: index {bad[0]} is not an active sample")
-            deleted[ids] = True
+            if full_batch and req.r and req.r >= active_n:
+                raise ChangeSetError(f"request {k}: cannot delete every remaining sample")
+            deleted[idx] = True
+            active_n -= req.r
         elif req.r:
             X = req.features
             if X.ndim != 2 or X.shape[1] != data.p:
@@ -202,6 +210,7 @@ def _check_requests(requests, data: Dataset, loss_kind: str):
                 raise ChangeSetError(f"request {k}: added rows must be finite")
             if loss_kind == "logistic" and (np.abs(req.labels) != 1.0).any():
                 raise ChangeSetError(f"request {k}: logistic loss needs labels of +1 or -1")
+            ids += req.r
             active_n += req.r
 
 
@@ -211,7 +220,8 @@ def baseline_retrain(data: Dataset, history: TrainingHistory, change: ChangeSet)
     parameters. This is the oracle the engines are measured against; it
     shares no update code with them."""
     verify_fingerprint(history, data)
-    _check_requests([change], data, history.config.loss.kind)
+    _check_requests([change], data, history.config.loss.kind,
+                    full_batch=history.config.batch_size == data.n)
     return _retrain(data, history, change)
 
 
@@ -241,7 +251,7 @@ def _run_gd_core(
     obj: Objective,
     params: np.ndarray,
     grads: np.ndarray,
-    eta_at,
+    etas: list,
     cfg: DeltaGradConfig,
     changes,
     sign: float,
@@ -252,37 +262,68 @@ def _run_gd_core(
     """The correction loop of every engine.
 
     Iteration t runs over every row of obj, or over `obj.rows(batches[t])`,
-    the recorded minibatch. `changes` yields one change term per iteration: an
-    Objective over the r changed rows of that step (None when r = 0), which
-    enter with `sign`, -1 for deleted rows (a subset of the step's rows)
-    and +1 for added rows. With n step rows the changed-objective gradient
-    at iterate w is
+    the recorded minibatch, with step size etas[t]. `changes` yields one
+    change term per iteration: an Objective over the r changed rows of that
+    step (None when r = 0), which enter with `sign`, -1 for deleted rows (a
+    subset of the step's rows) and +1 for added rows. With n step rows and
+    denom = n + sign*r the changed-objective gradient at iterate w is
 
-        ( data_sum(rows) + sign * data_sum(changed) ) / (n + sign*r) + l2*w
+        ( data_sum(rows) + sign * data_sum(changed) ) / denom + l2*w
 
-    at explicit iterations, and at approximate iterations
+    at explicit iterations, in that operation order. At approximate
+    iterations it is
 
-        n/(n + sign*r) * (B v + cached_grad) + sign * (changed_sum + r*l2*w)/(n + sign*r)
+        c1 * (sigma*v - (M^-1 K')' s + g_t) + c2 * (c + r*l2*w),
 
-    which for r = 0 collapses bitwise to the cached update; a minibatch left
-    empty is skipped. params[t] and grads[t] are overwritten with the
-    corrected iterate and the (exact or reconstructed) new-objective step
-    gradient, zero for a skipped step, and params[T] with the final iterate;
-    callers that keep the cached history pass copies.
+    with v = w - cached w_t, s = K'v, g_t the cached step gradient, c the
+    changed rows' data sum, c1 = n/denom and c2 = 1/(sign*denom) (sign is
+    +-1). That is one product of a row of Python-float coefficients
 
-    The step sizes are read once, not per iteration, and the step
-    arithmetic runs in place, in the operation order of the formulas above.
+        [c1*sigma, -c1*s_1 .. -c1*s_2m, c2*a, c1, c2*r*l2]
+
+    with a stacked matrix whose rows are v, the 2m rows of M^-1 K', the
+    change row, g_t and w. The M^-1 K' rows are copied in when the buffer's
+    factorization changes. The change row is c with a = 1, or, for a one-row
+    change term that uses the library's own gradient, the row x itself
+    (written once per change term) with its float coefficient a(x . w), so
+    that step makes no kernel call: x . w is x . v, which the product that
+    gives K'v also gives, plus x . w_t of the cached iterates, taken at once
+    for every step the term serves when it is first met. An approximate step with v = 0
+    and r = 0 keeps the cached gradient's bits, so r = 0 reproduces the
+    cached trajectory bit for bit; a minibatch left empty is skipped. The
+    general engine (`guards`) also forms B v through `quasi_hvp` for its
+    smoothness guard. The reference loop that writes the approximate step
+    out term by term is `reference_correction` in tests/oracles.py.
+
+    params[t] and grads[t] are overwritten with the corrected iterate and the
+    (exact or reconstructed) new-objective step gradient, zero for a skipped
+    step, and params[T] with the final iterate; callers that keep the cached
+    history pass copies.
     """
     T = grads.shape[0]
     n, p, l2 = obj.n, obj.p, obj.l2
     burn_in, period = cfg.burn_in, cfg.period
-    etas = list(map(eta_at, range(T)))
     last_anchor = burn_in
 
     buf = CurvaturePairBuffer(cfg.history_size)
-    iw = params[0].copy()
-    nxt, v, tmp = np.empty(p), np.empty(p), np.empty(p)
+    k = 2 * cfg.history_size
+    # The stacked matrix: v, M^-1 K' (k rows, zero past 2m), the change row,
+    # g_t, and two iterate rows that take turns as the current one (`cur`).
+    # coef is the coefficient row. Kc holds -c1 K' (zero past 2m) and, last,
+    # a one-row change term's row x, so one product writes -c1 K'v into
+    # coef[1:k+1] and x . v into coef[k+1], the change row's slot.
+    Z = np.zeros((k + 5, p))
+    coef = np.zeros(k + 5)
+    Kc = np.zeros((k + 1, p))
+    v, c_row, g_row = Z[0], Z[k + 1], Z[k + 2]
+    s_out = coef[1:k + 2]
+    cur, other = k + 3, k + 4
+    iw, nxt = Z[cur], Z[other]
+    iw[:] = params[0]
     zero = np.zeros(p)
+    fact = c1 = None            # the factorization and c1 that Kc and coef hold
+    change, r = None, 0
+    row_change, row_form = None, False      # the change term whose row c_row holds
     trace: list[str] = []
     convexity_events = 0
     smoothness_events = 0
@@ -291,8 +332,9 @@ def _run_gd_core(
     batch = None
 
     for t in range(T):
-        change = next(changes)
-        r = 0 if change is None else change.n
+        term = next(changes)
+        if term is not change:
+            change, r = term, 0 if term is None else term.n
         if batches is not None:
             batch = batches[t]
             n = batch.size
@@ -310,29 +352,32 @@ def _run_gd_core(
 
         run_explicit = scheduled
         label = "explicit" if scheduled else "approximated"
-        Bv = None
+        current = None
 
         if not scheduled:
-            if not np.count_nonzero(v):
-                Bv = zero
-            elif len(buf) == 0:
-                run_explicit = True
-                label = "fallback"
-                empty_buffer_fallbacks += 1
-            else:
+            # an approximate step needs the factorization unless v = 0, where
+            # B v = 0; v is tested only where the test decides the step
+            empty = len(buf) == 0
+            if not empty:
                 try:
-                    Bv = quasi_hvp(buf, v)
+                    current = buf.factorization()
                 except FactorizationError:
+                    pass
+            if current is None:
+                if np.count_nonzero(v):
                     run_explicit = True
                     label = "fallback"
-                    cholesky_fallbacks += 1
-                if Bv is not None and guards:
-                    # local smoothness guard: a drift estimate larger than the
-                    # trusted Lipschitz cap means B is not believable here
-                    if np.linalg.norm(Bv) >= SMOOTHNESS_LIMIT * np.linalg.norm(v):
-                        run_explicit = True
-                        label = "fallback"
-                        smoothness_events += 1
+                    if empty:
+                        empty_buffer_fallbacks += 1
+                    else:
+                        cholesky_fallbacks += 1
+            # local smoothness guard: a drift estimate larger than the
+            # trusted Lipschitz cap means B is not believable here
+            elif guards and np.count_nonzero(v) and (
+                    np.linalg.norm(quasi_hvp(buf, v)) >= SMOOTHNESS_LIMIT * np.linalg.norm(v)):
+                run_explicit = True
+                label = "fallback"
+                smoothness_events += 1
 
         if run_explicit:
             if guards:
@@ -351,18 +396,47 @@ def _run_gd_core(
             g_t += S
             g_t /= denom
             g_t += l2iw
-        else:
-            # n/denom * (B v + g_t) + sign * ((changed + r*l2*w) / denom); sign is
-            # +-1, so dividing by sign*denom gives the same bits
-            if r:
-                np.multiply(iw, r * l2, out=tmp)
-                np.add(change.data_grad_sum(iw), tmp, out=tmp)
+        elif current is not None or r:
+            if r and change is not row_change:
+                row_change = change
+                row_form = r == 1 and type(change).data_grad_sum is Objective.data_grad_sum
+                if row_form:
+                    kind, y = change.cfg.kind, change.data.labels.item()
+                    c_row[:] = Kc[k] = change.data.features[0]
+                    # x . w_t of the cached iterates this term meets, row by
+                    # row alike for one row or many (x . w = x . v + x . w_t)
+                    t0, xw = t, ((params[t:] if batches is None else params[t:t + 1])
+                                 * c_row).sum(axis=1).tolist()
+            # c1*sigma, -c1*K' and c1 change only with the factorization and n
+            if current is None:         # v = 0: B v = 0
+                coef[:k + 2] = 0.0
+                coef[k + 2] = n / denom
+                fact = None
             else:
-                tmp.fill(0.0)
-            tmp /= sign * denom
-            np.add(Bv, g_t, out=g_t)
-            g_t *= n / denom
-            g_t += tmp
+                if current is not fact or n / denom != c1:
+                    fact, c1 = current, n / denom
+                    m2 = len(fact.Kt)
+                    np.multiply(fact.Kt, -c1, out=Kc[:m2])
+                    Z[1:1 + m2] = fact.MinvKt
+                    coef[0] = c1 * fact.sigma
+                    coef[k + 2] = c1
+                np.dot(Kc, v, out=s_out)
+            if r:
+                c2 = 1.0 / (sign * denom)
+                if row_form:
+                    z = xw[t - t0]
+                    if current is not None:
+                        z += coef.item(k + 1)       # x . v, from the product above
+                    coef[k + 1] = c2 * coefficient(kind, z, y)
+                else:
+                    c_row[:] = change.data_grad_sum(iw)
+                    coef[k + 1] = c2
+                coef[cur] = c2 * r * l2
+            else:
+                coef[k + 1] = coef[cur] = 0.0
+            coef[other] = 0.0
+            g_row[:] = g_t
+            np.dot(coef, Z, out=g_t)
 
         np.multiply(g_t, etas[t], out=nxt)
         np.subtract(iw, nxt, out=nxt)
@@ -370,6 +444,7 @@ def _run_gd_core(
 
         params[t] = iw
         iw, nxt = nxt, iw
+        cur, other = other, cur
         trace.append(label)
 
     params[T] = iw
@@ -387,7 +462,7 @@ def _run_gd_core(
         "cholesky_fallbacks": cholesky_fallbacks,
         "empty_buffer_fallbacks": empty_buffer_fallbacks,
     }
-    return iw, trace, diagnostics
+    return params[T], trace, diagnostics
 
 
 # The counters `_run_gd_core` reports; `_update` sums them over its requests.
@@ -403,10 +478,12 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     Checks the inputs and the whole request list, then runs the correction
     loop once per request on a copy of `history`. Each request corrects the
     trajectory the previous one left, over the sample set the previous ones
-    left: deleted rows are subtracted from the all-rows sum and added rows
-    are appended as rows n, n+1, ... in arrival order. The counters are
-    summed over the requests, and diagnostics['requests'] holds one record
-    per request. With `with_baseline` the requests must be one request or
+    left, kept as one `ActiveRows` set: a deletion drops its rows and an
+    addition appends its rows as ids n, n+1, ... in arrival order. The
+    counters are summed over the requests, and diagnostics['requests'] holds
+    one record per request; its 'seconds' run from before the request's
+    set-up (the edit of the sample set, its objective and change terms) to
+    the end of its loop. With `with_baseline` the requests must be one request or
     deletions only; that change is also retrained from scratch, timed, and
     measured against (distances between cached, corrected and retrained).
     """
@@ -420,32 +497,37 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     else:
         batches = None
     loss = history.config.loss
-    _check_requests(requests, data, loss.kind)
+    _check_requests(requests, data, loss.kind, full_batch=batches is None)
 
     working = history.copy()
-    current, deleted = data, np.empty(0, dtype=np.intp)
+    start = time.perf_counter()         # request 0's clock covers the shared set-up
+    etas = list(map(history.config.eta_at, range(history.iterations)))
+    active = ActiveRows(data, data.n + sum(req.r for req in requests if req.direction == "add"))
     totals = dict.fromkeys(_COUNTERS, 0)
     records, trace, t_engine = [], [], 0.0
     for k, req in enumerate(requests):
-        obj = objective if objective is not None else Objective(loss, current, removed=deleted)
-        if req.direction == "delete" and batches is None and req.r >= obj.n:
-            raise ChangeSetError("cannot delete every remaining sample")
+        if k:       # this request runs on the sample set the previous one left
+            start = time.perf_counter()
+            prev = requests[k - 1]
+            if prev.direction == "add":
+                active.append(prev.features, prev.labels)
+            elif prev.r:
+                active.delete(prev.indices)
+        obj = objective if objective is not None else Objective(loss, active.dataset())
         w_prev = working.params[-1].copy()
-        start = time.perf_counter()
         sign, rows = -1.0, req.indices
         if req.direction == "add":
-            sign, rows = 1.0, np.arange(current.n, current.n + req.r)
+            sign, rows = 1.0, np.arange(active.next_id, active.next_id + req.r)
             change = Objective(loss, Dataset(req.features, req.labels)) if req.r else None
             changes = itertools.repeat(change)
         elif batches is None:
-            changes = itertools.repeat(obj.rows(rows))
+            changes = itertools.repeat(obj.rows(active.positions(rows)))
         else:
             deleted_mask = np.zeros(obj.data.n, dtype=bool)
             deleted_mask[rows] = True
             changes = (obj.rows(batch[deleted_mask[batch]]) for batch in batches)
-        w_final, trace, diag = _run_gd_core(obj, working.params, working.gradients,
-                                            history.config.eta_at, cfg, changes, sign,
-                                            batches=batches, guards=guards)
+        w_final, trace, diag = _run_gd_core(obj, working.params, working.gradients, etas, cfg,
+                                            changes, sign, batches=batches, guards=guards)
         seconds = time.perf_counter() - start
         t_engine += seconds
         for key, val in diag.items():
@@ -457,11 +539,6 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
             "shift": float(np.linalg.norm(w_final - w_prev)),
             "seconds": seconds,
         })
-        if k + 1 < len(requests):   # the next request runs on the sample set this one left
-            if req.direction == "add":
-                current = current.extended(req.features, req.labels)
-            else:
-                deleted = np.union1d(deleted, req.indices)
 
     outcome = UpdateOutcome(
         w_final=working.params[-1].copy(),

@@ -34,8 +34,14 @@ took about 17 us at m = 2 in floats against 32 us through np.linalg,
 29 against 33 us at m = 4 and 39 against 34 us at m = 5; at m = 20 floats
 took 0.9 ms against 0.06 to 0.11 ms through np.linalg.
 Two more small products give M^-1 = F'F - [[D^-1, 0], [0, 0]] and
-K M^-1 (p x 2m), so each product B v = sigma*v - (K M^-1)(K' v) is two
-small matrix-vector products, O(m*p).
+M^-1 K' (2m x p). A snapshot (`CompactFactorization`) carries sigma, K',
+M^-1 and M^-1 K', so B v = sigma*v - (M^-1 K')'(K' v) is two small
+matrix-vector products, O(m*p); the engines' approximate step reads K'
+and M^-1 K' directly and folds the second product into its own. A float
+build makes eight numpy calls (the copy into K', the Gram product, the
+Gram rows as floats here and in `_float_factors`, F as an array, F'F,
+the scaling of K' and M^-1 K') and m scalar updates of M^-1; sigma and
+D^-1 come from the float Gram rows.
 """
 
 from __future__ import annotations
@@ -54,15 +60,16 @@ FLOAT_FACTOR_MAX_M = 4
 
 @dataclass
 class CompactFactorization:
-    """Frozen ingredients of the compact quasi-Hessian representation."""
+    """Frozen ingredients of the compact quasi-Hessian representation:
+    B v = sigma*v - MinvKt' (Kt v)."""
 
     sigma: float
     Kt: np.ndarray         # 2m x p, rows of K' = [G, sigma*W]'
     Minv: np.ndarray       # 2m x 2m inverse of the middle matrix
-    KMinv: np.ndarray      # p x 2m, K @ M^-1
+    MinvKt: np.ndarray     # 2m x p, M^-1 K'
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.sigma * v - self.KMinv @ (self.Kt @ v)
+        return self.sigma * v - self.MinvKt.T @ (self.Kt @ v)
 
 
 def _cholesky_inverse(C: list) -> list:
@@ -204,13 +211,15 @@ class CurvaturePairBuffer:
             W = self._W[:m]
             Kt = np.concatenate([self._G[:m], W])
             grams = W @ Kt.T                    # rows [W'G | W'W]
-            sigma = float(grams[-1, m - 1] / grams[-1, -1])
+            rows = grams.tolist()
+            sigma = rows[-1][m - 1] / rows[-1][-1]
             factors = _float_factors if m <= FLOAT_FACTOR_MAX_M else _linalg_factors
             F = factors(grams, sigma)
             Minv = F.T @ F
-            Minv.flat[:m * (2 * m + 1):2 * m + 1] -= 1.0 / grams.diagonal()  # top-left m x m
+            for i, row in enumerate(rows):      # top-left m x m block: - D^-1
+                Minv[i, i] -= 1.0 / row[i]
             Kt[m:] *= sigma
-            self._fact = CompactFactorization(sigma, Kt, Minv, Kt.T @ Minv)
+            self._fact = CompactFactorization(sigma, Kt, Minv, Minv @ Kt)
         return self._fact
 
 

@@ -8,7 +8,9 @@ gradient. The one gradient kernel, `gradient_sum`, sums every row it is
 given; rows are picked by `Objective.rows` alone.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
-frozen after construction and safe to share across threads. The one piece
+frozen after construction and safe to share across threads, except a
+Dataset that `ActiveRows.dataset` returns, a view of rows that the next
+edit of its ActiveRows changes. The one piece
 of module state is the helper-thread pool of `gradient_sum`: built on the
 first gradient of two or more row blocks, at most MAX_HELPER_THREADS
 threads, shared by every calling thread and dropped in a forked child,
@@ -190,25 +192,20 @@ def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
 EXP_SAFE_MARGIN = 709.0
 
 
-def _one_row_gradient(X, y, w, logistic: bool) -> np.ndarray:
-    """`_block_gradient` of the one row of (X, y), added into zeros, with
-    the coefficient as a scalar: z = x . w as the same 1 x p product, then
-    x * a (the entries of X_b.T @ a are the products x_j * a), and the
-    addition of 0.0 turns -0.0 into 0.0 as the sum into zeros does."""
-    z = (X @ w)[0]
-    if logistic:
-        a = y[0] * z
-        if a > EXP_SAFE_MARGIN:
-            with np.errstate(over="ignore"):    # exp(a) = inf: the coefficient is an exact 0
-                e = np.exp(a)
-        else:
-            e = np.exp(a)
-        a = y[0] / (-1.0 - e)
-    else:
-        a = z - y[0]
-    g = X[0] * a
-    g += 0.0
-    return g
+def coefficient(kind: str, z: float, y: float) -> float:
+    """The coefficient a of a row x with label y at margin z = x . w, whose
+    data-part gradient is a * x, in plain floats: (logistic)
+    y / (-1 - exp(y*z)) or (ridge) z - y. Each float operation is the one
+    the block kernel applies to its arrays, and exp is np.exp, so a has the
+    kernel's bits; np.errstate is entered only where exp overflows, above
+    EXP_SAFE_MARGIN, and the coefficient is then an exact 0."""
+    if kind != "logistic":
+        return z - y
+    a = y * z
+    if a > EXP_SAFE_MARGIN:
+        with np.errstate(over="ignore"):
+            return y / (-1.0 - float(np.exp(a)))
+    return y / (-1.0 - float(np.exp(a)))
 
 
 def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
@@ -224,8 +221,10 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
     The block sums are added into zeros in block order. One row, the size
-    of most change terms in an online stream, skips the block machinery and
-    its per-call set-up (`_one_row_gradient`), with the same bits.
+    of most change terms in an online stream, skips the block machinery:
+    its gradient is its float `coefficient` times the row, plus 0.0, which
+    turns -0.0 into 0.0 as the sum into zeros does, so the bits are the
+    same.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
@@ -240,7 +239,11 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     if logistic:
         _check_logistic_labels(data)
     if y.size == 1:
-        return _one_row_gradient(X, y, w, logistic)
+        # z = x . w as the block's 1 x p product (`dot` and `@` make the same
+        # BLAS call), then the coefficient in floats
+        g = X[0] * coefficient(cfg.kind, X.dot(w).item(), y.item())
+        g += 0.0
+        return g
     rows = max(1, BLOCK_BYTES // (8 * data.p))
     block = functools.partial(_block_gradient, X, y, w, logistic, rows)
     starts = range(0, y.size, rows)
@@ -387,15 +390,15 @@ class Objective:
     The update engines and the trainer route every gradient evaluation
     through this adapter so that the r = 0 arithmetic is literally the
     training-time expression. Subclasses override `data_grad_sum(w)`. `rows`
-    is the one way to pick rows, for minibatch steps, deleted rows and the
-    `removed` rows (the online engine's deletions so far), which are
-    restricted once and subtracted from the all-rows sum.
+    is the one way to pick rows, for minibatch steps and deleted rows; the
+    rows a request stream has left active come as a Dataset of their own
+    (`ActiveRows.dataset`), so every gradient of an objective is one kernel
+    call over its rows.
     """
 
-    def __init__(self, cfg: LossConfig, data: Dataset, removed=()):
+    def __init__(self, cfg: LossConfig, data: Dataset):
         self.cfg = cfg
         self.data = data
-        self.removed = self.rows(removed)
 
     def rows(self, ids) -> "Objective | None":
         """This objective over rows `ids` only, gathered once; None for no rows."""
@@ -407,12 +410,12 @@ class Objective:
         if self.cfg.kind == "logistic":     # every label, not only the picked ones
             _check_logistic_labels(self.data)
         part = copy.copy(self)
-        part.data, part.removed = self.data.subset(idx), None
+        part.data = self.data.subset(idx)
         return part
 
     @property
     def n(self) -> int:
-        return self.data.n - (0 if self.removed is None else self.removed.data.n)
+        return self.data.n
 
     @property
     def p(self) -> int:
@@ -423,11 +426,70 @@ class Objective:
         return self.cfg.l2
 
     def data_grad_sum(self, w) -> np.ndarray:
-        """Sum of data-part gradients over all rows not removed."""
-        total = gradient_sum(self.cfg, self.data, w)
-        if self.removed is not None:
-            total -= self.removed.data_grad_sum(w)
-        return total
+        """Sum of data-part gradients over every row."""
+        return gradient_sum(self.cfg, self.data, w)
 
     def full_avg_gradient(self, w) -> np.ndarray:
         return self.data_grad_sum(w) / self.n + self.l2 * w
+
+
+class ActiveRows:
+    """The sample set a request stream edits: the rows of `data`, then rows
+    added in arrival order, less the deleted ones.
+
+    Rows are named by ids: 0 .. n-1 for the rows of `data`, then n, n+1, ...
+    for added rows in arrival order. The active rows are kept in id order,
+    the order a retraining on the remaining samples sees them, so the row
+    of id i sits at position i minus the number of deleted ids below i.
+    Until the first edit the set is `data` itself; the first edit copies
+    the rows once into a buffer with room for `capacity` rows, and each
+    later edit works in place: a deletion moves the rows after it up by
+    one, an addition writes its rows after the last. `dataset()` views the
+    buffer, so it is valid only until the next edit.
+    """
+
+    def __init__(self, data: Dataset, capacity: int):
+        self._data = data
+        self._capacity = capacity
+        self._X = self._y = None
+        self._deleted = np.empty(0, dtype=np.intp)     # sorted
+        self.n = data.n
+        self.next_id = data.n
+
+    def positions(self, ids) -> np.ndarray:
+        """Positions in `dataset()` of the active rows `ids`."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return ids - np.searchsorted(self._deleted, ids)
+
+    def dataset(self) -> Dataset:
+        if self._X is None:
+            return self._data
+        return Dataset(self._X[:self.n], self._y[:self.n])
+
+    def _buffer(self):
+        if self._X is None:
+            self._X = np.empty((self._capacity, self._data.p))
+            self._y = np.empty(self._capacity)
+            self._X[:self.n] = self._data.features
+            self._y[:self.n] = self._data.labels
+        return self._X, self._y
+
+    def delete(self, ids):
+        """Drop the active rows `ids`."""
+        X, y = self._buffer()
+        ids = np.sort(ids)
+        at = np.searchsorted(self._deleted, ids)
+        for q in (ids - at)[::-1]:                      # from the last up
+            X[q:self.n - 1] = X[q + 1:self.n]
+            y[q:self.n - 1] = y[q + 1:self.n]
+            self.n -= 1
+        self._deleted = np.insert(self._deleted, at, ids)
+
+    def append(self, features, labels):
+        """Add rows after the last; they take the next ids."""
+        X, y = self._buffer()
+        r = len(labels)
+        X[self.n:self.n + r] = features
+        y[self.n:self.n + r] = labels
+        self.n += r
+        self.next_id += r

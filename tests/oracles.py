@@ -1,7 +1,9 @@
 """Slow reference implementations the tests compare against.
 
 Everything here is deliberately written as plain scalar loops (or textbook
-closed forms) and stays independent of the package's vectorized code paths.
+closed forms) and stays independent of the package's vectorized code paths,
+except `reference_correction`, the correction loop with its approximate
+step written out term by term, which reuses the package's pair buffer.
 """
 
 import csv
@@ -185,3 +187,95 @@ def write_csv(data, path, label_column="label"):
         for i in range(data.n):
             writer.writerow([repr(float(data.labels[i]))]
                             + [repr(float(v)) for v in data.features[i]])
+
+
+def reference_correction(obj, params, grads, etas, cfg, changes, sign, *, batches=None,
+                         guards=False):
+    """The correction loop before its approximate step was fused, a drop-in
+    for `deltagrad.engine._run_gd_core`: the same schedule, guards, pair
+    updates and counters, with the approximate step written out term by
+    term,
+
+        n/(n + sign*r) * (B v + cached_grad) + sign * (changed_sum + r*l2*w)/(n + sign*r),
+
+    B v from `quasi_hvp` at every approximate step and the changed rows'
+    sum from their own gradient call."""
+    from deltagrad.engine import MODE_LABELS, SMOOTHNESS_LIMIT, expected_full_gradient_evals
+    from deltagrad.errors import FactorizationError
+    from deltagrad.lbfgs import CurvaturePairBuffer, quasi_hvp
+    from deltagrad.trainer import _check_finite
+
+    T = grads.shape[0]
+    n, p, l2 = obj.n, obj.p, obj.l2
+    last_anchor = cfg.burn_in
+    buf = CurvaturePairBuffer(cfg.history_size)
+    iw = params[0].copy()
+    zero = np.zeros(p)
+    trace = []
+    events = dict.fromkeys(("convexity_guard_events", "smoothness_guard_events",
+                            "cholesky_fallbacks", "empty_buffer_fallbacks"), 0)
+    batch = None
+    for t in range(T):
+        change = next(changes)
+        r = 0 if change is None else change.n
+        if batches is not None:
+            batch = batches[t]
+            n = batch.size
+            if n == r:
+                trace.append("skipped-empty-batch")
+                params[t] = iw
+                grads[t] = zero
+                continue
+        denom = n + sign * r
+        g_t = grads[t].copy()
+        v = iw - params[t]
+        scheduled = t <= cfg.burn_in or (t - last_anchor) % cfg.period == 0
+        label = "explicit" if scheduled else "approximated"
+        Bv = None
+        if not scheduled:
+            if not np.count_nonzero(v):
+                Bv = zero
+            elif len(buf) == 0:
+                label = "fallback"
+                events["empty_buffer_fallbacks"] += 1
+            else:
+                try:
+                    Bv = quasi_hvp(buf, v)
+                except FactorizationError:
+                    label = "fallback"
+                    events["cholesky_fallbacks"] += 1
+                if (Bv is not None and guards
+                        and np.linalg.norm(Bv) >= SMOOTHNESS_LIMIT * np.linalg.norm(v)):
+                    Bv = None
+                    label = "fallback"
+                    events["smoothness_guard_events"] += 1
+        if Bv is None:
+            if guards:
+                last_anchor = t
+            S = (obj if batch is None else obj.rows(batch)).data_grad_sum(iw)
+            dg = S / n + l2 * iw - g_t
+            if guards and np.count_nonzero(v) and float(dg @ v) <= 0.0:
+                events["convexity_guard_events"] += 1
+            else:
+                buf.append_pair(v, dg)
+            changed = change.data_grad_sum(iw) if r else zero
+            g = (sign * changed + S) / denom + l2 * iw
+        else:
+            extra = (change.data_grad_sum(iw) + r * l2 * iw) if r else zero
+            g = (Bv + g_t) * (n / denom) + extra / (sign * denom)
+        nxt = iw - etas[t] * g
+        _check_finite(t, nxt, iw)
+        grads[t] = g
+        params[t] = iw
+        iw = nxt
+        trace.append(label)
+    params[T] = iw
+    counts = {label: trace.count(label) for label in MODE_LABELS}
+    return iw, trace, {
+        **counts,
+        "full_gradient_evals": counts["explicit"] + counts["fallback"],
+        "scheduled_full_gradient_evals": expected_full_gradient_evals(
+            T, cfg.burn_in, cfg.period),
+        "pair_rejections": buf.rejected,
+        **events,
+    }

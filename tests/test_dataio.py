@@ -284,3 +284,31 @@ def test_cache_record_lengths_beyond_the_file_fail_to_load(cached, tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CacheFormatError, match="truncated"):
         load_cache(bad)
+
+
+def test_cache_body_is_length_prefixed_records(cached, logistic_history):
+    # the one-call writer lays out the DGC1 body as T+1 parameter records,
+    # then T gradient records, each a u64 length and p little-endian f64
+    blob = cached.read_bytes()
+    p = logistic_history.p
+    rows = list(logistic_history.params) + list(logistic_history.gradients)
+    body = b"".join(struct.pack("<Q", p) + np.asarray(row, "<f8").tobytes() for row in rows)
+    assert blob.endswith(body) and len(blob) > len(body)
+
+
+@pytest.mark.parametrize("record, name", [(0, "parameter record 0"), (5, "parameter record 5"),
+                                          (61, "gradient record 0"), (120, "gradient record 59")])
+def test_cache_names_the_first_bad_record(cached, tmp_path, logistic_history, record, name):
+    # a record whose length prefix disagrees with the header's p fails to
+    # load, naming the first such record; the logistic history has T = 60
+    blob = bytearray(cached.read_bytes())
+    p, T = logistic_history.p, logistic_history.iterations
+    first = len(blob) - (2 * T + 1) * (8 + 8 * p)
+    struct.pack_into("<Q", blob, first + record * (8 + 8 * p), p + 1)
+    struct.pack_into("<Q", blob, first + 120 * (8 + 8 * p), p - 1)    # a later bad record
+    bad = tmp_path / "bad.dgc"
+    bad.write_bytes(bytes(blob))
+    length = p - 1 if record == 120 else p + 1
+    message = f"^{name}: record length {length} != header p {p}$"
+    with pytest.raises(CacheFormatError, match=message):
+        load_cache(bad)

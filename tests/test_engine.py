@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from deltagrad import (
     ChangeSet,
     ChangeSetError,
+    CurvaturePairBuffer,
     Dataset,
     DeltaGradConfig,
     DivergenceError,
@@ -180,16 +181,18 @@ def test_gd_divergence_guard(ridge_data, ridge_history):
 def test_gd_cholesky_fallback(monkeypatch):
     data, hist = train_problem(T=40)
 
+    # the approximate step reads the buffer's factorization, so the failure
+    # is injected there
     calls = {"count": 0}
-    real = engine_mod.quasi_hvp
+    real = CurvaturePairBuffer.factorization
 
-    def flaky(buf, v):
+    def flaky(buf):
         calls["count"] += 1
         if calls["count"] <= 3:
             raise FactorizationError("forced")
-        return real(buf, v)
+        return real(buf)
 
-    monkeypatch.setattr(engine_mod, "quasi_hvp", flaky)
+    monkeypatch.setattr(CurvaturePairBuffer, "factorization", flaky)
     change = ChangeSet.delete([0, 1, 2])
     out = unlearn_batch_gd(data, hist, change, GD, with_baseline=True)
     assert out.mode_trace.count("fallback") == 3
@@ -890,3 +893,162 @@ def test_engines_do_not_mutate_inputs():
     assert np.array_equal(hist.params, params_before)
     assert np.array_equal(hist.gradients, grads_before)
     assert np.array_equal(data.features, feats_before)
+
+
+# ------------------------------------------------ fused step vs reference loop
+
+FUSED_ENGINES = ("gd", "add", "sgd", "general", "online")
+
+
+def run_engine(name, data, hist, cfg, ids, rng):
+    """One request of `name` over the rows `ids` (added rows drawn from
+    rng); online runs a stream that alternates deletions and additions."""
+    p = data.p
+    labels = (lambda size: rng.choice([-1.0, 1.0], size=size)) \
+        if hist.config.loss.kind == "logistic" else (lambda size: rng.normal(size=size))
+    if name == "gd":
+        return unlearn_batch_gd(data, hist, ChangeSet.delete(ids), cfg)
+    if name == "add":
+        return relearn_batch_gd(data, hist, ChangeSet.add(
+            rng.uniform(-1.0, 1.0, size=(len(ids), p)), labels(len(ids))), cfg)
+    if name == "sgd":
+        return unlearn_batch_sgd(data, hist, ChangeSet.delete(ids), cfg)
+    if name == "general":
+        return unlearn_general(data, hist, ChangeSet.delete(ids), cfg)
+    return unlearn_online(data, hist, [
+        ChangeSet.delete([i]) if j % 2 == 0
+        else ChangeSet.add(rng.uniform(-1.0, 1.0, size=p), labels(1))
+        for j, i in enumerate(ids)], cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "ridge"]),
+    name=st.sampled_from(FUSED_ENGINES),
+    n=st.integers(20, 60),
+    p=st.integers(1, 6),
+    T=st.integers(1, 40),
+    period=st.integers(1, 6),
+    burn_in=st.integers(2, 10),
+    seed=st.integers(0, 2**16),
+    data_st=st.data(),
+)
+def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn_in, seed,
+                                               data_st):
+    # every engine, with the fused approximate step and with the loop that
+    # writes it out term by term (tests/oracles.py): the same modes and
+    # counters, iterates and step gradients equal to roundoff, and r = 0
+    # bit for bit
+    from unittest import mock
+
+    from deltagrad import lbfgs
+    from oracles import reference_correction, schur_complement
+
+    rng = np.random.default_rng(seed)
+    data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
+    if kind == "ridge":
+        data = Dataset(data.features, rng.normal(size=n))
+    loss_cfg = LossConfig(kind, 0.0 if name == "general" and seed % 3 == 0 else 0.01)
+    eta = 1.0 / (smoothness_bound(loss_cfg, data) + loss_cfg.l2)
+    batch = data_st.draw(st.integers(3, n - 1)) if name == "sgd" else n
+    train_cfg = TrainConfig(loss=loss_cfg, iterations=T, batch_size=batch,
+                            eta_schedule=((0, eta),), seed=seed)
+    hist = train_sgd(data, train_cfg) if name == "sgd" else train_gd(data, train_cfg)
+    cfg = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2,
+                          mode={"sgd": "sgd", "general": "general"}.get(name, "gd"))
+    ids = data_st.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+
+    # the condition of every factorization the fused run builds, as the
+    # factorization oracle test measures it
+    conditions = [1.0]
+    build = lbfgs.CurvaturePairBuffer.factorization
+
+    def measured(buf):
+        fact = build(buf)
+        m = len(buf)
+        dws, dgs = buf._W[:m], buf._G[:m]
+        gram_cond = max(float(np.abs(s) @ np.abs(y) / (s @ y)) for s, y in zip(dws, dgs))
+        conditions.append(np.linalg.cond(schur_complement(dws, dgs)) * gram_cond)
+        return fact
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        with mock.patch.object(lbfgs.CurvaturePairBuffer, "factorization", measured):
+            out = run_engine(name, data, hist, cfg, ids, np.random.default_rng(seed))
+        with mock.patch.object(engine_mod, "_run_gd_core", reference_correction):
+            ref = run_engine(name, data, hist, cfg, ids, np.random.default_rng(seed))
+
+    assert out.mode_trace == ref.mode_trace
+    for key in engine_mod._COUNTERS:
+        assert out.diagnostics[key] == ref.diagnostics[key], key
+    if not ids:
+        assert out.updated_history.params.tobytes() == hist.params.tobytes()
+        assert out.updated_history.params.tobytes() == ref.updated_history.params.tobytes()
+        assert out.updated_history.gradients.tobytes() == ref.updated_history.gradients.tobytes()
+        return
+    # per step, roundoff of the stacked product (2m + 4 terms) and of the
+    # factorization (the oracle test's 8 (m + p) eps cond_C gram_cond); it
+    # can add up over the T steps
+    tol = 8 * (cfg.history_size + p) * np.finfo(float).eps * max(conditions) * T
+    for field in ("params", "gradients"):
+        got, want = getattr(out.updated_history, field), getattr(ref.updated_history, field)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), field
+
+
+# ------------------------------------------------------------ operation counts
+
+def test_online_request_operation_counts(monkeypatch):
+    # the kernel calls and fresh factorizations of an online stream, per
+    # request: an explicit step sums the active rows and the change row, one
+    # kernel call each; an approximate step makes none, and reads a fresh
+    # factorization only after an explicit step added a pair
+    data, hist = train_problem(n=400, p=5, T=60)
+    kernel = []
+    builds = []
+    gradient_sum = models_mod.gradient_sum
+    monkeypatch.setattr(models_mod, "gradient_sum",
+                        lambda *a: kernel.append(a[1].n) or gradient_sum(*a))
+    build = CurvaturePairBuffer.factorization
+    last = {}
+
+    def counted(buf):
+        fact = build(buf)
+        if last.get(id(buf)) is not fact:
+            builds.append(1)
+        last[id(buf)] = fact
+        return fact
+
+    monkeypatch.setattr(CurvaturePairBuffer, "factorization", counted)
+    rows = np.random.default_rng(16).normal(size=(2, data.p))
+    reqs = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [1.0]), ChangeSet.delete([50]),
+            ChangeSet.add(rows[1], [-1.0]), ChangeSet.delete([data.n])]
+    out = unlearn_online(data, hist, reqs, GD)
+    explicit = expected_full_gradient_evals(60, GD.burn_in, GD.period)     # 11 + 9
+    assert out.diagnostics["full_gradient_evals"] == len(reqs) * explicit
+    assert len(kernel) == len(reqs) * 2 * explicit
+    assert kernel.count(1) == len(reqs) * explicit      # the change rows
+    # the burn-in's pairs, then one per later explicit step
+    assert len(builds) == len(reqs) * (1 + explicit - GD.burn_in - 1)
+
+
+# ------------------------------------------------------------ request checks
+
+def test_stream_that_would_empty_the_dataset_fails_before_any_work(core_calls):
+    data = Dataset([[1.0, 0.5], [0.2, -1.0], [-0.3, 0.8]], [1.0, -1.0, 1.0])
+    cfg = TrainConfig(loss=LossConfig("logistic", 0.1), iterations=20, batch_size=3,
+                      eta_schedule=((0, 0.5),))
+    hist = train_gd(data, cfg)
+    small = DeltaGradConfig(period=2, burn_in=2, history_size=2, mode="gd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        with pytest.raises(ChangeSetError, match="^request 2: cannot delete every remaining"):
+            unlearn_online(data, hist, [ChangeSet.delete([i]) for i in (0, 1, 2)], small)
+        with pytest.raises(ChangeSetError, match="^request 0: cannot delete every remaining"):
+            unlearn_batch_gd(data, hist, ChangeSet.delete([0, 1, 2]), small)
+        with pytest.raises(ChangeSetError, match="^request 0: cannot delete every remaining"):
+            baseline_retrain(data, hist, ChangeSet.delete([2, 0, 1]))
+        assert core_calls == []
+        # an addition first leaves one row after three deletions
+        row = ChangeSet.add([0.1, 0.1], [1.0])
+        unlearn_online(data, hist, [row] + [ChangeSet.delete([i]) for i in (0, 1, 2)], small)
+    assert len(core_calls) == 4

@@ -237,13 +237,13 @@ def test_factorization_snapshot_is_frozen():
         fact = buf.factorization()
         assert all(fact is not old for old, *_ in snapshots)
         assert buf.factorization() is fact
-        snapshots.append((fact, fact.Kt.copy(), fact.Minv.copy(), fact.KMinv.copy(),
+        snapshots.append((fact, fact.Kt.copy(), fact.Minv.copy(), fact.MinvKt.copy(),
                           fact.apply(v)))
     assert not buf.append_pair(dws[0], -dgs[0])
     assert buf.factorization() is snapshots[-1][0]
-    for fact, Kt, Minv, KMinv, Bv in snapshots:
+    for fact, Kt, Minv, MinvKt, Bv in snapshots:
         assert np.array_equal(fact.Kt, Kt) and np.array_equal(fact.Minv, Minv)
-        assert np.array_equal(fact.KMinv, KMinv) and np.array_equal(fact.apply(v), Bv)
+        assert np.array_equal(fact.MinvKt, MinvKt) and np.array_equal(fact.apply(v), Bv)
 
 
 def test_empty_buffer_rejected():

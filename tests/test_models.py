@@ -25,7 +25,7 @@ from deltagrad import (
     smoothness_bound,
 )
 from deltagrad import models
-from deltagrad.models import Objective, gradient_sum, per_sample_gradient_norms
+from deltagrad.models import ActiveRows, Objective, gradient_sum, per_sample_gradient_norms
 from oracles import (
     block_gradient_sum,
     fd_gradient,
@@ -197,17 +197,31 @@ def test_objective_rows_keeps_class_and_gathers_once(ridge_data):
 
     cfg = LossConfig("ridge", 0.1)
     w = np.linspace(-1.0, 1.0, ridge_data.p)
-    obj = Tagged(cfg, ridge_data, removed=[1, 4])
+    # rows 1 and 4 deleted, then one row added (id n) and row 7 deleted;
+    # the rows are copied once, at the first edit, and edited in place
+    rows = ActiveRows(ridge_data, ridge_data.n + 1)
+    assert rows.dataset() is ridge_data
+    rows.delete([4, 1])
+    buffer = rows.dataset().features
+    added = np.full((1, ridge_data.p), 0.5)
+    rows.append(added, [2.0])
+    rows.delete([7])
+    assert np.shares_memory(rows.dataset().features, buffer)
+    active = np.setdiff1d(np.arange(ridge_data.n), [1, 4, 7])
+    obj = Tagged(cfg, rows.dataset())
     obj.tag = "kept"
-    part = obj.rows([7, 2])
+    part = obj.rows(rows.positions([8, 2]))
     assert type(part) is Tagged and part.tag == "kept"
-    assert part.n == 2 and part.removed is None
-    assert np.array_equal(part.data_grad_sum(w), gradient_sum(cfg, ridge_data.subset([7, 2]), w))
+    assert part.n == 2
+    assert np.array_equal(part.data_grad_sum(w), gradient_sum(cfg, ridge_data.subset([8, 2]), w))
     assert obj.n == ridge_data.n - 2
-    assert np.array_equal(obj.data_grad_sum(w), gradient_sum(cfg, ridge_data, w)
-                          - gradient_sum(cfg, ridge_data.subset([1, 4]), w))
+    full = Dataset(np.vstack([ridge_data.features[active], added]),
+                   np.append(ridge_data.labels[active], 2.0))
+    assert bits(obj.data_grad_sum(w)) == bits(gradient_sum(cfg, full, w))
+    assert bits(obj.rows(rows.positions([ridge_data.n])).data_grad_sum(w)) == bits(
+        gradient_sum(cfg, Dataset(added, [2.0]), w))
     assert obj.rows([]) is None
-    for bad in ([ridge_data.n], [-1]):
+    for bad in ([obj.n], [-1]):
         with pytest.raises(IndexError):
             obj.rows(bad)
 
