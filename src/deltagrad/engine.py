@@ -1,7 +1,7 @@
 """Incremental model-update engines and the naive retraining baseline.
 
-Every engine is a setting of one request driver, `_update`, which runs each
-request of a list through one correction loop, `_run_gd_core`. The loop
+Every engine is a setting of one request driver, `_update`, which runs a
+request list through one correction loop, `_run_gd_core`. The loop
 corrects a cached training trajectory after sample deletion or addition
 without retraining from scratch:
 
@@ -16,13 +16,14 @@ new-trajectory gradient is computed exactly and the difference against the
 cached gradient is pushed into a curvature-pair buffer; in between, the
 gradient is reconstructed as cached_gradient + B(v) with v the parameter
 drift and B the quasi-Hessian from the buffer, so only the changed samples'
-gradients are ever evaluated. Such an approximate step is one product of a
-row of float coefficients with a small stacked matrix (see `_run_gd_core`).
-The driver validates the whole request list first, then corrects a copy of
-the cached history request by request, each against the trajectory the
-previous request left and over the sample set it left (`ActiveRows`);
-every engine returns that copy as `updated_history`, a cache the next
-update can start from.
+gradients are ever evaluated. The driver validates the whole request list
+first, then corrects a copy of the cached history: each request against
+the trajectory the previous request left and over the sample set it left
+(`ActiveRows`). Step t of a request reads only step t of the request
+before it, so a stream runs as a wavefront, one step apart per request,
+and each step's arithmetic serves every request in flight (`_Wavefront`).
+Every engine returns the corrected copy as `updated_history`, a cache the
+next update can start from.
 
 A request's change enters the loop as change terms with a sign: -1 for
 deletions, whose rows `Objective.rows` gathers from the objective itself (so
@@ -37,17 +38,19 @@ schedule over the changed sample set through the trainer's own descent loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChangeSetError, FactorizationError
-from .lbfgs import CurvaturePairBuffer, quasi_hvp
+from .errors import ChangeSetError, DivergenceError, FactorizationError
+from .lbfgs import CurvaturePairBuffer, PairLanes, quasi_hvp
 from .models import gradient_sum  # noqa: F401 (dgbench patches it here)
-from .models import ActiveRows, Dataset, Objective, coefficient
+from .models import ActiveRows, Dataset, Objective, coefficient, coefficients
 from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
 
 MODES = ("gd", "sgd", "general")
@@ -103,6 +106,8 @@ class ChangeSet:
             self.labels = None
         else:
             X = np.asarray(features, dtype=np.float64)
+            if X.ndim == 0:
+                raise ChangeSetError("added features must be a row or a 2-D block of rows")
             if X.ndim == 1:
                 X = X.reshape(1, -1)
             y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -247,7 +252,38 @@ def _retrain(data: Dataset, history: TrainingHistory, change: ChangeSet) -> np.n
     return params[-1].copy()
 
 
-def _run_gd_core(
+# The counters `_run_gd_core` reports, each summed over its requests.
+_COUNTERS = (*MODE_LABELS, "full_gradient_evals", "scheduled_full_gradient_evals",
+             "pair_rejections", "convexity_guard_events", "smoothness_guard_events",
+             "cholesky_fallbacks", "empty_buffer_fallbacks")
+
+
+@dataclass
+class _Lane:
+    """One request of a `_run_gd_core` call.
+
+    sign is -1 for a deletion and +1 for an addition; n is the number of
+    rows of the sample set the request runs on. `change` is its change
+    term, an Objective over its r changed rows (None for r = 0), the same
+    at every step; a minibatch request has `changes` instead, one term per
+    step. `finish` (a stream's requests but the last) edits the shared
+    sample set by this request and returns the objective over the edited
+    set. `seconds` holds the request's set-up time; the loop adds its even
+    share of every wave it ran in, and sets `final` (its last iterate) and
+    `trace` (its mode labels).
+    """
+
+    sign: float
+    n: int
+    change: Objective | None = None
+    changes: Iterator | None = None
+    finish: Callable | None = None
+    seconds: float = 0.0
+    final: np.ndarray | None = None
+    trace: list | None = None
+
+
+def _run_one(
     obj: Objective,
     params: np.ndarray,
     grads: np.ndarray,
@@ -259,7 +295,7 @@ def _run_gd_core(
     batches: list[np.ndarray] | None = None,
     guards: bool = False,
 ):
-    """The correction loop of every engine.
+    """The correction loop of a single request (see `_run_gd_core`).
 
     Iteration t runs over every row of obj, or over `obj.rows(batches[t])`,
     the recorded minibatch, with step size etas[t]. `changes` yields one
@@ -465,27 +501,324 @@ def _run_gd_core(
     return params[T], trace, diagnostics
 
 
-# The counters `_run_gd_core` reports; `_update` sums them over its requests.
-_COUNTERS = (*MODE_LABELS, "full_gradient_evals", "scheduled_full_gradient_evals",
-             "pair_rejections", "convexity_guard_events", "smoothness_guard_events",
-             "cholesky_fallbacks", "empty_buffer_fallbacks")
+def _run_gd_core(
+    obj: Objective,
+    params: np.ndarray,
+    grads: np.ndarray,
+    etas: list,
+    cfg: DeltaGradConfig,
+    lanes: list,
+    *,
+    batches: list[np.ndarray] | None = None,
+    guards: bool = False,
+):
+    """The correction loop of every engine, over a list of requests (`_Lane`).
+
+    Request k corrects the trajectory request k-1 left: its step t reads
+    params[t] and grads[t] as request k-1's step t wrote them, then
+    overwrites them with its own iterate and step gradient. A single
+    request runs through `_run_one`. Several run as a wavefront
+    (`_Wavefront`): since step t reads nothing of request k-1 past step t,
+    wave s runs step s - k of every request k in flight, up to
+    min(requests, T) of them, and each wave's arithmetic serves them all.
+    Both share the step arithmetic written out in `_run_one`. The wavefront
+    serves one-row requests over full-batch histories, as streams are;
+    a minibatch history, the general engine's guards and wider change
+    terms come with one request. One request stays on its own loop because
+    the lane bookkeeping cost it more than the benchmark's bound allows:
+    on `sgd-ridge-1e5` (3000 steps of one request, 2 vCPUs) a request took
+    526 ms through the wavefront against 281 ms through `_run_one`.
+
+    The reference loop, request by request and term by term, is
+    `reference_stream` in tests/oracles.py. params and grads are
+    overwritten as described, params[T] with the last request's final
+    iterate; callers that keep the cached history pass copies. A non-finite
+    iterate raises the DivergenceError of the first request that has one
+    (its step and last finite iterate), as running the requests one by one
+    would. Returns the last request's final iterate, every request's mode
+    trace in request order, and the counters summed over the requests; each
+    request's final iterate and trace are also set on its lane.
+    """
+    if len(lanes) == 1:
+        lane = lanes[0]
+        changes = itertools.repeat(lane.change) if lane.changes is None else lane.changes
+        final, lane.trace, counts = _run_one(obj, params, grads, etas, cfg, changes, lane.sign,
+                                             batches=batches, guards=guards)
+        lane.final = final.copy()
+        return final, lane.trace, counts
+    if batches is not None or guards:
+        raise ValueError("several requests need a full-batch history and no guards")
+    return _Wavefront(obj, params, grads, etas, cfg, lanes).run()
+
+
+class _Wavefront:
+    """The state of `_run_gd_core` for several requests: per-lane arrays,
+    lane k in slot k % S. Every request changes one row through the
+    library's own gradient over a full-batch history, as a stream's do.
+
+    Each lane keeps the stacked matrix of its approximate step in Z: the
+    drift v, the rows of M^-1 K' (zero past 2m), its change row x, the
+    cached gradient g_t and its iterate w; COEF holds the matching
+    coefficients [c1*sigma, -c1*K'v, c2*a(x . w), c1, c2*l2], and KC the
+    rows -c1*K' and x, so that one product gives -c1*K'v and x . v
+    together. The approximate steps of a wave are then two batched products
+    and the change coefficients; the arrays of a wave are views (a wave
+    whose slots wrap around runs as two parts).
+
+    A wave's explicit lanes share one kernel call. `obj` holds the sample
+    set of the oldest request in flight, and a younger lane adds one signed
+    one-row term for each row the requests ahead of it deleted or added;
+    so explicit steps move at roundoff from a request run alone. Each lane
+    keeps its own pair buffer (a lane of `pairs`), the pairs of a wave's
+    explicit lanes go in with one insert, and the lanes that need a fresh
+    factorization get it from one batched build, a failed build falling
+    back in its own lane only.
+    """
+
+    def __init__(self, obj, params, grads, etas, cfg, lanes):
+        T, p = grads.shape
+        self.obj, self.params, self.grads, self.lanes = obj, params, grads, lanes
+        self.l2, self.logistic = obj.l2, obj.cfg.kind == "logistic"
+        self.burn_in, self.period = cfg.burn_in, cfg.period
+        self.eta = np.asarray(etas, dtype=np.float64)
+        self.S = S = min(len(lanes), T)
+        self.k = k = 2 * cfg.history_size           # rows of M^-1 K'
+        self.pairs = PairLanes(S, cfg.history_size, p)
+        self.Z = np.zeros((S, k + 4, p))            # v, M^-1 K', x, g_t, w
+        self.COEF = np.zeros((S, k + 4))
+        self.KC = np.zeros((S, k + 1, p))           # -c1 K', x
+        # the lane's KC, Z and COEF rows do not hold the factorization of its
+        # pairs (none built yet, a pair added since, or a failed build)
+        self.stale = np.ones(S, dtype=bool)
+        self.sched = np.array([t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
+                               for t in range(T)], dtype=bool)
+        self.explicit_before = [0, *np.cumsum(self.sched).tolist()]     # steps < t
+        self.codes = np.zeros((S, T), dtype=np.int8)    # indices into MODE_LABELS
+        # each lane's step constants: its rows n, n + sign, sign, c1, c2 and label
+        self.NR, self.DEN, self.SIGN, self.C1, self.C2, self.YR = np.zeros((6, S))
+        self.counts = dict.fromkeys(_COUNTERS, 0)
+
+    def start(self, k):
+        """Lane k starts at w_0 with an empty buffer and its constants."""
+        j, lane = k % self.S, self.lanes[k]
+        n, sign = lane.n, lane.sign
+        denom = n + sign
+        c1, c2 = n / denom, 1.0 / (sign * denom)
+        self.Z[j] = self.COEF[j] = self.KC[j] = 0.0
+        self.Z[j, -1] = self.params[0]
+        self.KC[j, -1] = self.Z[j, self.k + 1] = lane.change.data.features[0]
+        self.COEF[j, self.k + 2:] = c1, c2 * self.l2
+        self.NR[j], self.DEN[j], self.SIGN[j], self.C1[j], self.C2[j] = n, denom, sign, c1, c2
+        self.YR[j] = lane.change.data.labels[0]
+        self.pairs.clear(j)
+        self.stale[j] = True
+        self.codes[j] = np.where(self.sched, 0, 1)
+
+    def build(self, sb):
+        """Fresh factorizations for slots sb, one batched build per pair
+        count (once full, every lane has the same)."""
+        ms = self.pairs.count[sb]
+        sizes = [int(ms[0])] if ms.min() == ms.max() else np.unique(ms).tolist()
+        for m in sizes:
+            group = sb if len(sizes) == 1 else sb[ms == m]
+            sigma, Kt, _, MinvKt, failed = self.pairs.build(group, m)
+            ok = failed < 0
+            if not ok.all():
+                group, sigma, Kt, MinvKt = (x[ok] for x in (group, sigma, Kt, MinvKt))
+            c1 = self.C1[group]
+            self.COEF[group, 0] = c1 * sigma
+            self.KC[group, :2 * m] = Kt * -c1[:, None, None]
+            self.Z[group, 1:1 + 2 * m] = MinvKt
+            if 2 * m < self.k:
+                self.KC[group, 2 * m:self.k] = 0.0
+                self.Z[group, 1 + 2 * m:1 + self.k] = 0.0
+            self.stale[group] = False
+
+    def fallbacks(self, explicit, sl, V):
+        """The lanes of a wave part (slots sl) that run exactly, scheduled or
+        as a fallback, and the fallbacks, after one batched build of the
+        factorizations that the other lanes need."""
+        counts = self.counts
+        approx = ~explicit
+        need = approx & self.stale[sl] & (self.pairs.count[sl] > 0)
+        if need.any():
+            self.build(np.flatnonzero(need) + sl.start)
+        # no factorization (empty buffer or failed build): B v is needed
+        # unless v = 0, so the step is recomputed exactly
+        fallback = approx & self.stale[sl]
+        if fallback.any():
+            fallback &= np.count_nonzero(V, axis=1) > 0
+            empty = int(np.count_nonzero(fallback & (self.pairs.count[sl] == 0)))
+            counts["empty_buffer_fallbacks"] += empty
+            counts["cholesky_fallbacks"] += int(np.count_nonzero(fallback)) - empty
+        return explicit | fallback, fallback
+
+    def explicit(self, e, se, first, W, V, Gt):
+        """Step gradients of a wave part's explicit lanes (rows e of the
+        part, slots se, lane indices from `first`), which also insert their
+        curvature pairs."""
+        iw = W[e]
+        k, logistic = self.k, self.logistic
+        S_ = self.obj.data_grad_sum(iw[0])[None] if len(se) == 1 else self.obj.data_grad_sum(iw)
+        ks = first + np.arange(len(W))[e]
+        if ks[-1] > self.k_lo:
+            # the rows the requests ahead (k_lo .. k-1) deleted or added
+            ahead = np.arange(self.k_lo, ks[-1])
+            sj = ahead % self.S
+            X = self.KC[sj, k]
+            with np.errstate(over="ignore"):
+                A = coefficients(logistic, X @ iw.T, self.YR[sj][:, None])
+            A *= np.where(ahead[:, None] < ks, self.SIGN[sj][:, None], 0.0)
+            S_ = S_ + A.T @ X
+        l2iw = self.l2 * iw
+        dg = S_ / self.NR[se][:, None]
+        dg += l2iw                              # the exact gradient g_full
+        dg -= Gt[e]
+        self.stale[se[self.pairs.insert(se, V[e], dg)]] = True
+        # (S + sign*changed) / denom + l2*w, the change row's gradient a(x . w) x
+        X = self.KC[se, k]
+        with np.errstate(over="ignore"):
+            a = coefficients(logistic, np.einsum("ij,ij->i", X, iw), self.YR[se])
+        g = X * a[:, None]
+        g += 0.0
+        g *= self.SIGN[se][:, None]
+        g += S_
+        g /= self.DEN[se][:, None]
+        g += l2iw
+        return g
+
+    def approximate(self, sl, Z, C, P, Gt):
+        """Step gradients of a wave part's lanes (slots sl, their stacked
+        matrices Z and coefficients C, cached iterates P and gradients Gt)
+        as approximate steps; the explicit lanes' rows are overwritten."""
+        k = self.k
+        np.matmul(self.KC[sl], Z[:, 0, :, None], out=C[:, 1:k + 2, None])
+        # x . w = x . v, from the product above, plus x . w_t
+        z = np.einsum("lp,lp->l", Z[:, k + 1], P)
+        z += C[:, k + 1]
+        with np.errstate(over="ignore"):
+            a = coefficients(self.logistic, z, self.YR[sl])
+        np.multiply(a, self.C2[sl], out=C[:, k + 1])
+        Z[:, k + 2] = Gt
+        return np.matmul(C[:, None], Z)[:, 0]
+
+    def step(self, sl, t_top, first):
+        """Wave steps of the lanes in slots sl (contiguous), lane `first` at
+        step t_top and each next lane one step behind. Returns the part's
+        first lane whose next iterate is not finite, with its error, or None."""
+        L = sl.stop - sl.start
+        rows = slice(t_top - L + 1, t_top + 1)
+        Z, C = self.Z[sl], self.COEF[sl]
+        P = self.params[rows][::-1]             # lane order is descending t
+        Gt = self.grads[rows][::-1]
+        W, V = Z[:, -1], Z[:, 0]
+        np.subtract(W, P, out=V)
+        explicit = self.sched[rows][::-1]
+        n = self.explicit_before[t_top + 1] - self.explicit_before[rows.start]
+        if n < L and self.stale[sl].any():
+            explicit, fallback = self.fallbacks(explicit, sl, V)
+            f = np.flatnonzero(fallback)
+            if f.size:
+                self.codes[f + sl.start, t_top - f] = MODE_LABELS.index("fallback")
+                n += f.size
+        if n == L:
+            G = self.explicit(slice(None), np.arange(sl.start, sl.stop), first, W, V, Gt)
+        else:
+            G = self.approximate(sl, Z, C, P, Gt)
+            if n:
+                e = np.flatnonzero(explicit)
+                G[e] = self.explicit(e, e + sl.start, first, W, V, Gt)
+        nxt = G * self.eta[rows][::-1, None]
+        np.subtract(W, nxt, out=nxt)
+        failure = None
+        if np.count_nonzero(np.isfinite(nxt)) != nxt.size:
+            i = int(np.flatnonzero(~np.isfinite(nxt).all(axis=1))[0])
+            failure = first + i, DivergenceError(t_top - i, "non-finite parameters",
+                                                 last_finite=W[i].copy())
+        P[:] = W
+        Gt[:] = G
+        W[:] = nxt
+        return failure
+
+    def run(self):
+        lanes, counts, S, T = self.lanes, self.counts, self.S, self.grads.shape[0]
+        K = len(lanes)
+        secs = np.zeros(K)
+        error, failed = None, K                 # the first failed lane, K for none
+        self.k_lo, clock = 0, time.perf_counter()
+        for s in itertools.count():
+            k_lo, k_hi = self.k_lo, min(s, failed - 1, K - 1)
+            if k_lo > k_hi:
+                break
+            if k_hi == s:
+                self.start(s)
+            lo, hi = k_lo % S, k_hi % S
+            # a wave whose slots wrap around the ring runs as two parts
+            parts = (((lo, hi + 1, k_lo),) if lo <= hi
+                     else ((lo, S, k_lo), (0, hi + 1, k_lo + S - lo)))
+            for a, b, first in parts:
+                failure = self.step(slice(a, b), s - first, first)
+                if failure is not None and failure[0] < failed:
+                    # this lane and the lanes after it stop
+                    failed, error = failure
+            if s - k_lo == T - 1 and k_lo < failed:    # the oldest lane is done
+                self.finish(k_lo)
+                self.k_lo += 1
+            now = time.perf_counter()
+            secs[k_lo:k_hi + 1] += (now - clock) / (k_hi - k_lo + 1)
+            clock = now
+        for lane, sec in zip(lanes, secs):
+            lane.seconds += sec
+        if error is not None:
+            raise error
+        counts["full_gradient_evals"] = counts["explicit"] + counts["fallback"]
+        counts["scheduled_full_gradient_evals"] = K * expected_full_gradient_evals(
+            T, self.burn_in, self.period)
+        return lanes[-1].final, [label for lane in lanes for label in lane.trace], counts
+
+    def finish(self, k):
+        """Lane k's last step is done: its results, its counters, and the
+        sample set's edit by its request for the lanes after it."""
+        j, lane = k % self.S, self.lanes[k]
+        lane.final = self.params[-1] = self.Z[j, -1].copy()
+        codes = self.codes[j]
+        lane.trace = [MODE_LABELS[c] for c in codes.tolist()]
+        for c, label in enumerate(MODE_LABELS):
+            self.counts[label] += int(np.count_nonzero(codes == c))
+        self.counts["pair_rejections"] += int(self.pairs.rejected[j])
+        if k + 1 < len(self.lanes) and lane.finish is not None:
+            self.obj = lane.finish()
+
+
+def _edit(active: ActiveRows, req: ChangeSet, loss) -> Objective:
+    """Edit the sample set by `req`; the objective over the edited set."""
+    if req.direction == "add":
+        active.append(req.features, req.labels)
+    elif req.r:
+        active.delete(req.indices)
+    return Objective(loss, active.dataset())
 
 
 def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
             objective=None, with_baseline=False) -> UpdateOutcome:
     """The request driver of every engine.
 
-    Checks the inputs and the whole request list, then runs the correction
-    loop once per request on a copy of `history`. Each request corrects the
-    trajectory the previous one left, over the sample set the previous ones
-    left, kept as one `ActiveRows` set: a deletion drops its rows and an
-    addition appends its rows as ids n, n+1, ... in arrival order. The
-    counters are summed over the requests, and diagnostics['requests'] holds
-    one record per request; its 'seconds' run from before the request's
-    set-up (the edit of the sample set, its objective and change terms) to
-    the end of its loop. With `with_baseline` the requests must be one request or
-    deletions only; that change is also retrained from scratch, timed, and
-    measured against (distances between cached, corrected and retrained).
+    Checks the inputs and the whole request list, sets up one `_Lane` per
+    request, then runs the correction loop once over all of them on a copy
+    of `history`. Each request corrects the trajectory the previous one
+    left, over the sample set the previous ones left, kept as one
+    `ActiveRows` set that the loop edits as each request finishes: a
+    deletion drops its rows and an addition appends its rows as ids n,
+    n+1, ... in arrival order. The counters are summed over the requests,
+    and diagnostics['requests'] holds one record per request. Its
+    'seconds' are the request's set-up (its change terms; request 0 also
+    pays for the step-size list) plus its even share of every wave of the
+    loop it ran in; for one request that is its set-up and the whole loop.
+    timings['deltagrad_s'] is their sum. A list of several requests takes
+    one-row requests, as `unlearn_online` checks. With `with_baseline` the requests
+    must be one request or deletions only; that change is also retrained
+    from scratch, timed, and measured against (distances between cached,
+    corrected and retrained).
     """
     verify_fingerprint(history, data)
     _check_engine_convexity(history, guards)
@@ -502,43 +835,59 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     working = history.copy()
     start = time.perf_counter()         # request 0's clock covers the shared set-up
     etas = list(map(history.config.eta_at, range(history.iterations)))
+    obj = objective if objective is not None else Objective(loss, data)
     active = ActiveRows(data, data.n + sum(req.r for req in requests if req.direction == "add"))
-    totals = dict.fromkeys(_COUNTERS, 0)
-    records, trace, t_engine = [], [], 0.0
+    added = {}          # a stream's added rows by id, for a later deletion of one
+    lanes, ids, n, next_id = [], [], data.n, data.n
     for k, req in enumerate(requests):
-        if k:       # this request runs on the sample set the previous one left
+        if k:
             start = time.perf_counter()
-            prev = requests[k - 1]
-            if prev.direction == "add":
-                active.append(prev.features, prev.labels)
-            elif prev.r:
-                active.delete(prev.indices)
-        obj = objective if objective is not None else Objective(loss, active.dataset())
-        w_prev = working.params[-1].copy()
-        sign, rows = -1.0, req.indices
+        lane = _Lane(sign=-1.0, n=n)
         if req.direction == "add":
-            sign, rows = 1.0, np.arange(active.next_id, active.next_id + req.r)
-            change = Objective(loss, Dataset(req.features, req.labels)) if req.r else None
-            changes = itertools.repeat(change)
+            lane.sign, rows = 1.0, np.arange(next_id, next_id + req.r)
+            next_id += req.r
+            lane.change = Objective(loss, Dataset(req.features, req.labels)) if req.r else None
+            added.update(zip(rows.tolist(), zip(req.features, req.labels)))
         elif batches is None:
-            changes = itertools.repeat(obj.rows(active.positions(rows)))
+            rows = req.indices
+            if rows.size and rows[0] >= data.n:     # one row that an earlier request added
+                x, y = added[int(rows[0])]
+                lane.change = Objective(loss, Dataset(x[None], [y]))
+            else:
+                lane.change = obj.rows(rows)
         else:
-            deleted_mask = np.zeros(obj.data.n, dtype=bool)
+            rows = req.indices
+            deleted_mask = np.zeros(data.n, dtype=bool)
             deleted_mask[rows] = True
-            changes = (obj.rows(batch[deleted_mask[batch]]) for batch in batches)
-        w_final, trace, diag = _run_gd_core(obj, working.params, working.gradients, etas, cfg,
-                                            changes, sign, batches=batches, guards=guards)
-        seconds = time.perf_counter() - start
-        t_engine += seconds
-        for key, val in diag.items():
-            totals[key] += val
+            lane.changes = (obj.rows(batch[deleted_mask[batch]]) for batch in batches)
+        if k + 1 < len(requests):
+            lane.finish = functools.partial(_edit, active, req, loss)
+        n += int(lane.sign) * req.r
+        lane.seconds = time.perf_counter() - start
+        lanes.append(lane)
+        ids.append(rows)
+
+    trace, totals = [], dict.fromkeys(_COUNTERS, 0)
+    if lanes:
+        set_up = sum(lane.seconds for lane in lanes)
+        start = time.perf_counter()
+        _, _, totals = _run_gd_core(obj, working.params, working.gradients, etas, cfg,
+                                    lanes, batches=batches, guards=guards)
+        # the loop shares its waves out; what it spent beyond them goes to the last request
+        lanes[-1].seconds += time.perf_counter() - start - (
+            sum(lane.seconds for lane in lanes) - set_up)
+        trace = lanes[-1].trace
+    records, w_prev = [], history.params[-1]
+    for k, (req, lane, rows) in enumerate(zip(requests, lanes, ids)):
         records.append({
             "request": k,
             "direction": req.direction,
             "index": int(rows[0]) if rows.size else None,
-            "shift": float(np.linalg.norm(w_final - w_prev)),
-            "seconds": seconds,
+            "shift": float(np.linalg.norm(lane.final - w_prev)),
+            "seconds": lane.seconds,
         })
+        w_prev = lane.final
+    t_engine = sum(rec["seconds"] for rec in records)
 
     outcome = UpdateOutcome(
         w_final=working.params[-1].copy(),
@@ -624,16 +973,23 @@ def unlearn_batch_sgd(data, history, change, cfg, *, with_baseline=False) -> Upd
 
 
 def unlearn_online(data, history, requests, cfg, *, with_baseline=False) -> UpdateOutcome:
-    """Process single-sample deletion/addition requests sequentially.
+    """Process a stream of single-sample deletion/addition requests.
 
     Each request corrects the trajectory the previous one left: explicit
     iterations store the exact new gradient, approximate iterations store
     the reconstructed one. Added rows get indices n, n+1, ... in arrival
-    order; deleting an index twice is an error.
+    order; deleting an index twice is an error. The requests run as a
+    wavefront, request k one step behind request k-1, so each step's
+    kernel call and each batched product serve every request in flight;
+    the results are those of running them one by one, to roundoff (a
+    single request keeps its bits), and a failing stream raises the error
+    of its first failing request.
 
     The returned outcome carries the final parameters, the last request's
-    mode trace, per-request records in diagnostics['requests'], and the
-    rewritten history (updated_history) for an explicit cache flush.
+    mode trace, per-request records in diagnostics['requests'] (a record's
+    'seconds' is the request's set-up plus its even share of every wave
+    it ran in), and the rewritten history (updated_history) for an explicit
+    cache flush.
     """
     if cfg.mode != "gd":
         raise ValueError("unlearn_online requires cfg.mode == 'gd'")

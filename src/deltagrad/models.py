@@ -12,9 +12,9 @@ frozen after construction and safe to share across threads, except a
 Dataset that `ActiveRows.dataset` returns, a view of rows that the next
 edit of its ActiveRows changes. The one piece
 of module state is the helper-thread pool of `gradient_sum`: built on the
-first gradient of two or more row blocks, at most MAX_HELPER_THREADS
-threads, shared by every calling thread and dropped in a forked child,
-which builds its own. It changes no bit of any result: the row blocks,
+first gradient at one iterate of two or more row blocks, at most
+MAX_HELPER_THREADS threads, shared by every calling thread and dropped in
+a forked child, which builds its own. It changes no bit of any result: the row blocks,
 fixed by BLOCK_BYTES, are summed in block order whatever thread computed
 them. A Dataset owns its labels and checks once, on first use, whether
 they are all +1 or -1; the logistic functions read that result instead of
@@ -42,6 +42,15 @@ LOSS_KINDS = ("logistic", "ridge")
 # of X stays in a 2 MB L2 between `X_b @ w` and `X_b.T @ a`, so X is read
 # from memory once per gradient instead of twice.
 BLOCK_BYTES = 1 << 20
+
+# Most multiply-adds in each of the two products of one row block when
+# `gradient_sum` is given a matrix of iterates (rows x iterates x p): the
+# block's rows shrink as the iterates grow. The R x L margins then stay in
+# cache beside the block of X (2 MB / p at most), and each product stays
+# below OpenBLAS's threading threshold (m*n*k of 65536 times 4), so it
+# runs on its caller's thread: on a 200-request online stream (2 vCPUs)
+# threaded products raised the peak RSS by about 6 MB.
+LANE_BLOCK_MACS = 1 << 18
 
 # Most helper threads that join the caller of `gradient_sum`, and never more
 # than the cores this process may run on, less one. One helper is the only
@@ -136,9 +145,10 @@ class LossConfig:
             raise ValueError("l2 must be >= 0")
 
 
-def _check_w(data: Dataset, w) -> np.ndarray:
+def _check_w(data: Dataset, w, lanes: bool = False) -> np.ndarray:
+    """w as float64 of shape (p,), or with `lanes` also (L, p), L iterates."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (data.p,):
+    if w.shape != (data.p,) and not (lanes and w.ndim == 2 and w.shape[1] == data.p):
         raise DimensionMismatchError(f"w has shape {w.shape}, expected ({data.p},)")
     return w
 
@@ -173,18 +183,27 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
 
 def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
     """Data-part gradient sum over rows lo .. lo+rows of (X, y): z = X_b @ w,
-    the per-row coefficient a, then X_b.T @ a. A logistic caller holds
-    np.errstate(over="ignore")."""
+    the per-row coefficient a, then X_b.T @ a. For iterates as rows w
+    (L, p), the same as matrix products: z = w @ X_b.T (L x R), then a @ X_b
+    (L x p). A logistic caller holds np.errstate(over="ignore")."""
     Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
-    z = Xb @ w
-    if logistic:
-        a = yb * z
-        np.exp(a, out=a)
-        np.subtract(-1.0, a, out=a)
-        np.divide(yb, a, out=a)
-    else:
-        a = z - yb
-    return Xb.T @ a
+    if w.ndim == 2:
+        return coefficients(logistic, w @ Xb.T, yb) @ Xb
+    return Xb.T @ coefficients(logistic, Xb @ w, yb)
+
+
+def coefficients(logistic: bool, z, y):
+    """The coefficients a of rows with labels y at margins z (arrays that
+    broadcast), whose data-part gradients are a * x: (logistic)
+    y / (-1 - exp(y*z)), an exact 0 where exp overflows, or (ridge) z - y.
+    Where exp may overflow the caller holds np.errstate(over="ignore")."""
+    if not logistic:
+        return z - y
+    a = y * z
+    np.exp(a, out=a)
+    np.subtract(-1.0, a, out=a)
+    np.divide(y, a, out=a)
+    return a
 
 
 # exp(a) overflows from a = log(DBL_MAX) ~ 709.78 on; the one-row logistic
@@ -210,7 +229,8 @@ def coefficient(kind: str, z: float, y: float) -> float:
 
 def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     """Sum over every row of `data` of the data part of per-sample
-    gradients (no l2 term).
+    gradients (no l2 term), at one iterate w (p,) or at each row of a matrix
+    of iterates (L, p), which gives one sum per row (L, p).
 
     This is the shared kernel for the trainer and the update engines; the
     regularizer is added by callers so that identical update formulas stay
@@ -220,38 +240,50 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     coefficient a, then X_b.T @ a. The logistic coefficient is
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
-    The block sums are added into zeros in block order. One row, the size
-    of most change terms in an online stream, skips the block machinery:
-    its gradient is its float `coefficient` times the row, plus 0.0, which
-    turns -0.0 into 0.0 as the sum into zeros does, so the bits are the
-    same.
+    The block sums are added into zeros in block order; the sum of data of
+    one block is that block's sum plus 0.0, which turns -0.0 into 0.0 as the
+    sum into zeros does, so the bits are the same. One row, the size of most
+    change terms in an online stream, skips the block machinery: its
+    gradient is its float `coefficient` times the row, plus 0.0, again the
+    same bits. A matrix of L iterates makes the two products of a block
+    matrix products (gemm), and the blocks shrink so that each product
+    stays within LANE_BLOCK_MACS; each row of the result equals the
+    one-iterate sum to roundoff, not bit for bit.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
-    worker count. Data of one block is summed on the caller's thread alone.
-    From two blocks on, the caller and the helper threads (one per further
-    core this process may run on, at most MAX_HELPER_THREADS) draw blocks
-    from one shared counter; the helper pool is built on first use.
+    worker count. Data of one block, and a matrix of iterates, are summed on
+    the caller's thread alone (on a 200-request online stream, 2 vCPUs, a
+    helper thread made the matrix sums slower, not faster). From two blocks
+    on, the caller and the helper threads (one per further core this
+    process may run on, at most MAX_HELPER_THREADS) draw the blocks of one
+    iterate from one shared counter; the helper pool is built on first use.
     """
-    w = _check_w(data, w)
+    w = _check_w(data, w, lanes=True)
     X, y = data.features, data.labels
     logistic = cfg.kind == "logistic"
     if logistic:
         _check_logistic_labels(data)
-    if y.size == 1:
+    rows = max(1, BLOCK_BYTES // (8 * data.p))
+    if w.ndim == 2:
+        rows = max(1, min(rows, LANE_BLOCK_MACS // (w.shape[0] * data.p)))
+    elif y.size == 1:
         # z = x . w as the block's 1 x p product (`dot` and `@` make the same
         # BLAS call), then the coefficient in floats
         g = X[0] * coefficient(cfg.kind, X.dot(w).item(), y.item())
         g += 0.0
         return g
-    rows = max(1, BLOCK_BYTES // (8 * data.p))
-    block = functools.partial(_block_gradient, X, y, w, logistic, rows)
-    starts = range(0, y.size, rows)
     # exp(y*z) may overflow to inf, which makes the coefficient an exact 0
     with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
-        pool, helpers = _helper_pool() if len(starts) > 1 else (None, 0)
+        if y.size <= rows:
+            g = _block_gradient(X, y, w, logistic, rows, 0)
+            g += 0.0
+            return g
+        block = functools.partial(_block_gradient, X, y, w, logistic, rows)
+        starts = range(0, y.size, rows)
+        pool, helpers = _helper_pool() if w.ndim == 1 else (None, 0)
         parts = _parallel_blocks(pool, helpers, block, starts) if helpers else map(block, starts)
-        g = np.zeros(data.p)
+        g = np.zeros(w.shape)
         for part in parts:
             g += part
     return g
@@ -426,7 +458,8 @@ class Objective:
         return self.cfg.l2
 
     def data_grad_sum(self, w) -> np.ndarray:
-        """Sum of data-part gradients over every row."""
+        """Sum of data-part gradients over every row, at w (p,) or at each
+        row of a matrix of iterates (L, p); a subclass may take w (p,) only."""
         return gradient_sum(self.cfg, self.data, w)
 
     def full_avg_gradient(self, w) -> np.ndarray:
@@ -478,12 +511,11 @@ class ActiveRows:
         """Drop the active rows `ids`."""
         X, y = self._buffer()
         ids = np.sort(ids)
-        at = np.searchsorted(self._deleted, ids)
-        for q in (ids - at)[::-1]:                      # from the last up
+        for q in self.positions(ids)[::-1]:             # from the last up
             X[q:self.n - 1] = X[q + 1:self.n]
             y[q:self.n - 1] = y[q + 1:self.n]
             self.n -= 1
-        self._deleted = np.insert(self._deleted, at, ids)
+        self._deleted = np.insert(self._deleted, np.searchsorted(self._deleted, ids), ids)
 
     def append(self, features, labels):
         """Add rows after the last; they take the next ids."""

@@ -191,10 +191,10 @@ def write_csv(data, path, label_column="label"):
 
 def reference_correction(obj, params, grads, etas, cfg, changes, sign, *, batches=None,
                          guards=False):
-    """The correction loop before its approximate step was fused, a drop-in
-    for `deltagrad.engine._run_gd_core`: the same schedule, guards, pair
-    updates and counters, with the approximate step written out term by
-    term,
+    """The correction loop of one request before its approximate step was
+    fused and before requests ran as a wavefront (`reference_stream` runs
+    it request by request): the same schedule, guards, pair updates and
+    counters, with the approximate step written out term by term,
 
         n/(n + sign*r) * (B v + cached_grad) + sign * (changed_sum + r*l2*w)/(n + sign*r),
 
@@ -279,3 +279,50 @@ def reference_correction(obj, params, grads, etas, cfg, changes, sign, *, batche
         "pair_rejections": buf.rejected,
         **events,
     }
+
+
+def reference_stream(data, history, requests, cfg, *, guards=False, minibatch=False):
+    """`reference_correction` applied request by request, each over the
+    sample set the requests before it left: the rows of `data` less the
+    deleted ones, then the added rows, in id order, as a new dataset per
+    request. Request k's change term is gathered from that set (an added
+    row is an objective of its own), and a minibatch history's one request
+    masks each recorded batch. Returns the corrected params and gradients,
+    the last request's mode trace and the counters summed over the
+    requests."""
+    import itertools
+
+    from deltagrad import Dataset, Objective
+
+    loss = history.config.loss
+    params, grads = history.params.copy(), history.gradients.copy()
+    etas = [history.config.eta_at(t) for t in range(history.iterations)]
+    batches = history.batches() if minibatch else None
+    X, y, ids, next_id = data.features, data.labels, np.arange(data.n), data.n
+    trace, totals = [], {}
+    for req in requests:
+        obj = Objective(loss, Dataset(X, y))
+        if req.direction == "add":
+            sign = 1.0
+            changes = itertools.repeat(
+                Objective(loss, Dataset(req.features, req.labels)) if req.r else None)
+            X, y = np.vstack([X, req.features]), np.concatenate([y, req.labels])
+            ids = np.concatenate([ids, np.arange(next_id, next_id + req.r)])
+            next_id += req.r
+        else:
+            sign = -1.0
+            pos = np.searchsorted(ids, req.indices)
+            if batches is None:
+                changes = itertools.repeat(obj.rows(pos))
+            else:
+                deleted = np.zeros(len(ids), dtype=bool)
+                deleted[pos] = True
+                changes = (obj.rows(batch[deleted[batch]]) for batch in batches)
+            keep = np.ones(len(ids), dtype=bool)
+            keep[pos] = False
+            X, y, ids = X[keep], y[keep], ids[keep]
+        _, trace, diag = reference_correction(obj, params, grads, etas, cfg, changes, sign,
+                                              batches=batches, guards=guards)
+        for key, val in diag.items():
+            totals[key] = totals.get(key, 0) + val
+    return params, grads, trace, totals

@@ -33,7 +33,6 @@ from deltagrad import (
 )
 import deltagrad.engine as engine_mod
 import deltagrad.models as models_mod
-from deltagrad.errors import FactorizationError
 from oracles import ridge_solution
 
 GD = DeltaGradConfig(period=5, burn_in=10, history_size=2, mode="gd")
@@ -181,18 +180,22 @@ def test_gd_divergence_guard(ridge_data, ridge_history):
 def test_gd_cholesky_fallback(monkeypatch):
     data, hist = train_problem(T=40)
 
-    # the approximate step reads the buffer's factorization, so the failure
-    # is injected there
-    calls = {"count": 0}
-    real = CurvaturePairBuffer.factorization
+    # the approximate step reads its lane's factorization from a batched
+    # build, so the failure is injected there: the first three builds get a
+    # Schur complement whose first pivot is not positive
+    from deltagrad import lbfgs
 
-    def flaky(buf):
+    calls = {"count": 0}
+    real = lbfgs._cholesky_inverse
+
+    def flaky(C):
         calls["count"] += 1
         if calls["count"] <= 3:
-            raise FactorizationError("forced")
-        return real(buf)
+            C = [list(row) for row in C]
+            C[0][0] = 0.0 * C[0][0]
+        return real(C)
 
-    monkeypatch.setattr(CurvaturePairBuffer, "factorization", flaky)
+    monkeypatch.setattr(lbfgs, "_cholesky_inverse", flaky)
     change = ChangeSet.delete([0, 1, 2])
     out = unlearn_batch_gd(data, hist, change, GD, with_baseline=True)
     assert out.mode_trace.count("fallback") == 3
@@ -215,6 +218,15 @@ def test_changeset_validation():
 def test_delete_ids_must_be_a_1d_integer_sequence(ids):
     with pytest.raises(ChangeSetError, match="integers"):
         ChangeSet.delete(ids)
+
+
+@pytest.mark.parametrize("features", [5.0, np.float64(5.0), np.array(5.0)])
+def test_added_features_must_have_a_row(features):
+    # a scalar is no row; features of more than two dimensions are left to
+    # the request check, which names the request (see the stream test below)
+    with pytest.raises(ChangeSetError, match="row"):
+        ChangeSet.add(features, [1.0])
+    assert ChangeSet.add([5.0], [1.0]).features.shape == (1, 1)
 
 
 def test_delete_ids_accept_empty_and_any_integer_dtype():
@@ -384,6 +396,75 @@ def test_online_stream_tracks_baseline():
                          with_baseline=True)
     assert len(out.diagnostics["requests"]) == 12
     assert out.distances["uw_iw"] < out.distances["uw_w"]
+
+
+def test_stream_raises_the_first_failed_requests_divergence(ridge_data):
+    # the stream runs as a wavefront (wave s runs step s - k of request k):
+    # request 1 adds a row of 1e150, which overflows at its step 1, in wave
+    # 2; request 0 adds a row of 300s, too steep for the step size, which
+    # overflows at its step 61, in wave 61. The stream raises request 0's
+    # error, its step and last finite iterate, as running the requests one
+    # by one does; a failed request's error also waits for the requests
+    # before it to finish
+    cfg = TrainConfig(loss=LossConfig("ridge", 0.1), iterations=80, batch_size=ridge_data.n,
+                      eta_schedule=((0, 0.1),))
+    hist = train_gd(ridge_data, cfg)
+    params = hist.params.copy()
+    p = ridge_data.p
+    steep, huge = ChangeSet.add(np.full(p, 300.0), [1.0]), ChangeSet.add(np.full(p, 1e150), [1.0])
+    runs = {"alone": [steep], "stream": [steep, huge, ChangeSet.delete([5])],
+            "huge": [huge], "second": [ChangeSet.delete([5]), huge]}
+    errors = {}
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, reqs in runs.items():
+            with pytest.raises(DivergenceError) as err:
+                unlearn_online(ridge_data, hist, reqs, GD)
+            errors[name] = err.value
+    assert errors["stream"].iteration == errors["alone"].iteration > 2
+    # request 0 shared its first waves' kernel calls with request 1: roundoff
+    np.testing.assert_allclose(errors["stream"].last_finite, errors["alone"].last_finite,
+                               rtol=1e-9)
+    assert errors["second"].iteration == errors["huge"].iteration == 1
+    assert np.array_equal(hist.params, params)
+
+
+def test_stream_longer_than_the_trajectory_matches_the_reference():
+    # more requests than steps: at most T lanes are in flight, and a lane's
+    # slot passes to the request T places later, wrapping around
+    from oracles import reference_stream
+
+    data, hist = train_problem(n=200, p=4, T=7)
+    cfg = DeltaGradConfig(period=2, burn_in=2, history_size=2, mode="gd")
+    rng = np.random.default_rng(8)
+    reqs = [ChangeSet.delete([i]) if i % 3 else ChangeSet.add(rng.uniform(-1, 1, size=data.p),
+                                                              [1.0])
+            for i in range(1, 19)] + [ChangeSet.delete([data.n + 2])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # 19 rows of 200: above the hint
+        out = unlearn_online(data, hist, reqs, cfg)
+    params, grads, trace, counters = reference_stream(data, hist, reqs, cfg)
+    assert out.mode_trace == trace
+    for key in engine_mod._COUNTERS:
+        assert out.diagnostics[key] == counters[key], key
+    np.testing.assert_allclose(out.updated_history.params, params, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out.updated_history.gradients, grads, rtol=1e-12, atol=1e-14)
+    assert [rec["index"] for rec in out.diagnostics["requests"]][-2:] == [data.n + 5, data.n + 2]
+
+
+def test_stream_request_seconds_sum_to_the_engine_time():
+    # a stream request's seconds are its set-up plus its even share of every
+    # wave it ran in; they add up to the engine's time, as one request's do
+    data, hist = train_problem(n=300, p=5, T=40)
+    rows = np.random.default_rng(3).normal(size=(2, data.p))
+    reqs = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [1.0]), ChangeSet.delete([9]),
+            ChangeSet.add(rows[1], [-1.0]), ChangeSet.delete([data.n + 1])]
+    for out in (unlearn_online(data, hist, reqs, GD),
+                unlearn_online(data, hist, reqs[:1], GD),
+                unlearn_batch_gd(data, hist, ChangeSet.delete([3, 4]), GD, with_baseline=True)):
+        seconds = [rec["seconds"] for rec in out.diagnostics["requests"]]
+        assert all(sec > 0 for sec in seconds)
+        assert sum(seconds) == pytest.approx(out.timings["deltagrad_s"], rel=1e-12)
 
 
 @pytest.fixture
@@ -900,25 +981,24 @@ def test_engines_do_not_mutate_inputs():
 FUSED_ENGINES = ("gd", "add", "sgd", "general", "online")
 
 
-def run_engine(name, data, hist, cfg, ids, rng):
-    """One request of `name` over the rows `ids` (added rows drawn from
-    rng); online runs a stream that alternates deletions and additions."""
+def fused_requests(name, data, hist, ids, rng):
+    """The entry point for engine `name`, its request list over the rows
+    `ids` (added rows drawn from rng; online alternates deletions and
+    additions) and what `reference_stream` needs to know of the engine."""
     p = data.p
     labels = (lambda size: rng.choice([-1.0, 1.0], size=size)) \
         if hist.config.loss.kind == "logistic" else (lambda size: rng.normal(size=size))
-    if name == "gd":
-        return unlearn_batch_gd(data, hist, ChangeSet.delete(ids), cfg)
     if name == "add":
-        return relearn_batch_gd(data, hist, ChangeSet.add(
-            rng.uniform(-1.0, 1.0, size=(len(ids), p)), labels(len(ids))), cfg)
-    if name == "sgd":
-        return unlearn_batch_sgd(data, hist, ChangeSet.delete(ids), cfg)
-    if name == "general":
-        return unlearn_general(data, hist, ChangeSet.delete(ids), cfg)
-    return unlearn_online(data, hist, [
-        ChangeSet.delete([i]) if j % 2 == 0
-        else ChangeSet.add(rng.uniform(-1.0, 1.0, size=p), labels(1))
-        for j, i in enumerate(ids)], cfg)
+        return relearn_batch_gd, [ChangeSet.add(
+            rng.uniform(-1.0, 1.0, size=(len(ids), p)), labels(len(ids)))], {}
+    if name == "online":
+        return unlearn_online, [
+            ChangeSet.delete([i]) if j % 2 == 0
+            else ChangeSet.add(rng.uniform(-1.0, 1.0, size=p), labels(1))
+            for j, i in enumerate(ids)], {}
+    engine = {"gd": unlearn_batch_gd, "sgd": unlearn_batch_sgd, "general": unlearn_general}[name]
+    return engine, [ChangeSet.delete(ids)], {"sgd": {"minibatch": True},
+                                             "general": {"guards": True}}.get(name, {})
 
 
 @settings(max_examples=80, deadline=None)
@@ -935,14 +1015,14 @@ def run_engine(name, data, hist, cfg, ids, rng):
 )
 def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn_in, seed,
                                                data_st):
-    # every engine, with the fused approximate step and with the loop that
-    # writes it out term by term (tests/oracles.py): the same modes and
-    # counters, iterates and step gradients equal to roundoff, and r = 0
-    # bit for bit
+    # every engine, and a stream of requests run as a wavefront, against the
+    # loop that runs the requests one by one and writes the approximate step
+    # out term by term (tests/oracles.py): the same modes and counters,
+    # iterates and step gradients equal to roundoff, and r = 0 bit for bit
     from unittest import mock
 
     from deltagrad import lbfgs
-    from oracles import reference_correction, schur_complement
+    from oracles import reference_stream, schur_complement
 
     rng = np.random.default_rng(seed)
     data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
@@ -957,78 +1037,144 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     cfg = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2,
                           mode={"sgd": "sgd", "general": "general"}.get(name, "gd"))
     ids = data_st.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    engine, requests, setting = fused_requests(name, data, hist, ids, np.random.default_rng(seed))
 
-    # the condition of every factorization the fused run builds, as the
-    # factorization oracle test measures it
+    # the condition of every factorization the fused run builds (a stream
+    # in its lanes, one request in its buffer), as the factorization oracle
+    # test measures it
     conditions = [1.0]
-    build = lbfgs.CurvaturePairBuffer.factorization
 
-    def measured(buf):
-        fact = build(buf)
-        m = len(buf)
-        dws, dgs = buf._W[:m], buf._G[:m]
+    def measure(dws, dgs):
         gram_cond = max(float(np.abs(s) @ np.abs(y) / (s @ y)) for s, y in zip(dws, dgs))
         conditions.append(np.linalg.cond(schur_complement(dws, dgs)) * gram_cond)
-        return fact
+
+    build, factorization = lbfgs.PairLanes.build, lbfgs.CurvaturePairBuffer.factorization
+
+    def measured_build(lanes, slots, m):
+        for dws, dgs in zip(lanes.W[slots, :m], lanes.G[slots, :m]):
+            measure(dws, dgs)
+        return build(lanes, slots, m)
+
+    def measured_factorization(buf):
+        measure(buf._W[:len(buf)], buf._G[:len(buf)])
+        return factorization(buf)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
-        with mock.patch.object(lbfgs.CurvaturePairBuffer, "factorization", measured):
-            out = run_engine(name, data, hist, cfg, ids, np.random.default_rng(seed))
-        with mock.patch.object(engine_mod, "_run_gd_core", reference_correction):
-            ref = run_engine(name, data, hist, cfg, ids, np.random.default_rng(seed))
+        with mock.patch.object(lbfgs.PairLanes, "build", measured_build), \
+                mock.patch.object(lbfgs.CurvaturePairBuffer, "factorization",
+                                  measured_factorization):
+            out = engine(data, hist, requests if name == "online" else requests[0], cfg)
+        params, grads, trace, counters = reference_stream(data, hist, requests, cfg, **setting)
 
-    assert out.mode_trace == ref.mode_trace
+    assert out.mode_trace == trace
     for key in engine_mod._COUNTERS:
-        assert out.diagnostics[key] == ref.diagnostics[key], key
+        assert out.diagnostics[key] == counters.get(key, 0), key
     if not ids:
         assert out.updated_history.params.tobytes() == hist.params.tobytes()
-        assert out.updated_history.params.tobytes() == ref.updated_history.params.tobytes()
-        assert out.updated_history.gradients.tobytes() == ref.updated_history.gradients.tobytes()
+        assert out.updated_history.params.tobytes() == params.tobytes()
+        assert out.updated_history.gradients.tobytes() == grads.tobytes()
         return
     # per step, roundoff of the stacked product (2m + 4 terms) and of the
     # factorization (the oracle test's 8 (m + p) eps cond_C gram_cond); it
-    # can add up over the T steps
-    tol = 8 * (cfg.history_size + p) * np.finfo(float).eps * max(conditions) * T
-    for field in ("params", "gradients"):
-        got, want = getattr(out.updated_history, field), getattr(ref.updated_history, field)
+    # can add up over the T steps. A stream also sums each explicit
+    # gradient's n rows in another order (matrix products over the requests
+    # in flight, the rows ahead of a request added one by one): n more terms
+    terms = cfg.history_size + p + (n if len(requests) > 1 else 0)
+    tol = 8 * terms * np.finfo(float).eps * max(conditions) * T
+    for field, want in (("params", params), ("gradients", grads)):
+        got = getattr(out.updated_history, field)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), field
 
 
 # ------------------------------------------------------------ operation counts
 
 def test_online_request_operation_counts(monkeypatch):
-    # the kernel calls and fresh factorizations of an online stream, per
-    # request: an explicit step sums the active rows and the change row, one
-    # kernel call each; an approximate step makes none, and reads a fresh
-    # factorization only after an explicit step added a pair
-    data, hist = train_problem(n=400, p=5, T=60)
-    kernel = []
-    builds = []
+    # the kernel calls and fresh factorizations of an online stream, which
+    # runs as a wavefront (wave s runs step s - k of request k): a wave with
+    # explicit steps makes one kernel call for all of them, over the rows of
+    # the oldest request in flight (the change rows cost none); a wave of
+    # approximate steps makes none, and builds in one call the fresh
+    # factorizations its lanes need, one per lane after each explicit step
+    # that added a pair past the burn-in
+    from deltagrad import lbfgs
+
+    T, cfg = 62, GD
+    data, hist = train_problem(n=400, p=5, T=T)
+    kernel, builds = [], []
     gradient_sum = models_mod.gradient_sum
     monkeypatch.setattr(models_mod, "gradient_sum",
-                        lambda *a: kernel.append(a[1].n) or gradient_sum(*a))
-    build = CurvaturePairBuffer.factorization
-    last = {}
-
-    def counted(buf):
-        fact = build(buf)
-        if last.get(id(buf)) is not fact:
-            builds.append(1)
-        last[id(buf)] = fact
-        return fact
-
-    monkeypatch.setattr(CurvaturePairBuffer, "factorization", counted)
+                        lambda *a: kernel.append((a[1].n, np.ndim(a[2]))) or gradient_sum(*a))
+    build = lbfgs.PairLanes.build
+    monkeypatch.setattr(lbfgs.PairLanes, "build",
+                        lambda lanes, slots, m: builds.append(len(slots)) or build(lanes, slots, m))
     rows = np.random.default_rng(16).normal(size=(2, data.p))
     reqs = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [1.0]), ChangeSet.delete([50]),
             ChangeSet.add(rows[1], [-1.0]), ChangeSet.delete([data.n])]
-    out = unlearn_online(data, hist, reqs, GD)
-    explicit = expected_full_gradient_evals(60, GD.burn_in, GD.period)     # 11 + 9
+    out = unlearn_online(data, hist, reqs, cfg)
+    explicit = expected_full_gradient_evals(T, cfg.burn_in, cfg.period)     # 11 + 10
     assert out.diagnostics["full_gradient_evals"] == len(reqs) * explicit
-    assert len(kernel) == len(reqs) * 2 * explicit
-    assert kernel.count(1) == len(reqs) * explicit      # the change rows
-    # the burn-in's pairs, then one per later explicit step
-    assert len(builds) == len(reqs) * (1 + explicit - GD.burn_in - 1)
+
+    def scheduled(t):
+        return 0 <= t < T and (t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0)
+
+    waves = [[k for k in range(len(reqs)) if scheduled(s - k)] for s in range(T + len(reqs) - 1)]
+    assert len(kernel) == sum(1 for lanes in waves if lanes)
+    assert [ndim for _, ndim in kernel] == [2 if len(lanes) > 1 else 1 for lanes in waves if lanes]
+    # the rows of the oldest request in flight: n until request 0 ends,
+    # then n - 1 (it deleted row 3), n (request 1 added a row), n - 1
+    oldest = [max(0, s - T + 1) for s, lanes in enumerate(waves) if lanes]
+    assert set(oldest) == {0, 1, 2, 3}
+    assert [rows for rows, _ in kernel] == [data.n + (0, -1, 0, -1)[k] for k in oldest]
+    # the burn-in's pairs, then one per later explicit step, in at most one
+    # build per wave
+    assert sum(builds) == len(reqs) * (1 + explicit - cfg.burn_in - 1)
+    assert len(builds) <= T + len(reqs) - 1
+
+
+def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
+    # one build serves every lane that needs a factorization: lanes of
+    # different pair counts get what a buffer of their own pairs builds,
+    # and a lane whose Schur complement is not SPD fails alone
+    from deltagrad import lbfgs
+
+    data, hist = train_problem(n=50, p=4, T=10)
+    lanes = [engine_mod._Lane(sign=-1.0, n=data.n) for _ in range(3)]
+    waves = engine_mod._Wavefront(Objective(hist.config.loss, data), hist.params.copy(),
+                                  hist.gradients.copy(), [0.1] * 10, GD, lanes)
+    waves.C1[:] = 0.5
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(4, 4))
+    H = A @ A.T + np.eye(4)
+    for j, m in enumerate((2, 1, 2)):
+        for _ in range(m):
+            dw = rng.normal(size=(1, 4))
+            assert waves.pairs.insert(np.array([j]), dw, dw @ H).all()
+    waves.build(np.arange(3))
+    for j in range(3):
+        buf = CurvaturePairBuffer(2)
+        for dw, dg in zip(waves.pairs.W[j, :waves.pairs.count[j]],
+                          waves.pairs.G[j, :waves.pairs.count[j]]):
+            buf.append_pair(dw, dg)
+        fact, m2 = buf.factorization(), 2 * len(buf)
+        assert not waves.stale[j]
+        assert waves.COEF[j, 0] == pytest.approx(0.5 * fact.sigma, rel=1e-12)
+        np.testing.assert_allclose(waves.KC[j, :m2], -0.5 * fact.Kt, rtol=1e-12)
+        np.testing.assert_allclose(waves.Z[j, 1:1 + m2], fact.MinvKt, rtol=1e-9, atol=1e-12)
+        assert not waves.KC[j, m2:waves.k].any() and not waves.Z[j, 1 + m2:1 + waves.k].any()
+
+    real = lbfgs._linalg_factors
+
+    def second_fails(grams, sigma):
+        F, failed = real(grams, sigma)
+        failed[1] = 0
+        return F, failed
+
+    monkeypatch.setattr(lbfgs, "_linalg_factors", second_fails)
+    dw = rng.normal(size=(3, 4))
+    waves.stale[waves.pairs.insert(np.arange(3), dw, dw @ H)] = True
+    waves.build(np.arange(3))
+    assert waves.stale.tolist() == [False, True, False]
 
 
 # ------------------------------------------------------------ request checks
@@ -1050,5 +1196,7 @@ def test_stream_that_would_empty_the_dataset_fails_before_any_work(core_calls):
         assert core_calls == []
         # an addition first leaves one row after three deletions
         row = ChangeSet.add([0.1, 0.1], [1.0])
-        unlearn_online(data, hist, [row] + [ChangeSet.delete([i]) for i in (0, 1, 2)], small)
-    assert len(core_calls) == 4
+        out = unlearn_online(data, hist, [row] + [ChangeSet.delete([i]) for i in (0, 1, 2)],
+                             small)
+    assert len(core_calls) == 1             # the four requests run as one wavefront
+    assert len(out.diagnostics["requests"]) == 4

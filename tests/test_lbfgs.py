@@ -193,20 +193,22 @@ def test_float_and_linalg_factors_agree(m):
     # the buffer computes F = [E, J^-1] in floats up to FLOAT_FACTOR_MAX_M
     # pairs and through np.linalg beyond; both give the same matrix to
     # roundoff (well-conditioned pairs) and both reject a C that is not SPD
+    # (np.linalg takes a stack of buffers; here a stack of one)
     rng = np.random.default_rng(m)
     buf, *_ = filled_buffer(rng, 7, m)
     W, G = buf._W[:m], buf._G[:m]
     grams = W @ np.concatenate([G, W]).T
     sigma = float(grams[-1, m - 1] / grams[-1, -1])
-    F = lbfgs._float_factors(grams, sigma)
-    assert F.shape == (m, 2 * m)
+    F, failed = lbfgs._float_factors(grams, sigma)
+    assert F.shape == (m, 2 * m) and failed == -1
     # np.linalg.inv leaves roundoff above the diagonal of J^-1, where the
     # float routine has exact zeros
-    assert np.allclose(F, lbfgs._linalg_factors(grams, sigma),
-                       rtol=1e-9, atol=1e-12 * np.abs(F).max())
-    for factors in (lbfgs._float_factors, lbfgs._linalg_factors):
-        with pytest.raises(FactorizationError):
-            factors(grams, -sigma)          # C = -sigma W'W + L D^-1 L' has C[0, 0] < 0
+    F_linalg, failed = lbfgs._linalg_factors(grams[None], np.array([sigma]))
+    assert np.allclose(F, F_linalg[0], rtol=1e-9, atol=1e-12 * np.abs(F).max())
+    assert failed.tolist() == [-1]
+    # C = -sigma W'W + L D^-1 L' has C[0, 0] < 0: both name pivot 0
+    assert lbfgs._float_factors(grams, -sigma) == (None, 0)
+    assert lbfgs._linalg_factors(grams[None], np.array([-sigma]))[1].tolist() == [0]
 
 
 def test_buffer_picks_the_float_factors_up_to_the_limit(monkeypatch):
