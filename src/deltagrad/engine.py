@@ -566,8 +566,10 @@ class _Wavefront:
     whose slots wrap around runs as two parts).
 
     A wave's explicit lanes share one kernel call. `obj` holds the sample
-    set of the oldest request in flight, and a younger lane adds one signed
-    one-row term for each row the requests ahead of it deleted or added;
+    set of the oldest request in flight (for logistic loss as signed rows
+    y*x, over which the kernel skips its label passes), and a younger lane
+    adds one signed one-row term for each row the requests ahead of it
+    deleted or added;
     so explicit steps move at roundoff from a request run alone. Each lane
     keeps its own pair buffer (a lane of `pairs`), the pairs of a wave's
     explicit lanes go in with one insert, and the lanes that need a fresh
@@ -809,16 +811,18 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     left, over the sample set the previous ones left, kept as one
     `ActiveRows` set that the loop edits as each request finishes: a
     deletion drops its rows and an addition appends its rows as ids n,
-    n+1, ... in arrival order. The counters are summed over the requests,
-    and diagnostics['requests'] holds one record per request. Its
-    'seconds' are the request's set-up (its change terms; request 0 also
-    pays for the step-size list) plus its even share of every wave of the
-    loop it ran in; for one request that is its set-up and the whole loop.
-    timings['deltagrad_s'] is their sum. A list of several requests takes
-    one-row requests, as `unlearn_online` checks. With `with_baseline` the requests
-    must be one request or deletions only; that change is also retrained
-    from scratch, timed, and measured against (distances between cached,
-    corrected and retrained).
+    n+1, ... in arrival order. Under logistic loss a stream's set holds
+    its rows signed, y*x with label +1, copied once when the stream
+    starts; a single request copies nothing. The counters are summed over
+    the requests, and diagnostics['requests'] holds one record per
+    request. Its 'seconds' are the request's set-up (its change terms;
+    request 0 also pays for the step-size list) plus its even share of
+    every wave of the loop it ran in; for one request that is its set-up
+    and the whole loop. timings['deltagrad_s'] is their sum. A list of
+    several requests takes one-row requests, as `unlearn_online` checks.
+    With `with_baseline` the requests must be one request or deletions
+    only; that change is also retrained from scratch, timed, and measured
+    against (distances between cached, corrected and retrained).
     """
     verify_fingerprint(history, data)
     _check_engine_convexity(history, guards)
@@ -836,7 +840,11 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     start = time.perf_counter()         # request 0's clock covers the shared set-up
     etas = list(map(history.config.eta_at, range(history.iterations)))
     obj = objective if objective is not None else Objective(loss, data)
-    active = ActiveRows(data, data.n + sum(req.r for req in requests if req.direction == "add"))
+    rows_obj = obj              # the objective the loop starts on
+    if len(requests) > 1:
+        capacity = data.n + sum(req.r for req in requests if req.direction == "add")
+        active = ActiveRows(data, capacity, signed=loss.kind == "logistic")
+        rows_obj = Objective(loss, active.dataset())
     added = {}          # a stream's added rows by id, for a later deletion of one
     lanes, ids, n, next_id = [], [], data.n, data.n
     for k, req in enumerate(requests):
@@ -871,7 +879,7 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     if lanes:
         set_up = sum(lane.seconds for lane in lanes)
         start = time.perf_counter()
-        _, _, totals = _run_gd_core(obj, working.params, working.gradients, etas, cfg,
+        _, _, totals = _run_gd_core(rows_obj, working.params, working.gradients, etas, cfg,
                                     lanes, batches=batches, guards=guards)
         # the loop shares its waves out; what it spent beyond them goes to the last request
         lanes[-1].seconds += time.perf_counter() - start - (

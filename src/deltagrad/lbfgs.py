@@ -23,16 +23,24 @@ operator built by that recursion, `recursive_B_apply` in tests/oracles.py.
 
 Cost of a build, with m pairs of length p: one product W [G; W]' gives
 the Gram matrices W'G and W'W, O(m^2*p). C, its Cholesky factor J, the
-triangular inverse J^-1 and F take O(m^3) operations. For one buffer of
-up to FLOAT_FACTOR_MAX_M pairs they are computed in plain Python floats,
-with no numpy call: at the engines' m = 2 that is a few dozen float
-operations, where np.linalg would spend far longer on its per-call
-overhead for 2 x 2 and 4 x 4 matrices. The float work grows as m^3, so
-from FLOAT_FACTOR_MAX_M + 1 pairs on the same matrices come from
-np.linalg (`cholesky`, `inv`). On a 2-vCPU x86 machine at p = 20 and 50 a
-build took about 17 us at m = 2 in floats against 32 us through
-np.linalg, 29 against 33 us at m = 4 and 39 against 34 us at m = 5; at
-m = 20 floats took 0.9 ms against 0.06 to 0.11 ms through np.linalg.
+triangular inverse J^-1 and F take O(m^3) operations. `_float_factors`
+computes them as a few dozen float operations, with no np.linalg call:
+in plain Python floats for one buffer, and for a stack of buffers with
+each float an array over the stack, the same operations in the same
+order, so a buffer's F has the same bits in a stack as alone. The float
+work grows as m^3, and np.linalg (`cholesky`, `inv`, `_linalg_factors`)
+takes over above a crossover: FLOAT_FACTOR_MAX_M pairs for one buffer,
+LANES_FLOAT_FACTOR_MAX_M for a stack. Time of F in us, floats / np.linalg
+(p = 20, 2-vCPU x86, numpy 2.4, the least of 15 interleaved rounds):
+
+    lanes   m = 1     m = 2     m = 3     m = 4      m = 5
+      1     5 / 25    9 / 29   23 / 47   31 / 31    52 / 48
+      8    22 / 45   33 / 35   76 / 38  181 / 43   239 / 48
+     24    21 / 44   35 / 48   74 / 58  130 / 62   222 / 80
+     48    14 / 35   35 / 61   72 / 83  131 / 92   219 / 126
+
+At m = 20 one buffer took 0.9 ms in floats against 0.06 to 0.11 ms
+through np.linalg.
 Two more small products give M^-1 = F'F - [[D^-1, 0], [0, 0]] and
 M^-1 K' (2m x p). A snapshot (`CompactFactorization`) carries sigma, K',
 M^-1 and M^-1 K', so B v = sigma*v - (M^-1 K')'(K' v) is two small
@@ -42,10 +50,11 @@ and M^-1 K' directly and folds the second product into its own.
 The engines keep one buffer per request in flight, as the lanes of one
 `PairLanes`: a wave of requests inserts its pairs with one call, and
 builds the factorizations of every lane that needs one with one call,
-whose np.linalg calls take the whole stack of Schur complements (at m = 2,
-p = 20 about 5 us per lane for 24 lanes against 30 us for one buffer). A
-lane whose C is not SPD is marked failed in its own lane only. A single
-request keeps one `CurvaturePairBuffer`.
+whose float operations, or np.linalg calls, take the whole stack. Below
+the lanes' crossover each lane's factorization has the bits of a
+`CurvaturePairBuffer` of its pairs. A lane whose C is not SPD is marked
+failed in its own lane only. A single request keeps one
+`CurvaturePairBuffer`.
 """
 
 from __future__ import annotations
@@ -58,8 +67,10 @@ import numpy as np
 from .errors import DimensionMismatchError, FactorizationError
 
 CURVATURE_FLOOR = 1e-12
-# largest pair count whose factorization is computed in plain floats
+# largest pair count whose F `_float_factors` computes for one buffer, and
+# for a stack of two or more (the crossovers of the module docstring's table)
 FLOAT_FACTOR_MAX_M = 4
+LANES_FLOAT_FACTOR_MAX_M = 2
 
 
 @dataclass
@@ -78,24 +89,36 @@ class CompactFactorization:
 
 def _cholesky_inverse(C: list) -> tuple:
     """J^-1 for the lower Cholesky factor J of the symmetric m x m matrix C,
-    J J' = C, and -1. C is given by the rows of its lower triangle, lists of
-    floats, and J^-1, lower triangular too, is returned the same way. At
-    the first pivot i that is not positive, NaN included, returns
-    (None, i)."""
-    J = []
+    J J' = C, and -1. C is given by the rows of its lower triangle, whose
+    entries are floats, or arrays over a stack of matrices, and J^-1, lower
+    triangular too, is returned the same way. For floats, the first pivot i
+    that is not positive, NaN included, returns (None, i). For arrays each
+    matrix's first such pivot is returned in place of -1, as an array over
+    the stack (-1 for none); a failed matrix goes on with a pivot of 1, and
+    its entries are meaningless. Floats and arrays run the same operations
+    in the same order, so each matrix of a stack gets the bits it gets
+    alone."""
+    J, failed = [], -1
     for i, Ci in enumerate(C):
         Ji = []
         for j, Jj in enumerate(J):
             s = Ci[j]
             for k in range(j):
-                s -= Ji[k] * Jj[k]
+                s = s - Ji[k] * Jj[k]
             Ji.append(s / Jj[j])
         pivot = Ci[i]
         for x in Ji:
-            pivot -= x * x
-        if not pivot > 0.0:
-            return None, i
-        Ji.append(math.sqrt(pivot))
+            pivot = pivot - x * x
+        if isinstance(pivot, float):
+            if not pivot > 0.0:
+                return None, i
+            Ji.append(math.sqrt(pivot))
+        else:
+            ok = pivot > 0.0
+            if not ok.all():
+                failed = np.where(~ok & (failed < 0), i, failed)
+                pivot = np.where(ok, pivot, 1.0)
+            Ji.append(np.sqrt(pivot))
         J.append(Ji)
     Jinv = []
     for i, Ji in enumerate(J):
@@ -104,31 +127,36 @@ def _cholesky_inverse(C: list) -> tuple:
         for j in range(i):
             s = 0.0
             for k in range(j, i):
-                s += Ji[k] * Jinv[k][j]
+                s = s + Ji[k] * Jinv[k][j]
             Xi.append(-s * d)
         Xi.append(d)
         Jinv.append(Xi)
-    return Jinv, -1
+    return Jinv, failed
 
 
-def _float_factors(grams: np.ndarray, sigma: float) -> tuple:
+def _float_factors(grams: np.ndarray, sigma) -> tuple:
     """F = [E, J^-1] (m x 2m) from the Gram rows [W'G | W'W] of one buffer
-    (row i holds w_i . g_j, then w_i . w_j, for j = 0 .. m-1), in plain
-    floats, and -1; or (None, i) at the first pivot i of C that is not
-    positive."""
-    grams = grams.tolist()
-    m = len(grams)
+    (row i holds w_i . g_j, then w_i . w_j, for j = 0 .. m-1), computed in
+    plain floats, and -1; or (None, i) at the first pivot i of C that is
+    not positive. Given a stack of B buffers, grams (B x m x 2m) and sigmas
+    (B,), each float is an array over the stack, and the result is F
+    (B x m x 2m) and each buffer's first failed pivot (-1 for none), whose
+    F is then meaningless; every buffer's F has the bits it has alone."""
+    stack = grams.ndim == 3
+    # g[i][j]: entry (i, j), a float or the stack's entries
+    g = grams.transpose(1, 2, 0).copy() if stack else grams.tolist()
+    m = len(g)
     # rows of L D^-1 (strictly lower) and of the lower triangle of
     # C = sigma*W'W + L D^-1 L'
     LDinv, C = [], []
-    for i, row in enumerate(grams):
-        Ri = [row[k] / grams[k][k] for k in range(i)]
+    for i, row in enumerate(g):
+        Ri = [row[k] / g[k][k] for k in range(i)]
         Ci = []
         for j in range(i + 1):
-            Lj = grams[j]
+            Lj = g[j]
             s = 0.0
             for k in range(j):
-                s += Ri[k] * Lj[k]
+                s = s + Ri[k] * Lj[k]
             Ci.append(sigma * row[m + j] + s)
         LDinv.append(Ri)
         C.append(Ci)
@@ -142,18 +170,26 @@ def _float_factors(grams: np.ndarray, sigma: float) -> tuple:
         for k in range(m):
             s = 0.0
             for j in range(k + 1, i + 1):
-                s += Xi[j] * LDinv[j][k]
+                s = s + Xi[j] * LDinv[j][k]
             Ei.append(s)
-        F.append(Ei + Xi + [0.0] * (m - 1 - i))
-    return np.array(F), -1
+        F.append(Ei + Xi)
+    if not stack:
+        return np.array([row + [0.0] * (m - 1 - i) for i, row in enumerate(F)]), -1
+    out = np.zeros(grams.shape)
+    for i, row in enumerate(F):
+        for j, x in enumerate(row):
+            if not isinstance(x, float):    # the floats are empty sums, 0.0
+                out[:, i, j] = x
+    return out, np.full(len(grams), -1) if isinstance(failed, int) else failed
 
 
 def _linalg_factors(grams: np.ndarray, sigma: np.ndarray) -> tuple:
     """`_float_factors` through np.linalg for a stack of B buffers: grams
     (B x m x 2m) and sigmas (B,) give F (B x m x 2m) and the first failed
-    pivot of each (-1 for none), whose F is then meaningless. One call
-    serves the whole stack, so it is the faster for more than one buffer,
-    and for one from FLOAT_FACTOR_MAX_M + 1 pairs on."""
+    pivot of each (-1 for none), whose F is then meaningless. Each call
+    costs a few np.linalg calls whatever the pair count, so it is the
+    faster above the float crossovers: from FLOAT_FACTOR_MAX_M + 1 pairs
+    on for one buffer, from LANES_FLOAT_FACTOR_MAX_M + 1 for a stack."""
     B, m = grams.shape[:2]
     Ltri = grams[:, :, :m] * np.tri(m, k=-1)
     LDinv = Ltri / np.diagonal(grams, axis1=1, axis2=2)[:, None, :]
@@ -226,7 +262,10 @@ class PairLanes:
         """The compact factorizations of `lanes`, each holding m pairs:
         sigma (B,), K' (B x 2m x p), M^-1 (B x 2m x 2m), M^-1 K' (B x 2m x p)
         and, per lane, the first pivot of C that is not positive, or -1. The
-        arrays are new; a failed lane's entries are meaningless."""
+        arrays are new; a failed lane's entries are meaningless. Up to the
+        float crossover of one lane or of a stack, every lane's entries
+        have the bits that `CurvaturePairBuffer.factorization` gives its
+        pairs."""
         W, G = self.W[lanes, :m], self.G[lanes, :m]
         Kt = np.concatenate([G, W], axis=1)
         grams = W @ Kt.transpose(0, 2, 1)           # rows [W'G | W'W]
@@ -235,6 +274,8 @@ class PairLanes:
             F, failed = _float_factors(grams[0], float(sigma[0]))
             F = np.zeros((1, m, 2 * m)) if F is None else F[None]
             failed = np.array([failed])
+        elif m <= LANES_FLOAT_FACTOR_MAX_M:
+            F, failed = _float_factors(grams, sigma)
         else:
             F, failed = _linalg_factors(grams, sigma)
         Minv = F.transpose(0, 2, 1) @ F

@@ -18,7 +18,10 @@ a forked child, which builds its own. It changes no bit of any result: the row b
 fixed by BLOCK_BYTES, are summed in block order whatever thread computed
 them. A Dataset owns its labels and checks once, on first use, whether
 they are all +1 or -1; the logistic functions read that result instead of
-scanning the labels on every call, and ridge never pays for it.
+scanning the labels on every call, and ridge never pays for it. A
+logistic row x with label y has the loss and gradient of the signed row
+y*x with label +1; a request stream keeps its rows signed (`ActiveRows`),
+and the kernel at a matrix of iterates skips the label passes over them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ class Dataset:
     def _pm1_labels(self) -> bool:
         return bool((np.abs(self.labels) == 1.0).all())
 
+    @functools.cached_property
+    def _unit_labels(self) -> bool:
+        # every label +1: logistic rows signed as y*x, as `ActiveRows` keeps them
+        return bool((self.labels == 1.0).all())
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -149,7 +157,8 @@ def _check_w(data: Dataset, w, lanes: bool = False) -> np.ndarray:
     """w as float64 of shape (p,), or with `lanes` also (L, p), L iterates."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (data.p,) and not (lanes and w.ndim == 2 and w.shape[1] == data.p):
-        raise DimensionMismatchError(f"w has shape {w.shape}, expected ({data.p},)")
+        expected = f"({data.p},) or (L, {data.p})" if lanes else f"({data.p},)"
+        raise DimensionMismatchError(f"w has shape {w.shape}, expected {expected}")
     return w
 
 
@@ -248,7 +257,11 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     same bits. A matrix of L iterates makes the two products of a block
     matrix products (gemm), and the blocks shrink so that each product
     stays within LANE_BLOCK_MACS; each row of the result equals the
-    one-iterate sum to roundoff, not bit for bit.
+    one-iterate sum to roundoff, not bit for bit. Logistic rows whose
+    labels are all +1, the signed rows y*x that `ActiveRows` keeps for a
+    stream, skip the label passes there (`_signed_lanes_gradient`), with
+    the bits of the label-weighted products over (x, y); L = 0 iterates
+    give a (0, p) sum.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
@@ -266,7 +279,11 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
         _check_logistic_labels(data)
     rows = max(1, BLOCK_BYTES // (8 * data.p))
     if w.ndim == 2:
+        if not len(w):
+            return np.zeros(w.shape)
         rows = max(1, min(rows, LANE_BLOCK_MACS // (w.shape[0] * data.p)))
+        if logistic and data._unit_labels:
+            return _signed_lanes_gradient(X, w, rows)
     elif y.size == 1:
         # z = x . w as the block's 1 x p product (`dot` and `@` make the same
         # BLAS call), then the coefficient in floats
@@ -286,6 +303,29 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
         g = np.zeros(w.shape)
         for part in parts:
             g += part
+    return g
+
+
+def _signed_lanes_gradient(X, w, rows: int) -> np.ndarray:
+    """The logistic `gradient_sum` at iterates w (L, p) over signed rows
+    X, y*x with every label +1, in blocks of `rows`: the label-weighted
+    block kernel with its label passes left out. The coefficient y/(-1-e)
+    of a row is y*(1/(-1-e)) exactly, and y*(x . w) is (y*x) . w, so each
+    product term, and with it each sum, has the bits of the label-weighted
+    kernel over (x, y). Every block writes its margins and coefficients
+    into one buffer."""
+    L = len(w)
+    buf = np.empty(L * min(rows, len(X)))
+    g = np.zeros(w.shape)
+    with np.errstate(over="ignore"):    # exp overflows to inf: an exact 0
+        for lo in range(0, len(X), rows):
+            Xb = X[lo:lo + rows]
+            a = buf[:L * len(Xb)].reshape(L, len(Xb))
+            np.matmul(w, Xb.T, out=a)
+            np.exp(a, out=a)
+            np.subtract(-1.0, a, out=a)
+            np.divide(1.0, a, out=a)
+            g += a @ Xb
     return g
 
 
@@ -474,20 +514,28 @@ class ActiveRows:
     for added rows in arrival order. The active rows are kept in id order,
     the order a retraining on the remaining samples sees them, so the row
     of id i sits at position i minus the number of deleted ids below i.
-    Until the first edit the set is `data` itself; the first edit copies
-    the rows once into a buffer with room for `capacity` rows, and each
-    later edit works in place: a deletion moves the rows after it up by
-    one, an addition writes its rows after the last. `dataset()` views the
-    buffer, so it is valid only until the next edit.
+    The rows live in one buffer with room for `capacity` rows, and every
+    edit works in place: a deletion moves the rows after it up by one, an
+    addition writes its rows after the last. `dataset()` views the buffer,
+    so it is valid only until the next edit.
+
+    With `signed` (logistic loss) each row is stored as y*x with label +1,
+    which has the same logistic loss and gradient, and the buffer is filled
+    when the set is made; `gradient_sum` at a matrix of iterates then skips
+    its label passes. Without it the set is `data` itself until the first
+    edit, which copies the rows into the buffer.
     """
 
-    def __init__(self, data: Dataset, capacity: int):
+    def __init__(self, data: Dataset, capacity: int, signed: bool = False):
         self._data = data
         self._capacity = capacity
+        self._signed = signed
         self._X = self._y = None
         self._deleted = np.empty(0, dtype=np.intp)     # sorted
         self.n = data.n
         self.next_id = data.n
+        if signed:
+            self._buffer()
 
     def positions(self, ids) -> np.ndarray:
         """Positions in `dataset()` of the active rows `ids`."""
@@ -502,10 +550,18 @@ class ActiveRows:
     def _buffer(self):
         if self._X is None:
             self._X = np.empty((self._capacity, self._data.p))
-            self._y = np.empty(self._capacity)
-            self._X[:self.n] = self._data.features
-            self._y[:self.n] = self._data.labels
+            self._y = np.ones(self._capacity) if self._signed else np.empty(self._capacity)
+            self._write(0, self._data.features, self._data.labels)
         return self._X, self._y
+
+    def _write(self, at: int, features, labels):
+        """Rows `features` with `labels` into the buffer from position `at`."""
+        end = at + len(labels)
+        if self._signed:
+            np.multiply(features, np.asarray(labels)[:, None], out=self._X[at:end])
+        else:
+            self._X[at:end] = features
+            self._y[at:end] = labels
 
     def delete(self, ids):
         """Drop the active rows `ids`."""
@@ -519,9 +575,8 @@ class ActiveRows:
 
     def append(self, features, labels):
         """Add rows after the last; they take the next ids."""
-        X, y = self._buffer()
+        self._buffer()
         r = len(labels)
-        X[self.n:self.n + r] = features
-        y[self.n:self.n + r] = labels
+        self._write(self.n, features, labels)
         self.n += r
         self.next_id += r

@@ -157,14 +157,16 @@ def block_gradient_sum(kind, X, y, w, rows):
     """Data-part gradient sum as the serial row-block loop computes it: each
     block of `rows` rows gives X_b.T @ a(X_b @ w), and the block sums are
     added into zeros in block order. The parallel kernel must match it bit
-    for bit."""
-    g = np.zeros(X.shape[1])
+    for bit. For iterates as rows w (L, p) each block gives a(w @ X_b.T) @ X_b
+    with the labels weighing every margin and coefficient, which the kernel
+    over signed rows must match bit for bit."""
+    g = np.zeros(w.shape)
     with np.errstate(over="ignore"):
         for lo in range(0, len(y), rows):
             Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
-            z = Xb @ w
+            z = w @ Xb.T if w.ndim == 2 else Xb @ w
             a = yb / (-1.0 - np.exp(yb * z)) if kind == "logistic" else z - yb
-            g += Xb.T @ a
+            g += a @ Xb if w.ndim == 2 else Xb.T @ a
     return g
 
 

@@ -1096,18 +1096,26 @@ def test_online_request_operation_counts(monkeypatch):
     # the oldest request in flight (the change rows cost none); a wave of
     # approximate steps makes none, and builds in one call the fresh
     # factorizations its lanes need, one per lane after each explicit step
-    # that added a pair past the burn-in
+    # that added a pair past the burn-in, in floats (no np.linalg at m = 2).
+    # The stream's rows are copied once, when it starts: every sample set
+    # its requests see is a view of one buffer.
     from deltagrad import lbfgs
 
     T, cfg = 62, GD
     data, hist = train_problem(n=400, p=5, T=T)
-    kernel, builds = [], []
+    kernel, builds, linalg, views = [], [], [], []
     gradient_sum = models_mod.gradient_sum
     monkeypatch.setattr(models_mod, "gradient_sum",
                         lambda *a: kernel.append((a[1].n, np.ndim(a[2]))) or gradient_sum(*a))
     build = lbfgs.PairLanes.build
     monkeypatch.setattr(lbfgs.PairLanes, "build",
                         lambda lanes, slots, m: builds.append(len(slots)) or build(lanes, slots, m))
+    linalg_factors = lbfgs._linalg_factors
+    monkeypatch.setattr(lbfgs, "_linalg_factors",
+                        lambda *a: linalg.append(len(a[0])) or linalg_factors(*a))
+    dataset = models_mod.ActiveRows.dataset
+    monkeypatch.setattr(models_mod.ActiveRows, "dataset",
+                        lambda rows: views.append(dataset(rows)) or views[-1])
     rows = np.random.default_rng(16).normal(size=(2, data.p))
     reqs = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [1.0]), ChangeSet.delete([50]),
             ChangeSet.add(rows[1], [-1.0]), ChangeSet.delete([data.n])]
@@ -1130,51 +1138,64 @@ def test_online_request_operation_counts(monkeypatch):
     # build per wave
     assert sum(builds) == len(reqs) * (1 + explicit - cfg.burn_in - 1)
     assert len(builds) <= T + len(reqs) - 1
+    assert cfg.history_size == 2 and linalg == []
+    # the set the stream starts on, then one per request but the last
+    assert len(views) == len(reqs)
+    assert all(np.shares_memory(view.features, views[0].features) for view in views)
+    assert not np.shares_memory(views[0].features, data.features)
 
 
 def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
     # one build serves every lane that needs a factorization: lanes of
-    # different pair counts get what a buffer of their own pairs builds,
-    # and a lane whose Schur complement is not SPD fails alone
+    # different pair counts get, bit for bit, what a buffer of their own
+    # pairs builds (below the float crossover the lanes' F comes from the
+    # buffer's float routine, each float an array over the lanes), and a
+    # lane whose Schur complement is not SPD fails alone
     from deltagrad import lbfgs
 
+    assert GD.history_size <= lbfgs.LANES_FLOAT_FACTOR_MAX_M
     data, hist = train_problem(n=50, p=4, T=10)
-    lanes = [engine_mod._Lane(sign=-1.0, n=data.n) for _ in range(3)]
+    lanes = [engine_mod._Lane(sign=-1.0, n=data.n) for _ in range(4)]
     waves = engine_mod._Wavefront(Objective(hist.config.loss, data), hist.params.copy(),
                                   hist.gradients.copy(), [0.1] * 10, GD, lanes)
     waves.C1[:] = 0.5
     rng = np.random.default_rng(0)
     A = rng.normal(size=(4, 4))
     H = A @ A.T + np.eye(4)
-    for j, m in enumerate((2, 1, 2)):
+    for j, m in enumerate((2, 1, 2, 2)):
         for _ in range(m):
             dw = rng.normal(size=(1, 4))
             assert waves.pairs.insert(np.array([j]), dw, dw @ H).all()
-    waves.build(np.arange(3))
-    for j in range(3):
+    waves.build(np.arange(4))
+    for j in range(4):
         buf = CurvaturePairBuffer(2)
         for dw, dg in zip(waves.pairs.W[j, :waves.pairs.count[j]],
                           waves.pairs.G[j, :waves.pairs.count[j]]):
             buf.append_pair(dw, dg)
         fact, m2 = buf.factorization(), 2 * len(buf)
         assert not waves.stale[j]
-        assert waves.COEF[j, 0] == pytest.approx(0.5 * fact.sigma, rel=1e-12)
-        np.testing.assert_allclose(waves.KC[j, :m2], -0.5 * fact.Kt, rtol=1e-12)
-        np.testing.assert_allclose(waves.Z[j, 1:1 + m2], fact.MinvKt, rtol=1e-9, atol=1e-12)
+        assert waves.COEF[j, 0] == 0.5 * fact.sigma
+        assert waves.KC[j, :m2].tobytes() == (fact.Kt * -0.5).tobytes()
+        assert waves.Z[j, 1:1 + m2].tobytes() == fact.MinvKt.tobytes()
         assert not waves.KC[j, m2:waves.k].any() and not waves.Z[j, 1 + m2:1 + waves.k].any()
 
-    real = lbfgs._linalg_factors
+    # with two pairs in every lane, the four are built together; pivot 1 of
+    # their Cholesky factorization is poisoned in lane 1 alone
+    real = lbfgs._cholesky_inverse
 
-    def second_fails(grams, sigma):
-        F, failed = real(grams, sigma)
-        failed[1] = 0
-        return F, failed
+    def second_fails(C):
+        if not isinstance(C[1][1], float):
+            C = [list(row) for row in C]
+            C[1][1] = np.where(np.arange(len(C[1][1])) == 1, -1.0, C[1][1])
+        return real(C)
 
-    monkeypatch.setattr(lbfgs, "_linalg_factors", second_fails)
-    dw = rng.normal(size=(3, 4))
-    waves.stale[waves.pairs.insert(np.arange(3), dw, dw @ H)] = True
-    waves.build(np.arange(3))
-    assert waves.stale.tolist() == [False, True, False]
+    monkeypatch.setattr(lbfgs, "_cholesky_inverse", second_fails)
+    monkeypatch.setattr(lbfgs, "_linalg_factors", None)     # not called at m = 2
+    dw = rng.normal(size=(4, 4))
+    waves.stale[waves.pairs.insert(np.arange(4), dw, dw @ H)] = True
+    assert waves.pairs.count.tolist() == [2, 2, 2, 2]
+    waves.build(np.arange(4))
+    assert waves.stale.tolist() == [False, True, False, False]
 
 
 # ------------------------------------------------------------ request checks

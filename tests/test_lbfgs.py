@@ -211,6 +211,27 @@ def test_float_and_linalg_factors_agree(m):
     assert lbfgs._linalg_factors(grams[None], np.array([-sigma]))[1].tolist() == [0]
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_stacked_float_factors_are_each_buffers_bits(m):
+    # given a stack of buffers, the float routine runs each float as an
+    # array over the stack: every buffer's F has the bits it has alone, and
+    # a buffer whose C is not SPD (sigma negated: pivot 0) fails alone
+    rng = np.random.default_rng(40 + m)
+    grams, sigmas = [], []
+    for _ in range(5):
+        buf, *_ = filled_buffer(rng, 6, m)
+        W, G = buf._W[:m], buf._G[:m]
+        grams.append(W @ np.concatenate([G, W]).T)
+        sigmas.append(float(grams[-1][-1, m - 1] / grams[-1][-1, -1]))
+    sigmas[3] = -sigmas[3]
+    F, failed = lbfgs._float_factors(np.array(grams), np.array(sigmas))
+    assert F.shape == (5, m, 2 * m)
+    assert failed.tolist() == [-1, -1, -1, 0, -1]
+    for b in (0, 1, 2, 4):
+        alone, ok = lbfgs._float_factors(grams[b], sigmas[b])
+        assert ok == -1 and F[b].tobytes() == alone.tobytes()
+
+
 def test_buffer_picks_the_float_factors_up_to_the_limit(monkeypatch):
     calls = []
     for name in ("_float_factors", "_linalg_factors"):

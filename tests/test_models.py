@@ -446,6 +446,90 @@ def test_one_row_gradient_keeps_signed_zeros_of_the_block_sum(kind):
         assert bits(gradient_sum(LossConfig(kind, 0.0), data, w)) == bits(expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 12),
+    n=st.integers(1, 300),
+    p=st.integers(1, 20),
+    labels=st.sampled_from(["+1", "-1", "mixed"]),
+    block_macs=st.integers(1, 4096),
+    margin=st.floats(0.0, 800.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=3, n=50, p=4, labels="mixed", block_macs=60, margin=800.0, seed=0)
+@example(L=5, n=40, p=3, labels="-1", block_macs=4096, margin=800.0, seed=0)
+def test_lane_kernel_over_signed_rows_is_the_label_weighted_kernel(L, n, p, labels, block_macs,
+                                                                    margin, seed):
+    # rows y*x with label +1 give the label-weighted lane kernel over (x, y)
+    # bit for bit: a row's coefficient and product terms only change sign.
+    # Margins past 710 overflow exp, where the coefficient is an exact 0;
+    # each example has at least one such margin.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = {"+1": np.ones(n), "-1": -np.ones(n),
+         "mixed": np.where(rng.random(n) < 0.5, 1.0, -1.0)}[labels]
+    W = rng.normal(size=(L, p))
+    W *= margin / max(np.max(np.abs(W @ X.T)), 1e-300)
+    rows = max(1, min(models.BLOCK_BYTES // (8 * p), block_macs // (L * p)))
+    expected = bits(block_gradient_sum("logistic", X, y, W, rows))
+    cfg = LossConfig("logistic", 0.0)
+    with mock.patch.object(models, "LANE_BLOCK_MACS", block_macs):
+        assert bits(gradient_sum(cfg, Dataset(X * y[:, None], np.ones(n)), W)) == expected
+        assert bits(gradient_sum(cfg, Dataset(X, y), W)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    edits=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signed_active_rows_are_the_rows_a_retrain_sees(n, edits, seed):
+    # after random deletes and appends, a signed set views y*x of the active
+    # rows in id order (the original rows less the deleted, then the added
+    # in arrival order), all labels +1, in one buffer filled once
+    rng = np.random.default_rng(seed)
+    p = 3
+    data = Dataset(rng.normal(size=(n, p)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    X_all, y_all = list(data.features), list(data.labels)
+    deleted = set()
+    rows = ActiveRows(data, n + len(edits), signed=True)
+    buffer = rows.dataset().features
+    for add, pick in edits:
+        live = [i for i in range(len(y_all)) if i not in deleted]
+        if add or len(live) == 1:
+            x, label = rng.normal(size=(1, p)), [float(rng.choice([-1.0, 1.0]))]
+            rows.append(x, label)
+            X_all.append(x[0])
+            y_all.append(label[0])
+        else:
+            i = live[pick % len(live)]
+            rows.delete([i])
+            deleted.add(i)
+        live = [i for i in range(len(y_all)) if i not in deleted]
+        got = rows.dataset()
+        assert np.shares_memory(got.features, buffer)
+        assert np.array_equal(got.features, np.array([X_all[i] * y_all[i] for i in live]))
+        assert np.array_equal(got.labels, np.ones(len(live)))
+        assert np.array_equal(rows.positions(live), np.arange(len(live)))
+    assert rows.next_id == len(y_all)
+
+
+def test_gradient_sum_at_no_iterates_and_bad_shapes(logistic_data):
+    cfg = LossConfig("logistic", 0.0)
+    p = logistic_data.p
+    for data in (logistic_data,
+                 Dataset(logistic_data.features * logistic_data.labels[:, None],
+                         np.ones(logistic_data.n))):
+        g = gradient_sum(cfg, data, np.empty((0, p)))
+        assert g.shape == (0, p)
+    for bad in (np.zeros(p + 1), np.zeros((2, p + 1)), np.zeros((1, 1, p))):
+        with pytest.raises(DimensionMismatchError, match=rf"expected \({p},\) or \(L, {p}\)$"):
+            gradient_sum(cfg, logistic_data, bad)
+    with pytest.raises(DimensionMismatchError, match=rf"expected \({p},\)$"):
+        full_gradient(cfg, logistic_data, np.zeros((2, p)))
+
+
 def test_one_block_starts_no_thread(monkeypatch):
     monkeypatch.setattr(models, "_pool", None)
     data, w = margin_problem("logistic", 300, 5, 3.0, seed=2)
