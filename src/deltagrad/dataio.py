@@ -90,6 +90,8 @@ def parse_libsvm(path, kind: str = "logistic") -> Dataset:
             rows.append(entries)
     if not rows:
         raise ParseError(f"{path}: no samples")
+    if not p:
+        raise ParseError(f"{path}: no features")
     X = np.zeros((len(rows), p))
     for i, entries in enumerate(rows):
         for j, val in entries:
@@ -133,6 +135,8 @@ def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
             rows.append([values[i] for i in feature_pos])
     if not rows:
         raise ParseError(f"{path}: no samples")
+    if not feature_pos:
+        raise ParseError(f"{path}: no features")
     return Dataset(np.asarray(rows), np.asarray(labels))
 
 

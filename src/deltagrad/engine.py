@@ -88,7 +88,9 @@ class DeltaGradConfig:
 
 
 class ChangeSet:
-    """A deletion (row indices) or addition (new rows) request."""
+    """A deletion (row indices) or addition (new rows) request. Added rows
+    and labels are copied, so a later write to the caller's arrays changes
+    no request and an update freezes none of them."""
 
     def __init__(self, direction: str, indices=None, features=None, labels=None):
         if direction not in DIRECTIONS:
@@ -105,12 +107,12 @@ class ChangeSet:
             self.features = None
             self.labels = None
         else:
-            X = np.asarray(features, dtype=np.float64)
+            X = np.array(features, dtype=np.float64)
             if X.ndim == 0:
                 raise ChangeSetError("added features must be a row or a 2-D block of rows")
             if X.ndim == 1:
                 X = X.reshape(1, -1)
-            y = np.asarray(labels, dtype=np.float64).reshape(-1)
+            y = np.array(labels, dtype=np.float64).reshape(-1)
             if X.shape[0] != y.shape[0]:
                 raise ChangeSetError("added features/labels row counts differ")
             self.indices = None

@@ -10,7 +10,9 @@ given; rows are picked by `Objective.rows` alone.
 All arithmetic is float64. Every function here is pure; Dataset arrays are
 frozen after construction and safe to share across threads, except a
 Dataset that `ActiveRows.dataset` returns, a view of rows that the next
-edit of its ActiveRows changes. The one piece
+edit of its ActiveRows changes. A Dataset whose feature rows nothing else
+can reach hashes them once: its first fingerprint makes the array that
+owns that memory read-only and keeps the digest (`Dataset`). The one piece
 of module state is the helper-thread pool of `gradient_sum`: built on the
 first gradient at one iterate of two or more row blocks, at most
 MAX_HELPER_THREADS threads, shared by every calling thread and dropped in
@@ -32,6 +34,7 @@ import copy
 import functools
 import hashlib
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -72,6 +75,21 @@ class Dataset:
     The labels are copied, so no caller-held array or view can change them
     after the one-time +-1 check; the features are not copied (a second
     n x p array would double the memory of large problems).
+
+    `fingerprint` hashes the rows once if they are unshared: the features
+    own their memory, or view an ndarray that owns it, and no object but
+    this Dataset holds either array (a reference count, calibrated at
+    import as `_SOLE`). Every view, memoryview and buffer export holds a
+    reference to the owner, so any alias fails the test. The first
+    fingerprint of an unshared dataset makes the owner read-only, tests
+    again, and keeps the digest; numpy makes no writeable view of a
+    read-only array. A caller gets this by keeping no alias:
+    `Dataset(X, y)` with X made in the call or dropped after it, or any
+    dataset a parser, `generate_synthetic`, `subset` or `extended` builds.
+    A dataset over an array or view the caller keeps, over a buffer or an
+    mmap, or an `ActiveRows.dataset` view is hashed at every call and
+    tested again. A copy or an unpickled dataset is built by the
+    constructor, so it is frozen and keeps no digest of its source.
     """
 
     def __init__(self, features, labels):
@@ -91,6 +109,10 @@ class Dataset:
         y.flags.writeable = False
         self.features = X
         self.labels = y
+        self._digest = None     # kept once the rows are sealed
+
+    def __reduce__(self):
+        return Dataset, (self.features, self.labels)
 
     @functools.cached_property
     def _pm1_labels(self) -> bool:
@@ -110,13 +132,23 @@ class Dataset:
         return self.features.shape[1]
 
     def fingerprint(self) -> bytes:
-        """Order-sensitive 32-byte content hash of the canonical serialization."""
+        """Order-sensitive 32-byte content hash of the canonical serialization;
+        computed once if the rows are unshared, else at every call."""
+        if self._digest is not None:
+            return self._digest
+        sealed = _refs(self) in _SOLE
+        if sealed:
+            _owner(self.features).flags.writeable = False
+            sealed = _refs(self) in _SOLE       # no alias made in between
         h = hashlib.sha256()
         h.update(b"DGDS")
         h.update(np.asarray([self.n, self.p], dtype="<u8"))
         h.update(self.features.astype("<f8", copy=False))
         h.update(self.labels.astype("<f8", copy=False))
-        return h.digest()
+        digest = h.digest()
+        if sealed:
+            self._digest = digest
+        return digest
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -133,6 +165,39 @@ class Dataset:
             )
         y = np.asarray(labels, dtype=np.float64).reshape(-1)
         return Dataset(np.vstack([self.features, X]), np.concatenate([self.labels, y]))
+
+
+def _owner(X: np.ndarray):
+    """The object that owns the memory of X: X itself or its base."""
+    return X if X.base is None else X.base
+
+
+def _refs(data: Dataset):
+    """(whether data.features owns its memory, references to data.features,
+    references to the ndarray that owns its memory), or None where no
+    ndarray owns it (a buffer, an mmap)."""
+    X = data.features
+    owner = _owner(X)
+    if not (isinstance(owner, np.ndarray) and owner.flags.owndata):
+        return None
+    return owner is X, sys.getrefcount(X), sys.getrefcount(owner)
+
+
+def _calibrate() -> frozenset:
+    """The `_refs` of unshared features, owning their memory or viewing
+    their owner, measured on probes; empty, so that nothing seals, unless a
+    second holder of a probe adds exactly one reference."""
+    owned = Dataset(np.zeros((1, 1)), [1.0])
+    viewed = Dataset(np.zeros((2, 1))[:1], [1.0])
+    alone = _refs(owned), _refs(viewed)
+    (_, x, _), (_, v, o) = alone
+    second = owned.features, viewed.features.base      # held in a second place
+    if (_refs(owned), _refs(viewed)) != ((True, x + 1, x + 1), (False, v, o + 1)):
+        return frozenset()
+    return frozenset(alone)
+
+
+_SOLE = _calibrate()
 
 
 @dataclass(frozen=True)
@@ -569,7 +634,8 @@ class ActiveRows:
         ids = np.sort(ids)
         for q in self.positions(ids)[::-1]:             # from the last up
             X[q:self.n - 1] = X[q + 1:self.n]
-            y[q:self.n - 1] = y[q + 1:self.n]
+            if not self._signed:                        # signed labels are all +1
+                y[q:self.n - 1] = y[q + 1:self.n]
             self.n -= 1
         self._deleted = np.insert(self._deleted, np.searchsorted(self._deleted, ids), ids)
 

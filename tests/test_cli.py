@@ -269,6 +269,15 @@ def test_exit_codes(tmp_path, cache):
                "--iters", "1", "--cache-out", str(tmp_path / "x.dgc")) == 11
 
 
+@pytest.mark.parametrize("fmt,text", [("libsvm", "+1\n-1\n"), ("csv", "label\n1\n-1\n")])
+def test_data_without_features_exits_3(tmp_path, capsys, fmt, text):
+    bare = tmp_path / f"bare.{fmt}"
+    bare.write_text(text)
+    assert run("train", "--data", str(bare), "--format", fmt, "--label-column", "label",
+               "--iters", "1", "--cache-out", str(tmp_path / "x.dgc")) == 3
+    assert f"bare.{fmt}: no features" in capsys.readouterr().err
+
+
 # A DGC1 header field of the `cache` fixture: its byte offset (after the
 # 4-byte magic and the version byte), struct format, stored value, and the
 # invalid value written over it.

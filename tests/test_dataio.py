@@ -41,6 +41,14 @@ def test_libsvm_empty_file(tmp_path):
         parse_libsvm(path)
 
 
+@pytest.mark.parametrize("text", ["+1\n-1\n", "+1\n\n0\n"])
+def test_libsvm_without_features(tmp_path, text):
+    path = tmp_path / "bare.svm"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=r"bare\.svm: no features$"):
+        parse_libsvm(path)
+
+
 def test_libsvm_zero_label_maps_to_negative(tmp_path):
     path = tmp_path / "z.svm"
     path.write_text("0 1:1.0\n1 1:2.0\n")
@@ -112,6 +120,13 @@ def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ParseError, match="no column"):
+        parse_csv(path, "label")
+
+
+def test_csv_without_features(tmp_path):
+    path = tmp_path / "bare.csv"
+    path.write_text("label\n1.0\n-1.0\n")
+    with pytest.raises(ParseError, match=r"bare\.csv: no features$"):
         parse_csv(path, "label")
 
 

@@ -388,6 +388,20 @@ def test_online_single_add_matches_batch():
     assert np.array_equal(out_batch.w_final, out_online.w_final)
 
 
+def test_an_update_leaves_the_callers_added_rows_writeable():
+    # a ChangeSet copies its added rows: the engine freezes its own copy
+    data, hist = train_problem(n=200, p=4, T=30)
+    x, label = np.full((1, data.p), 0.1), np.array([1.0])
+    change = ChangeSet.add(x, label)
+    relearn_batch_gd(data, hist, change, GD)
+    unlearn_online(data, hist, [ChangeSet.add(x, label)], GD)
+    unlearn_online(data, hist, [ChangeSet.delete([3]), ChangeSet.add(x, label)], GD)
+    assert x.flags.writeable and label.flags.writeable
+    x[0, 0], label[0] = 5.0, -1.0
+    assert np.array_equal(change.features, np.full((1, data.p), 0.1))
+    assert np.array_equal(change.labels, [1.0])
+
+
 def test_online_stream_tracks_baseline():
     data, hist = train_problem(n=1200, p=8, T=100)
     rng = np.random.default_rng(10)

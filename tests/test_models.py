@@ -1,7 +1,10 @@
 import contextlib
+import copy
+import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -16,16 +19,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltagrad import (
+    ChangeSet,
     Dataset,
+    DeltaGradConfig,
     DimensionMismatchError,
+    FingerprintMismatchError,
     LossConfig,
+    TrainConfig,
     full_gradient,
     hessian_vector_product,
     loss,
+    load_cache,
+    save_cache,
     smoothness_bound,
+    train_gd,
+    unlearn_batch_gd,
 )
 from deltagrad import models
 from deltagrad.models import ActiveRows, Objective, gradient_sum, per_sample_gradient_norms
+from deltagrad.trainer import verify_fingerprint
 from oracles import (
     block_gradient_sum,
     fd_gradient,
@@ -281,11 +293,117 @@ def test_fingerprint_is_order_sensitive(logistic_data):
 
 
 def test_fingerprint_digest_is_stable():
-    # pinned so that caches written by earlier versions keep loading
+    # pinned so that caches written by earlier versions keep loading; the
+    # rows are unshared, so the second call returns the kept digest
     data = Dataset(np.arange(12.0).reshape(4, 3) / 7.0, [1.0, -1.0, -1.0, 1.0])
-    assert data.fingerprint().hex() == (
+    with counted_hashes() as hashes:
+        digests = [data.fingerprint().hex() for _ in range(2)]
+    assert digests == 2 * [
         "bb8ee9e104dd91a5c0cc99b7bda794b821fdbbd2f19e644d8729152e5d9f420b"
-    )
+    ]
+    assert len(hashes) == 1
+
+
+@contextlib.contextmanager
+def counted_hashes():
+    """A list that gains one entry for each hash `Dataset.fingerprint` starts."""
+    calls = []
+
+    def sha256(*args):
+        calls.append(None)
+        return hashlib.sha256(*args)
+
+    with mock.patch.object(models, "hashlib", mock.Mock(sha256=sha256)):
+        yield calls
+
+
+def aliased_dataset(alias, as_view, seed):
+    """A 5 x 3 dataset over a fresh array, either the array itself or a view
+    of its first 5 of 6 rows, and the one alias of its rows the caller keeps:
+    the array, a view made before construction, a memoryview, or None."""
+    owner = np.random.default_rng(seed).normal(size=(6, 3) if as_view else (5, 3))
+    kept = None
+    if alias == "owner":
+        kept = owner
+    elif alias == "view":
+        kept = owner[1:]
+    elif alias == "memoryview":
+        kept = memoryview(owner)
+    data = Dataset(owner[:5] if as_view else owner, np.ones(5))
+    return data, kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(alias=st.sampled_from(["owner", "view", "memoryview", None]),
+       as_view=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fingerprint_is_kept_only_for_unshared_rows(alias, as_view, seed):
+    data, kept = aliased_dataset(alias, as_view, seed)
+    history = train_gd(data, TrainConfig(loss=LossConfig("logistic", 0.1), iterations=1,
+                                         batch_size=5, eta_schedule=((0, 0.1),)))
+    first = history.fingerprint
+    if kept is None:
+        with counted_hashes() as hashes:
+            assert data.fingerprint() == first
+            verify_fingerprint(history, data)
+        assert hashes == []
+        assert not models._owner(data.features).flags.writeable
+        with pytest.raises(ValueError):
+            models._owner(data.features)[1:].flags.writeable = True
+        return
+    rows = np.asarray(kept)
+    if not rows.flags.writeable:    # the caller's own array, frozen by the constructor
+        rows.flags.writeable = True
+    rows[1, 0] += 1.0               # row 1 of the data, or row 2 through owner[1:]
+    with counted_hashes() as hashes:
+        assert data.fingerprint() != first
+        with pytest.raises(FingerprintMismatchError):
+            verify_fingerprint(history, data)
+    assert len(hashes) == 2
+
+
+def test_copies_are_frozen_and_keep_no_digest():
+    data = Dataset(np.arange(6.0).reshape(3, 2), [1.0, -1.0, 1.0])
+    digest = data.fingerprint()
+    for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert other._digest is None
+        assert not (other.features.flags.writeable or other.labels.flags.writeable)
+        assert other.fingerprint() == digest
+
+
+def test_active_rows_datasets_never_keep_a_fingerprint():
+    # a view of the buffer that the set's next edit rewrites
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(8, 2)), np.where(rng.random(8) < 0.5, 1.0, -1.0))
+    for signed in (False, True):
+        rows = ActiveRows(data, 9, signed=signed)
+        rows.delete([2])
+        rows.append(rng.normal(size=(1, 2)), [1.0])
+        view = rows.dataset()
+        with counted_hashes() as hashes:
+            before = view.fingerprint()
+            assert view.fingerprint() == before
+        assert len(hashes) == 2
+        assert models._owner(view.features).flags.writeable
+        rows.delete([0])
+        assert view.fingerprint() != before
+
+
+@pytest.mark.parametrize("keep_alias", [False, True])
+def test_an_unshared_dataset_hashes_no_row_per_request(tmp_path, keep_alias):
+    # load_cache(path, data) and the engine each check the fingerprint; an
+    # unshared dataset sealed by its training run hashes neither time
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 3))
+    data = Dataset(X, np.where(X[:, 0] > 0, 1.0, -1.0))
+    if not keep_alias:
+        del X
+    cfg = TrainConfig(loss=LossConfig("logistic", 0.1), iterations=20, batch_size=60,
+                      eta_schedule=((0, 0.1),))
+    save_cache(train_gd(data, cfg), tmp_path / "h.dgc")
+    with counted_hashes() as hashes:
+        history = load_cache(tmp_path / "h.dgc", data)
+        unlearn_batch_gd(data, history, ChangeSet.delete([4, 9]), DeltaGradConfig())
+    assert len(hashes) == (2 if keep_alias else 0)
 
 
 def margin_problem(kind, n, p, margin, seed):
