@@ -813,9 +813,9 @@ def _update(data, history, requests, cfg, *, guards=False, minibatch=False,
     left, over the sample set the previous ones left, kept as one
     `ActiveRows` set that the loop edits as each request finishes: a
     deletion drops its rows and an addition appends its rows as ids n,
-    n+1, ... in arrival order. Under logistic loss a stream's set holds
-    its rows signed, y*x with label +1, copied once when the stream
-    starts; a single request copies nothing. The counters are summed over
+    n+1, ... in arrival order. A stream's set copies its rows once, when
+    the stream starts, under logistic loss signed, y*x with label +1; a
+    single request copies nothing. The counters are summed over
     the requests, and diagnostics['requests'] holds one record per
     request. Its 'seconds' are the request's set-up (its change terms;
     request 0 also pays for the step-size list) plus its even share of

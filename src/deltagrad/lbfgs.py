@@ -1,6 +1,6 @@
-"""Curvature-pair buffer and quasi-Hessian products in compact form.
+"""Curvature-pair store and quasi-Hessian products in compact form.
 
-The buffer stores up to `capacity` recent (dw, dg) pairs, where
+A buffer stores up to `capacity` recent (dw, dg) pairs, where
 dw = updated parameters minus cached parameters and dg is the matching
 gradient difference. `quasi_hvp` evaluates B @ v, with B the BFGS-style
 quasi-Hessian built from the stored pairs on top of B0 = sigma * I,
@@ -47,14 +47,17 @@ M^-1 and M^-1 K', so B v = sigma*v - (M^-1 K')'(K' v) is two small
 matrix-vector products, O(m*p); the engines' approximate step reads K'
 and M^-1 K' directly and folds the second product into its own.
 
-The engines keep one buffer per request in flight, as the lanes of one
-`PairLanes`: a wave of requests inserts its pairs with one call, and
-builds the factorizations of every lane that needs one with one call,
-whose float operations, or np.linalg calls, take the whole stack. Below
-the lanes' crossover each lane's factorization has the bits of a
-`CurvaturePairBuffer` of its pairs. A lane whose C is not SPD is marked
-failed in its own lane only. A single request keeps one
-`CurvaturePairBuffer`.
+One store keeps the pairs: `PairLanes`, a stack of buffers (lanes) with
+the one curvature test, the one eviction and the one compact build. A
+request stream keeps one lane per request in flight: a wave of requests
+inserts its pairs with one call, and builds the factorizations of every
+lane that needs one with one call, whose float operations, or np.linalg
+calls, take the whole stack. A single request's `CurvaturePairBuffer` is
+lane 0 of a one-lane `PairLanes`, with a cached snapshot of its
+factorization. Up to the lanes' crossover, and beyond one buffer's, each
+lane's factorization has the bits it has alone; in between its M^-1 and
+M^-1 K' differ at roundoff. A lane whose C is not SPD is marked failed in
+its own lane only.
 """
 
 from __future__ import annotations
@@ -241,17 +244,19 @@ class PairLanes:
     def insert(self, lanes: np.ndarray, dW: np.ndarray, dG: np.ndarray) -> np.ndarray:
         """Store the pair (dW[i], dG[i]) in lane lanes[i] (distinct lanes);
         returns which were accepted."""
-        ok = np.einsum("ij,ij->i", dG, dW) > CURVATURE_FLOOR * np.einsum("ij,ij->i", dW, dW)
+        # count_nonzero is one C call; ndarray.all and .any go through Python
+        ok = np.vecdot(dG, dW) > CURVATURE_FLOOR * np.vecdot(dW, dW)
         acc = lanes
-        if not ok.all():
+        if np.count_nonzero(ok) < len(ok):
             self.rejected[lanes[~ok]] += 1
             acc, dW, dG = lanes[ok], dW[ok], dG[ok]
         if acc.size:
             at = self.count[acc]
             full = at == self.capacity
-            if full.any():
-                self.W[acc[full], :-1] = self.W[acc[full], 1:]
-                self.G[acc[full], :-1] = self.G[acc[full], 1:]
+            if np.count_nonzero(full):
+                evict = acc[full]
+                self.W[evict, :-1] = self.W[evict, 1:]
+                self.G[evict, :-1] = self.G[evict, 1:]
                 at = at - full
             self.W[acc, at] = dW
             self.G[acc, at] = dG
@@ -262,10 +267,10 @@ class PairLanes:
         """The compact factorizations of `lanes`, each holding m pairs:
         sigma (B,), K' (B x 2m x p), M^-1 (B x 2m x 2m), M^-1 K' (B x 2m x p)
         and, per lane, the first pivot of C that is not positive, or -1. The
-        arrays are new; a failed lane's entries are meaningless. Up to the
-        float crossover of one lane or of a stack, every lane's entries
-        have the bits that `CurvaturePairBuffer.factorization` gives its
-        pairs."""
+        arrays are new; a failed lane's entries are meaningless. Up to
+        LANES_FLOAT_FACTOR_MAX_M pairs, and above FLOAT_FACTOR_MAX_M, every
+        lane's entries have the bits that a build of that lane alone gives
+        them."""
         W, G = self.W[lanes, :m], self.G[lanes, :m]
         Kt = np.concatenate([G, W], axis=1)
         grams = W @ Kt.transpose(0, 2, 1)           # rows [W'G | W'W]
@@ -285,31 +290,33 @@ class PairLanes:
         return sigma, Kt, Minv, Minv @ Kt, failed
 
 
-class CurvaturePairBuffer:
-    """Ring buffer of at most `capacity` curvature pairs, oldest evicted first.
+_LANE0 = np.zeros(1, dtype=np.intp)
 
-    Inserts enforce the curvature condition dg.dw > CURVATURE_FLOOR*||dw||^2;
-    rejected pairs (including dw = 0) leave the buffer unchanged and are
-    counted in `rejected`. The pairs live in two preallocated capacity x p
-    arrays, oldest first; an eviction shifts the rows up by one. Single
-    writer; each accepted insert makes `factorization()` build a new
-    snapshot, which owns its arrays and is safe to use from other threads.
-    This is the buffer of a single request's loop; a stream's requests
-    keep theirs as the lanes of one `PairLanes`.
+
+class CurvaturePairBuffer:
+    """The curvature pairs of a single request: at most `capacity`, oldest
+    evicted first, kept as lane 0 of a one-lane `PairLanes` of the first
+    pair's length, so a single request and a stream share one curvature
+    test, one eviction and one build.
+
+    A rejected pair (dw = 0 included) leaves the buffer unchanged and is
+    counted in `rejected`. Single writer; each accepted insert makes
+    `factorization()` build a new snapshot, which owns its arrays and is
+    safe to use from other threads.
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._W: np.ndarray | None = None      # allocated by the first accepted pair
-        self._G: np.ndarray | None = None
-        self._m = 0
-        self.rejected = 0
+        self._lanes = PairLanes(1, capacity, 0)     # remade at the first pair's length
+        self._W, self._G = self._lanes.W[0], self._lanes.G[0]     # lane 0's pairs
         self._fact: CompactFactorization | None = None
 
     def __len__(self) -> int:
-        return self._m
+        return int(self._lanes.count[0])
+
+    @property
+    def rejected(self) -> int:
+        return int(self._lanes.rejected[0])
 
     def append_pair(self, dw, dg) -> bool:
         """Store a pair; returns False (and counts it) when curvature fails."""
@@ -317,48 +324,27 @@ class CurvaturePairBuffer:
         dg = np.asarray(dg, dtype=np.float64)
         if dw.shape != dg.shape or dw.ndim != 1:
             raise DimensionMismatchError("dw and dg must be 1-D with equal length")
-        if self._m and dw.size != self._W.shape[1]:
-            raise DimensionMismatchError("pair length differs from stored pairs")
-        if not (dg @ dw > CURVATURE_FLOOR * (dw @ dw)):
-            self.rejected += 1
+        if dw.size != self._W.shape[1]:
+            if len(self):
+                raise DimensionMismatchError("pair length differs from stored pairs")
+            lanes = PairLanes(1, self.capacity, dw.size)
+            lanes.rejected[0] = self.rejected
+            self._lanes, self._W, self._G = lanes, lanes.W[0], lanes.G[0]
+        if not self._lanes.insert(_LANE0, dw[None], dg[None])[0]:
             return False
-        if self._W is None:
-            self._W = np.empty((self.capacity, dw.size))
-            self._G = np.empty((self.capacity, dw.size))
-        if self._m == self.capacity:
-            self._W[:-1] = self._W[1:]
-            self._G[:-1] = self._G[1:]
-        else:
-            self._m += 1
-        self._W[self._m - 1] = dw
-        self._G[self._m - 1] = dg
         self._fact = None
         return True
 
     def factorization(self) -> CompactFactorization:
         """Compact factorization of the current pair set (cached until the
         next insert). Raises FactorizationError if Cholesky fails."""
-        if not self._m:
-            raise ValueError("buffer is empty")
         if self._fact is None:
-            m = self._m
-            W = self._W[:m]
-            Kt = np.concatenate([self._G[:m], W])
-            grams = W @ Kt.T                    # rows [W'G | W'W]
-            rows = grams.tolist()
-            sigma = rows[-1][m - 1] / rows[-1][-1]
-            if m <= FLOAT_FACTOR_MAX_M:
-                F, failed = _float_factors(grams, sigma)
-            else:
-                F, failed = _linalg_factors(grams[None], np.array([sigma]))
-                F, failed = F[0], int(failed[0])
-            if failed >= 0:
-                raise FactorizationError(f"middle matrix not SPD: pivot {failed}")
-            Minv = F.T @ F
-            for i, row in enumerate(rows):      # top-left m x m block: - D^-1
-                Minv[i, i] -= 1.0 / row[i]
-            Kt[m:] *= sigma
-            self._fact = CompactFactorization(sigma, Kt, Minv, Minv @ Kt)
+            if not len(self):
+                raise ValueError("buffer is empty")
+            sigma, Kt, Minv, MinvKt, failed = self._lanes.build(_LANE0, len(self))
+            if failed[0] >= 0:
+                raise FactorizationError(f"middle matrix not SPD: pivot {failed[0]}")
+            self._fact = CompactFactorization(sigma.item(), Kt[0], Minv[0], MinvKt[0])
         return self._fact
 
 

@@ -74,26 +74,27 @@ class Dataset:
 
     The labels are copied, so no caller-held array or view can change them
     after the one-time +-1 check; the features are not copied (a second
-    n x p array would double the memory of large problems).
+    n x p array would double the memory of large problems). The dataset
+    keeps a read-only view of its own, whose base owns the rows' memory,
+    so the caller's array stays writeable.
 
-    `fingerprint` hashes the rows once if they are unshared: the features
-    own their memory, or view an ndarray that owns it, and no object but
-    this Dataset holds either array (a reference count, calibrated at
-    import as `_SOLE`). Every view, memoryview and buffer export holds a
-    reference to the owner, so any alias fails the test. The first
-    fingerprint of an unshared dataset makes the owner read-only, tests
-    again, and keeps the digest; numpy makes no writeable view of a
-    read-only array. A caller gets this by keeping no alias:
-    `Dataset(X, y)` with X made in the call or dropped after it, or any
-    dataset a parser, `generate_synthetic`, `subset` or `extended` builds.
-    A dataset over an array or view the caller keeps, over a buffer or an
-    mmap, or an `ActiveRows.dataset` view is hashed at every call and
-    tested again. A copy or an unpickled dataset is built by the
-    constructor, so it is frozen and keeps no digest of its source.
+    `fingerprint` hashes the rows once if they are unshared: an ndarray
+    owns their memory, and no object but this Dataset holds it or the
+    view (a reference count, calibrated at import as `_SOLE`). Every view,
+    memoryview and buffer export holds a reference to the owner, so any
+    alias fails the test. The first fingerprint of an unshared dataset
+    makes the owner read-only, tests again, and keeps the digest; numpy
+    makes no writeable view of a read-only array. A caller gets this by
+    keeping no alias: `Dataset(X, y)` with X made in the call or dropped
+    after it, or any dataset a parser, `generate_synthetic`, `subset` or
+    `extended` builds. A dataset over an array or view the caller keeps,
+    over a buffer or an mmap, or an `ActiveRows.dataset` view is hashed at
+    every call and tested again. A copy or an unpickled dataset is built
+    by the constructor, so it is frozen and keeps no digest of its source.
     """
 
     def __init__(self, features, labels):
-        X = np.ascontiguousarray(features, dtype=np.float64)
+        X = np.ascontiguousarray(features, dtype=np.float64).view()
         y = np.array(labels, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionMismatchError(f"features must be 2-D, got ndim={X.ndim}")
@@ -138,7 +139,7 @@ class Dataset:
             return self._digest
         sealed = _refs(self) in _SOLE
         if sealed:
-            _owner(self.features).flags.writeable = False
+            self.features.base.flags.writeable = False
             sealed = _refs(self) in _SOLE       # no alias made in between
         h = hashlib.sha256()
         h.update(b"DGDS")
@@ -167,34 +168,27 @@ class Dataset:
         return Dataset(np.vstack([self.features, X]), np.concatenate([self.labels, y]))
 
 
-def _owner(X: np.ndarray):
-    """The object that owns the memory of X: X itself or its base."""
-    return X if X.base is None else X.base
-
-
 def _refs(data: Dataset):
-    """(whether data.features owns its memory, references to data.features,
-    references to the ndarray that owns its memory), or None where no
-    ndarray owns it (a buffer, an mmap)."""
+    """(references to data.features, references to the ndarray that owns
+    its memory, `features.base`), or None where no ndarray owns it (a
+    buffer, an mmap)."""
     X = data.features
-    owner = _owner(X)
+    owner = X.base
     if not (isinstance(owner, np.ndarray) and owner.flags.owndata):
         return None
-    return owner is X, sys.getrefcount(X), sys.getrefcount(owner)
+    return sys.getrefcount(X), sys.getrefcount(owner)
 
 
 def _calibrate() -> frozenset:
-    """The `_refs` of unshared features, owning their memory or viewing
-    their owner, measured on probes; empty, so that nothing seals, unless a
-    second holder of a probe adds exactly one reference."""
-    owned = Dataset(np.zeros((1, 1)), [1.0])
-    viewed = Dataset(np.zeros((2, 1))[:1], [1.0])
-    alone = _refs(owned), _refs(viewed)
-    (_, x, _), (_, v, o) = alone
-    second = owned.features, viewed.features.base      # held in a second place
-    if (_refs(owned), _refs(viewed)) != ((True, x + 1, x + 1), (False, v, o + 1)):
+    """The `_refs` of unshared features, measured on a probe; empty, so
+    that nothing seals, unless a second holder of each array adds exactly
+    one reference."""
+    probe = Dataset(np.zeros((1, 1)), [1.0])
+    x, o = alone = _refs(probe)
+    second = probe.features, probe.features.base        # held in a second place
+    if _refs(probe) != (x + 1, o + 1):
         return frozenset()
-    return frozenset(alone)
+    return frozenset([alone])
 
 
 _SOLE = _calibrate()
@@ -585,22 +579,20 @@ class ActiveRows:
     so it is valid only until the next edit.
 
     With `signed` (logistic loss) each row is stored as y*x with label +1,
-    which has the same logistic loss and gradient, and the buffer is filled
-    when the set is made; `gradient_sum` at a matrix of iterates then skips
-    its label passes. Without it the set is `data` itself until the first
-    edit, which copies the rows into the buffer.
+    which has the same logistic loss and gradient; `gradient_sum` at a
+    matrix of iterates then skips its label passes. The buffer is filled
+    when the set is made: every stream of two or more requests edits its
+    set when request 0 finishes.
     """
 
     def __init__(self, data: Dataset, capacity: int, signed: bool = False):
-        self._data = data
-        self._capacity = capacity
         self._signed = signed
-        self._X = self._y = None
+        self._X = np.empty((capacity, data.p))
+        self._y = np.ones(capacity) if signed else np.empty(capacity)
         self._deleted = np.empty(0, dtype=np.intp)     # sorted
         self.n = data.n
         self.next_id = data.n
-        if signed:
-            self._buffer()
+        self._write(0, data.features, data.labels)
 
     def positions(self, ids) -> np.ndarray:
         """Positions in `dataset()` of the active rows `ids`."""
@@ -608,16 +600,7 @@ class ActiveRows:
         return ids - np.searchsorted(self._deleted, ids)
 
     def dataset(self) -> Dataset:
-        if self._X is None:
-            return self._data
         return Dataset(self._X[:self.n], self._y[:self.n])
-
-    def _buffer(self):
-        if self._X is None:
-            self._X = np.empty((self._capacity, self._data.p))
-            self._y = np.ones(self._capacity) if self._signed else np.empty(self._capacity)
-            self._write(0, self._data.features, self._data.labels)
-        return self._X, self._y
 
     def _write(self, at: int, features, labels):
         """Rows `features` with `labels` into the buffer from position `at`."""
@@ -630,7 +613,7 @@ class ActiveRows:
 
     def delete(self, ids):
         """Drop the active rows `ids`."""
-        X, y = self._buffer()
+        X, y = self._X, self._y
         ids = np.sort(ids)
         for q in self.positions(ids)[::-1]:             # from the last up
             X[q:self.n - 1] = X[q + 1:self.n]
@@ -641,7 +624,6 @@ class ActiveRows:
 
     def append(self, features, labels):
         """Add rows after the last; they take the next ids."""
-        self._buffer()
         r = len(labels)
         self._write(self.n, features, labels)
         self.n += r

@@ -42,11 +42,13 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if any(nxt[0] <= prev[0] for prev, nxt in zip(sched, sched[1:])):
             raise ValueError("eta_schedule breakpoints must be strictly increasing")
+        if sched[-1][0] >= 2**64:     # a cache stores each breakpoint in 64 bits
+            raise ValueError("eta_schedule breakpoints must be below 2**64")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
 
     def eta_at(self, t: int) -> float:
@@ -119,7 +121,8 @@ def derive_schedule(seed: int, n: int, batch_size: int, iterations: int):
     batches: list[np.ndarray] = []
     epoch = 0
     while len(batches) < iterations:
-        rng = np.random.Generator(np.random.Philox(key=[seed, epoch]))
+        key = np.array([seed, epoch], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         perm = rng.permutation(n)
         for s in range(0, n, batch_size):
             if len(batches) >= iterations:

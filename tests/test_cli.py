@@ -269,6 +269,17 @@ def test_exit_codes(tmp_path, cache):
                "--iters", "1", "--cache-out", str(tmp_path / "x.dgc")) == 11
 
 
+@pytest.mark.parametrize("flag", [("--seed", str(2**64)), ("--lr", f"0:0.2,{2**64}:0.1")])
+def test_train_rejects_what_a_cache_cannot_store(tmp_path, capsys, flag):
+    # a seed or breakpoint of 2^64 or above is a config error, found before
+    # the cache file is opened
+    out = tmp_path / "big.dgc"
+    assert run("train", "--data", SYNTH, "--format", "synthetic", "--iters", "1",
+               *flag, "--cache-out", str(out)) == 10
+    assert "64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt,text", [("libsvm", "+1\n-1\n"), ("csv", "label\n1\n-1\n")])
 def test_data_without_features_exits_3(tmp_path, capsys, fmt, text):
     bare = tmp_path / f"bare.{fmt}"

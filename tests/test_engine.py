@@ -1235,3 +1235,16 @@ def test_stream_that_would_empty_the_dataset_fails_before_any_work(core_calls):
                              small)
     assert len(core_calls) == 1             # the four requests run as one wavefront
     assert len(out.diagnostics["requests"]) == 4
+
+
+# ------------------------------------------------------------ digests
+
+def test_the_engine_digest_repeats(capsys):
+    # tests/engine_digests.py compares revisions by one hash of every
+    # engine's bits; at its smallest configuration two runs agree
+    import engine_digests
+
+    engine_digests.main(["--small"])
+    printed = capsys.readouterr().out.strip()
+    assert len(printed) == 64
+    assert engine_digests.digest(**engine_digests.SMALLEST) == printed

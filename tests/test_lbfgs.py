@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,3 +329,92 @@ def test_factorization_matches_tril_diag_oracle(m, spare, evicted, p, noise, see
     scale = (abs(fact.sigma) + np.linalg.norm(Kt, 2) ** 2 * np.linalg.norm(Minv, 2)) \
         * np.linalg.norm(v)
     assert np.linalg.norm(fact.apply(v) - recursive_B_apply(buf, v)) <= tol * scale
+
+
+@contextlib.contextmanager
+def negated_sigma(position):
+    """Both factor routines see sigma negated for the buffer at `position`
+    of the stack they are given: its C has C[0, 0] < 0, a failed pivot 0."""
+    with contextlib.ExitStack() as stack:
+        for name in ("_float_factors", "_linalg_factors"):
+            def negating(grams, sigma, real=getattr(lbfgs, name)):
+                if np.ndim(sigma):
+                    sigma = sigma.copy()
+                    sigma[position] = -sigma[position]
+                else:
+                    sigma = -sigma
+                return real(grams, sigma)
+            stack.enter_context(mock.patch.object(lbfgs, name, negating))
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    p=st.integers(1, 30),
+    steps=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
+    # one pair sequence goes to a lone buffer and to lane `target` of four
+    # lanes, whose other lanes get other pairs in the same insert calls;
+    # after each insert both hold as many pairs, have rejected as many and
+    # build the same factorization: bit for bit where both take the same
+    # route (floats up to the stack's crossover, np.linalg beyond one
+    # buffer's), to roundoff in between, or both fail at the same pivot
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, p))
+    H = A @ A.T + np.eye(p)
+
+    def pair():
+        kind = rng.integers(10)
+        s = rng.normal(size=p) * 10.0 ** rng.uniform(-2, 2)
+        if kind == 0:
+            return np.zeros(p), np.zeros(p)             # dw = 0: rejected
+        if kind == 1:
+            return s, -(H @ s)                          # negative curvature: rejected
+        return s, H @ s + 0.3 * np.linalg.norm(H @ s) * rng.normal(size=p) / np.sqrt(p)
+
+    target = int(rng.integers(4))
+    buf, lanes = CurvaturePairBuffer(capacity), lbfgs.PairLanes(4, capacity, p)
+    for _ in range(steps):
+        others = [j for j in range(4) if j != target and rng.random() < 0.7]
+        order = rng.permutation([target] + others)
+        pairs = {j: pair() for j in order}
+        accepted = buf.append_pair(*pairs[target])
+        ok = lanes.insert(order, np.array([pairs[j][0] for j in order]),
+                          np.array([pairs[j][1] for j in order]))
+        assert ok[order.tolist().index(target)] == accepted
+        m = len(buf)
+        assert m == lanes.count[target] and buf.rejected == lanes.rejected[target]
+        if not m:
+            continue
+        group = np.flatnonzero(lanes.count == m)
+        at = group.tolist().index(target)
+        # a fresh snapshot of the buffer (only after an accepted pair) may
+        # be built with its C made not SPD, and then the target lane's too
+        poison = accepted and rng.random() < 0.2
+        with negated_sigma(0) if poison else contextlib.nullcontext():
+            try:
+                fact, failed = buf.factorization(), -1
+            except FactorizationError as err:
+                fact, failed = None, int(str(err).rsplit(" ", 1)[1])
+        with negated_sigma(at) if poison else contextlib.nullcontext():
+            sigma, Kt, Minv, MinvKt, lane_failed = lanes.build(group, m)
+        assert lane_failed[at] == failed
+        if fact is None:
+            continue
+        built = (sigma[at], Kt[at], Minv[at], MinvKt[at])
+        mine = (fact.sigma, fact.Kt, fact.Minv, fact.MinvKt)
+        if len(group) == 1 or m <= lbfgs.LANES_FLOAT_FACTOR_MAX_M \
+                or m > lbfgs.FLOAT_FACTOR_MAX_M:
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                       for a, b in zip(built, mine))
+        else:
+            assert sigma[at] == fact.sigma and Kt[at].tobytes() == fact.Kt.tobytes()
+            dws, dgs = buf._W[:m], buf._G[:m]
+            gram_cond = max(float(np.abs(s) @ np.abs(y) / (s @ y)) for s, y in zip(dws, dgs))
+            cond_C = np.linalg.cond(schur_complement(dws, dgs))
+            tol = 8 * (m + p) * np.finfo(float).eps * cond_C * gram_cond
+            for a, b in ((Minv[at], fact.Minv), (MinvKt[at], fact.MinvKt)):
+                assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))

@@ -210,9 +210,11 @@ def test_objective_rows_keeps_class_and_gathers_once(ridge_data):
     cfg = LossConfig("ridge", 0.1)
     w = np.linspace(-1.0, 1.0, ridge_data.p)
     # rows 1 and 4 deleted, then one row added (id n) and row 7 deleted;
-    # the rows are copied once, at the first edit, and edited in place
+    # the rows are copied once, when the set is made, and edited in place
     rows = ActiveRows(ridge_data, ridge_data.n + 1)
-    assert rows.dataset() is ridge_data
+    start = rows.dataset()
+    assert np.array_equal(start.features, ridge_data.features)
+    assert np.array_equal(start.labels, ridge_data.labels)
     rows.delete([4, 1])
     buffer = rows.dataset().features
     added = np.full((1, ridge_data.p), 0.5)
@@ -346,19 +348,32 @@ def test_fingerprint_is_kept_only_for_unshared_rows(alias, as_view, seed):
             assert data.fingerprint() == first
             verify_fingerprint(history, data)
         assert hashes == []
-        assert not models._owner(data.features).flags.writeable
+        assert not data.features.base.flags.writeable
         with pytest.raises(ValueError):
-            models._owner(data.features)[1:].flags.writeable = True
+            data.features.base[1:].flags.writeable = True
         return
     rows = np.asarray(kept)
-    if not rows.flags.writeable:    # the caller's own array, frozen by the constructor
-        rows.flags.writeable = True
     rows[1, 0] += 1.0               # row 1 of the data, or row 2 through owner[1:]
     with counted_hashes() as hashes:
         assert data.fingerprint() != first
         with pytest.raises(FingerprintMismatchError):
             verify_fingerprint(history, data)
     assert len(hashes) == 2
+
+
+def test_the_callers_array_stays_writeable():
+    # the dataset freezes a view of its own; a write through the caller's
+    # array reaches the rows, and the next check hashes them and fails
+    X = np.random.default_rng(2).normal(size=(6, 2))
+    data = Dataset(X, np.ones(6))
+    history = train_gd(data, TrainConfig(loss=LossConfig("logistic", 0.1), iterations=1,
+                                         batch_size=6, eta_schedule=((0, 0.1),)))
+    assert X.flags.writeable and not data.features.flags.writeable
+    assert data.features.base is X
+    X[0, 0] += 1.0
+    assert data.features[0, 0] == X[0, 0]
+    with pytest.raises(FingerprintMismatchError):
+        verify_fingerprint(history, data)
 
 
 def test_copies_are_frozen_and_keep_no_digest():
@@ -383,7 +398,7 @@ def test_active_rows_datasets_never_keep_a_fingerprint():
             before = view.fingerprint()
             assert view.fingerprint() == before
         assert len(hashes) == 2
-        assert models._owner(view.features).flags.writeable
+        assert view.features.base.flags.writeable
         rows.delete([0])
         assert view.fingerprint() != before
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from deltagrad import (
     TrainConfig,
     derive_schedule,
     full_gradient,
+    load_cache,
     loss,
+    save_cache,
     train_gd,
     train_sgd,
 )
@@ -179,3 +183,23 @@ def test_config_validation():
                     eta_schedule=((1, 0.1),))
     with pytest.raises(ValueError):
         derive_schedule(0, 4, 8, 2)
+    # a cache stores the seed and each breakpoint in 64 bits
+    for field in ({"seed": 2**64}, {"seed": -1}, {"eta_schedule": ((0, 0.1), (2**64, 0.05))}):
+        with pytest.raises(ValueError, match="64"):
+            TrainConfig(**{"loss": LossConfig(), "iterations": 5, "batch_size": 4, **field})
+
+
+def test_seeds_from_two_to_the_63_key_their_own_schedules(tmp_path):
+    # the Philox key is (seed, epoch) as two 64-bit words, so seeds of 2^63
+    # and above neither collide nor go through float64
+    assert not all(np.array_equal(a, b) for a, b in zip(
+        derive_schedule(2**63, 50, 7, 8), derive_schedule(2**63 + 1, 50, 7, 8)))
+    data = Dataset(np.arange(12.0).reshape(6, 2) / 10.0, [1.0, -1.0] * 3)
+    cfg = make_cfg("logistic", 0.1, 6, 4, 0.1, batch=2, seed=2**64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = train_sgd(data, cfg)
+    save_cache(hist, tmp_path / "top.dgc")
+    again = load_cache(tmp_path / "top.dgc", data)
+    assert again.config.seed == 2**64 - 1
+    assert all(np.array_equal(a, b) for a, b in zip(again.batches(), hist.batches()))
