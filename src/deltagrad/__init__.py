@@ -35,7 +35,8 @@ from .errors import (
     ParseError,
     PrivacyBoundError,
 )
-from .lbfgs import CurvaturePairBuffer, quasi_hvp
+from .lbfgs import CurvaturePairBuffer
+from .lbfgs import quasi_hvp  # noqa: F401 (importable, no longer exported)
 from .models import (
     Dataset,
     LossConfig,
@@ -91,7 +92,6 @@ __all__ = [
     "loss",
     "parse_csv",
     "parse_libsvm",
-    "quasi_hvp",
     "relearn_batch_gd",
     "sample_laplace",
     "save_cache",

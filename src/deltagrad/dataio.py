@@ -201,8 +201,27 @@ def _record_dtype(p: int) -> np.dtype:
     return np.dtype([("size", "<u8"), ("vector", "<f8", (p,))])
 
 
+def _write_atomically(path, write):
+    """Call write(fh) on `<path>.<pid>.tmp` in the directory of `path`, then
+    rename that file over `path`: a crash or a failed write leaves the old
+    file whole. The temporary file is opened as `open` makes any new file,
+    so the new file gets the mode a plain write would give it; it is
+    removed when anything fails."""
+    path = os.fsdecode(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_cache(history: TrainingHistory, path):
-    """Serialize a TrainingHistory.
+    """Serialize a TrainingHistory, replacing `path` only once the whole
+    file is written.
 
     Layout: magic, version byte, header (n, p, T, B, seed, loss kind, l2,
     eta schedule, 32-byte dataset fingerprint), then T+1 parameter records
@@ -211,7 +230,8 @@ def save_cache(history: TrainingHistory, path):
     """
     cfg = history.config
     T = history.iterations
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
         fh.write(struct.pack(
@@ -228,6 +248,8 @@ def save_cache(history: TrainingHistory, path):
         body["vector"][:T + 1] = history.params
         body["vector"][T + 1:] = history.gradients
         fh.write(body.data)
+
+    _write_atomically(path, write)
 
 
 def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
@@ -285,11 +307,14 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
 
 
 def save_model(w: np.ndarray, path):
-    """Single parameter vector, same record encoding as the cache body."""
-    with open(path, "wb") as fh:
+    """Single parameter vector, same record encoding as the cache body;
+    `path` is replaced only once the whole file is written."""
+    def write(fh):
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
         fh.write(_pack_vector(np.asarray(w, dtype=np.float64)))
+
+    _write_atomically(path, write)
 
 
 def load_model(path) -> np.ndarray:

@@ -20,8 +20,9 @@ gradients are ever evaluated. The driver validates the whole request list
 first, then corrects a copy of the cached history: each request against
 the trajectory the previous request left and over the sample set it left
 (`ActiveRows`). Step t of a request reads only step t of the request
-before it, so a stream runs as a wavefront, one step apart per request,
-and each step's arithmetic serves every request in flight (`_Wavefront`).
+before it, so the requests run as a wavefront, one step apart per request,
+and each step's arithmetic serves every request in flight (`_Wavefront`);
+a single request is a wavefront of one lane.
 Every engine returns the corrected copy as `updated_history`, a cache the
 next update can start from.
 
@@ -48,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChangeSetError, DivergenceError, FactorizationError
-from .lbfgs import CurvaturePairBuffer, PairLanes, quasi_hvp
+from .lbfgs import PairLanes
+from .lbfgs import quasi_hvp  # noqa: F401 (dgbench patches it here)
 from .models import gradient_sum  # noqa: F401 (dgbench patches it here)
 from .models import ActiveRows, Dataset, Objective, coefficient, coefficients
 from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
@@ -268,11 +270,12 @@ class _Lane:
     rows of the sample set the request runs on. `change` is its change
     term, an Objective over its r changed rows (None for r = 0), the same
     at every step; a minibatch request has `changes` instead, one term per
-    step. `finish` (a stream's requests but the last) edits the shared
-    sample set by this request and returns the objective over the edited
-    set. `seconds` holds the request's set-up time; the loop adds its even
-    share of every wave it ran in, and sets `final` (its last iterate) and
-    `trace` (its mode labels).
+    step, over the deleted members of the step's batch. `finish` (a
+    stream's requests but the last) edits the shared sample set by this
+    request and returns the objective over the edited set. `seconds` holds
+    the request's set-up time; the loop adds its even share of every wave
+    it ran in, and sets `final` (its last iterate) and `trace` (its mode
+    labels).
     """
 
     sign: float
@@ -283,224 +286,6 @@ class _Lane:
     seconds: float = 0.0
     final: np.ndarray | None = None
     trace: list | None = None
-
-
-def _run_one(
-    obj: Objective,
-    params: np.ndarray,
-    grads: np.ndarray,
-    etas: list,
-    cfg: DeltaGradConfig,
-    changes,
-    sign: float,
-    *,
-    batches: list[np.ndarray] | None = None,
-    guards: bool = False,
-):
-    """The correction loop of a single request (see `_run_gd_core`).
-
-    Iteration t runs over every row of obj, or over `obj.rows(batches[t])`,
-    the recorded minibatch, with step size etas[t]. `changes` yields one
-    change term per iteration: an Objective over the r changed rows of that
-    step (None when r = 0), which enter with `sign`, -1 for deleted rows (a
-    subset of the step's rows) and +1 for added rows. With n step rows and
-    denom = n + sign*r the changed-objective gradient at iterate w is
-
-        ( data_sum(rows) + sign * data_sum(changed) ) / denom + l2*w
-
-    at explicit iterations, in that operation order. At approximate
-    iterations it is
-
-        c1 * (sigma*v - (M^-1 K')' s + g_t) + c2 * (c + r*l2*w),
-
-    with v = w - cached w_t, s = K'v, g_t the cached step gradient, c the
-    changed rows' data sum, c1 = n/denom and c2 = 1/(sign*denom) (sign is
-    +-1). That is one product of a row of Python-float coefficients
-
-        [c1*sigma, -c1*s_1 .. -c1*s_2m, c2*a, c1, c2*r*l2]
-
-    with a stacked matrix whose rows are v, the 2m rows of M^-1 K', the
-    change row, g_t and w. The M^-1 K' rows are copied in when the buffer's
-    factorization changes. The change row is c with a = 1, or, for a one-row
-    change term that uses the library's own gradient, the row x itself
-    (written once per change term) with its float coefficient a(x . w), so
-    that step makes no kernel call: x . w is x . v, which the product that
-    gives K'v also gives, plus x . w_t of the cached iterates, taken at once
-    for every step the term serves when it is first met. An approximate step with v = 0
-    and r = 0 keeps the cached gradient's bits, so r = 0 reproduces the
-    cached trajectory bit for bit; a minibatch left empty is skipped. The
-    general engine (`guards`) also forms B v through `quasi_hvp` for its
-    smoothness guard. The reference loop that writes the approximate step
-    out term by term is `reference_correction` in tests/oracles.py.
-
-    params[t] and grads[t] are overwritten with the corrected iterate and the
-    (exact or reconstructed) new-objective step gradient, zero for a skipped
-    step, and params[T] with the final iterate; callers that keep the cached
-    history pass copies.
-    """
-    T = grads.shape[0]
-    n, p, l2 = obj.n, obj.p, obj.l2
-    burn_in, period = cfg.burn_in, cfg.period
-    last_anchor = burn_in
-
-    buf = CurvaturePairBuffer(cfg.history_size)
-    k = 2 * cfg.history_size
-    # The stacked matrix: v, M^-1 K' (k rows, zero past 2m), the change row,
-    # g_t, and two iterate rows that take turns as the current one (`cur`).
-    # coef is the coefficient row. Kc holds -c1 K' (zero past 2m) and, last,
-    # a one-row change term's row x, so one product writes -c1 K'v into
-    # coef[1:k+1] and x . v into coef[k+1], the change row's slot.
-    Z = np.zeros((k + 5, p))
-    coef = np.zeros(k + 5)
-    Kc = np.zeros((k + 1, p))
-    v, c_row, g_row = Z[0], Z[k + 1], Z[k + 2]
-    s_out = coef[1:k + 2]
-    cur, other = k + 3, k + 4
-    iw, nxt = Z[cur], Z[other]
-    iw[:] = params[0]
-    zero = np.zeros(p)
-    fact = c1 = None            # the factorization and c1 that Kc and coef hold
-    change, r = None, 0
-    row_change, row_form = None, False      # the change term whose row c_row holds
-    trace: list[str] = []
-    convexity_events = 0
-    smoothness_events = 0
-    cholesky_fallbacks = 0
-    empty_buffer_fallbacks = 0
-    batch = None
-
-    for t in range(T):
-        term = next(changes)
-        if term is not change:
-            change, r = term, 0 if term is None else term.n
-        if batches is not None:
-            batch = batches[t]
-            n = batch.size
-            if n == r:
-                trace.append("skipped-empty-batch")
-                params[t] = iw
-                grads[t] = zero
-                continue
-        denom = n + sign * r
-        g_t = grads[t]                  # read, then overwritten with the new step gradient
-        np.subtract(iw, params[t], out=v)
-
-        # without guards nothing re-anchors, so last_anchor stays burn_in
-        scheduled = t <= burn_in or (t - last_anchor) % period == 0
-
-        run_explicit = scheduled
-        label = "explicit" if scheduled else "approximated"
-        current = None
-
-        if not scheduled:
-            # an approximate step needs the factorization unless v = 0, where
-            # B v = 0; v is tested only where the test decides the step
-            empty = len(buf) == 0
-            if not empty:
-                try:
-                    current = buf.factorization()
-                except FactorizationError:
-                    pass
-            if current is None:
-                if np.count_nonzero(v):
-                    run_explicit = True
-                    label = "fallback"
-                    if empty:
-                        empty_buffer_fallbacks += 1
-                    else:
-                        cholesky_fallbacks += 1
-            # local smoothness guard: a drift estimate larger than the
-            # trusted Lipschitz cap means B is not believable here
-            elif guards and np.count_nonzero(v) and (
-                    np.linalg.norm(quasi_hvp(buf, v)) >= SMOOTHNESS_LIMIT * np.linalg.norm(v)):
-                run_explicit = True
-                label = "fallback"
-                smoothness_events += 1
-
-        if run_explicit:
-            if guards:
-                last_anchor = t
-            S = (obj if batch is None else obj.rows(batch)).data_grad_sum(iw)
-            l2iw = l2 * iw
-            dg = S / n
-            dg += l2iw                  # the exact gradient g_full
-            dg -= g_t
-            if guards and np.count_nonzero(v) and float(dg @ v) <= 0.0:
-                convexity_events += 1        # concave stretch: do not trust the pair
-            else:
-                buf.append_pair(v, dg)
-            # (S + sign*changed) / denom + l2*w
-            np.multiply(change.data_grad_sum(iw) if r else zero, sign, out=g_t)
-            g_t += S
-            g_t /= denom
-            g_t += l2iw
-        elif current is not None or r:
-            if r and change is not row_change:
-                row_change = change
-                row_form = r == 1 and type(change).data_grad_sum is Objective.data_grad_sum
-                if row_form:
-                    kind, y = change.cfg.kind, change.data.labels.item()
-                    c_row[:] = Kc[k] = change.data.features[0]
-                    # x . w_t of the cached iterates this term meets, row by
-                    # row alike for one row or many (x . w = x . v + x . w_t)
-                    t0, xw = t, ((params[t:] if batches is None else params[t:t + 1])
-                                 * c_row).sum(axis=1).tolist()
-            # c1*sigma, -c1*K' and c1 change only with the factorization and n
-            if current is None:         # v = 0: B v = 0
-                coef[:k + 2] = 0.0
-                coef[k + 2] = n / denom
-                fact = None
-            else:
-                if current is not fact or n / denom != c1:
-                    fact, c1 = current, n / denom
-                    m2 = len(fact.Kt)
-                    np.multiply(fact.Kt, -c1, out=Kc[:m2])
-                    Z[1:1 + m2] = fact.MinvKt
-                    coef[0] = c1 * fact.sigma
-                    coef[k + 2] = c1
-                np.dot(Kc, v, out=s_out)
-            if r:
-                c2 = 1.0 / (sign * denom)
-                if row_form:
-                    z = xw[t - t0]
-                    if current is not None:
-                        z += coef.item(k + 1)       # x . v, from the product above
-                    coef[k + 1] = c2 * coefficient(kind, z, y)
-                else:
-                    c_row[:] = change.data_grad_sum(iw)
-                    coef[k + 1] = c2
-                coef[cur] = c2 * r * l2
-            else:
-                coef[k + 1] = coef[cur] = 0.0
-            coef[other] = 0.0
-            g_row[:] = g_t
-            np.dot(coef, Z, out=g_t)
-
-        np.multiply(g_t, etas[t], out=nxt)
-        np.subtract(iw, nxt, out=nxt)
-        _check_finite(t, nxt, iw)
-
-        params[t] = iw
-        iw, nxt = nxt, iw
-        cur, other = other, cur
-        trace.append(label)
-
-    params[T] = iw
-
-    counts = {label: trace.count(label) for label in MODE_LABELS}
-    diagnostics = {
-        **counts,
-        "full_gradient_evals": counts["explicit"] + counts["fallback"],
-        "scheduled_full_gradient_evals": expected_full_gradient_evals(
-            T, cfg.burn_in, cfg.period
-        ),
-        "pair_rejections": buf.rejected,
-        "convexity_guard_events": convexity_events,
-        "smoothness_guard_events": smoothness_events,
-        "cholesky_fallbacks": cholesky_fallbacks,
-        "empty_buffer_fallbacks": empty_buffer_fallbacks,
-    }
-    return params[T], trace, diagnostics
 
 
 def _run_gd_core(
@@ -516,20 +301,41 @@ def _run_gd_core(
 ):
     """The correction loop of every engine, over a list of requests (`_Lane`).
 
+    Iteration t of a request runs over every row of obj, or over
+    `obj.rows(batches[t])`, the recorded minibatch, with step size etas[t].
+    Its change term, an Objective over the r changed rows of that step
+    (None when r = 0), enters with the request's sign: -1 for deleted rows
+    (a subset of the step's rows) and +1 for added rows. With n step rows
+    and denom = n + sign*r the changed-objective gradient at iterate w is
+
+        ( data_sum(rows) + sign * data_sum(changed) ) / denom + l2*w
+
+    at explicit iterations (t <= burn_in, then every `period`-th), in that
+    operation order, and the difference of the step rows' gradient to the
+    cached one, g_t, is the curvature pair of the drift v = w - cached w_t.
+    At approximate iterations it is
+
+        c1 * (sigma*v - (M^-1 K')' K'v + g_t) + c2 * (c + r*l2*w),
+
+    with c the changed rows' data sum, c1 = n/denom and c2 = 1/(sign*denom)
+    (sign is +-1): one product of a coefficient row with a stacked matrix
+    (`_Wavefront`). An approximate step with v = 0 and r = 0 keeps the
+    cached gradient's bits, so r = 0 reproduces the cached trajectory bit
+    for bit; a minibatch left empty is skipped. An approximate step with no
+    factorization (an empty buffer or a failed build) and v != 0 runs
+    exactly, a fallback. With `guards` (the general engine) a pair with
+    dg . v <= 0 is dropped, an approximate step whose ||B v|| reaches
+    SMOOTHNESS_LIMIT * ||v|| runs exactly, and every fallback restarts the
+    period at its step.
+
     Request k corrects the trajectory request k-1 left: its step t reads
     params[t] and grads[t] as request k-1's step t wrote them, then
-    overwrites them with its own iterate and step gradient. A single
-    request runs through `_run_one`. Several run as a wavefront
-    (`_Wavefront`): since step t reads nothing of request k-1 past step t,
-    wave s runs step s - k of every request k in flight, up to
-    min(requests, T) of them, and each wave's arithmetic serves them all.
-    Both share the step arithmetic written out in `_run_one`. The wavefront
-    serves one-row requests over full-batch histories, as streams are;
-    a minibatch history, the general engine's guards and wider change
-    terms come with one request. One request stays on its own loop because
-    the lane bookkeeping cost it more than the benchmark's bound allows:
-    on `sgd-ridge-1e5` (3000 steps of one request, 2 vCPUs) a request took
-    526 ms through the wavefront against 281 ms through `_run_one`.
+    overwrites them with its own iterate and step gradient. The requests
+    run as a wavefront (`_Wavefront`): since step t reads nothing of request
+    k-1 past step t, wave s runs step s - k of every request k in flight,
+    up to min(requests, T) of them, and each wave's arithmetic serves them
+    all. A single request is a wavefront of one lane. Several requests need
+    a full-batch history, no guards and one-row changes, as a stream has.
 
     The reference loop, request by request and term by term, is
     `reference_stream` in tests/oracles.py. params and grads are
@@ -541,56 +347,65 @@ def _run_gd_core(
     trace in request order, and the counters summed over the requests; each
     request's final iterate and trace are also set on its lane.
     """
-    if len(lanes) == 1:
-        lane = lanes[0]
-        changes = itertools.repeat(lane.change) if lane.changes is None else lane.changes
-        final, lane.trace, counts = _run_one(obj, params, grads, etas, cfg, changes, lane.sign,
-                                             batches=batches, guards=guards)
-        lane.final = final.copy()
-        return final, lane.trace, counts
-    if batches is not None or guards:
+    if len(lanes) > 1 and (batches is not None or guards):
         raise ValueError("several requests need a full-batch history and no guards")
-    return _Wavefront(obj, params, grads, etas, cfg, lanes).run()
+    return _Wavefront(obj, params, grads, etas, cfg, lanes, batches, guards).run()
 
 
 class _Wavefront:
-    """The state of `_run_gd_core` for several requests: per-lane arrays,
-    lane k in slot k % S. Every request changes one row through the
-    library's own gradient over a full-batch history, as a stream's do.
+    """The state of `_run_gd_core`: per-lane arrays, lane k in slot k % S.
 
     Each lane keeps the stacked matrix of its approximate step in Z: the
-    drift v, the rows of M^-1 K' (zero past 2m), its change row x, the
-    cached gradient g_t and its iterate w; COEF holds the matching
-    coefficients [c1*sigma, -c1*K'v, c2*a(x . w), c1, c2*l2], and KC the
-    rows -c1*K' and x, so that one product gives -c1*K'v and x . v
-    together. The approximate steps of a wave are then two batched products
-    and the change coefficients; the arrays of a wave are views (a wave
-    whose slots wrap around runs as two parts).
+    drift v, the rows of M^-1 K' (zero past 2m), its change row, the cached
+    gradient g_t and two iterate rows, the current iterate w (row `cur`)
+    and the row its next iterate is written to; COEF holds the matching
+    coefficients [c1*sigma, -c1*K'v, c2*a, c1, c2*r*l2, 0], and KC the rows
+    -c1*K' and x, so that one product, the first, gives -c1*K'v and x . v
+    together. The change row is the row x of a one-row change term that
+    uses the library's own gradient, with a = a(x . w), its float
+    coefficient at x . w = x . v + x . w_t; or, for wider or custom terms,
+    the changed rows' data sum c, with a = 1; none at r = 0. The
+    approximate steps of a wave are then two batched products and the
+    change coefficients; the arrays of a wave are views (a wave whose slots
+    wrap around runs as two parts).
 
     A wave's explicit lanes share one kernel call. `obj` holds the sample
-    set of the oldest request in flight (for logistic loss as signed rows
-    y*x, over which the kernel skips its label passes), and a younger lane
-    adds one signed one-row term for each row the requests ahead of it
-    deleted or added;
-    so explicit steps move at roundoff from a request run alone. Each lane
-    keeps its own pair buffer (a lane of `pairs`), the pairs of a wave's
-    explicit lanes go in with one insert, and the lanes that need a fresh
-    factorization get it from one batched build, a failed build falling
-    back in its own lane only.
+    set of the oldest request in flight (for a logistic stream as signed
+    rows y*x, over which the kernel skips its label passes), and a younger
+    lane adds one signed one-row term for each row the requests ahead of it
+    deleted or added; so a stream's explicit steps move at roundoff from a
+    request run alone. Each lane keeps its own pair buffer (a lane of
+    `pairs`), the pairs of a wave's explicit lanes go in with one insert,
+    and the lanes that need a fresh factorization get it from one batched
+    build, a failed build falling back in its own lane only.
+
+    A run of one lane (S = 1) is a single request. Only it may have a
+    change term that is wide, empty or new at every step (a minibatch
+    history, whose steps have rows of their own and skip an emptied batch)
+    and the general engine's guards. It makes the calls of a one-iterate
+    loop: the change gradient of an explicit step from its term, x . w_t as
+    a sum of products, the change coefficient in floats. Its next iterate
+    goes to the other iterate row, which becomes the current one, since the
+    product's rounding follows the place of w in Z. These fix a single
+    request's bits, which tests/engine_digests.py pins. A stream's lanes
+    keep w in one row and take these values in batched operations.
     """
 
-    def __init__(self, obj, params, grads, etas, cfg, lanes):
+    def __init__(self, obj, params, grads, etas, cfg, lanes, batches=None, guards=False):
         T, p = grads.shape
         self.obj, self.params, self.grads, self.lanes = obj, params, grads, lanes
-        self.l2, self.logistic = obj.l2, obj.cfg.kind == "logistic"
+        self.batches, self.guards = batches, guards
+        self.l2, self.kind = obj.l2, obj.cfg.kind
+        self.logistic = self.kind == "logistic"
         self.burn_in, self.period = cfg.burn_in, cfg.period
         self.eta = np.asarray(etas, dtype=np.float64)
-        self.S = S = min(len(lanes), T)
+        self.S = S = max(1, min(len(lanes), T))
         self.k = k = 2 * cfg.history_size           # rows of M^-1 K'
         self.pairs = PairLanes(S, cfg.history_size, p)
-        self.Z = np.zeros((S, k + 4, p))            # v, M^-1 K', x, g_t, w
-        self.COEF = np.zeros((S, k + 4))
+        self.Z = np.zeros((S, k + 5, p))            # v, M^-1 K', change row, g_t, w, next w
+        self.COEF = np.zeros((S, k + 5))
         self.KC = np.zeros((S, k + 1, p))           # -c1 K', x
+        self.cur = k + 3
         # the lane's KC, Z and COEF rows do not hold the factorization of its
         # pairs (none built yet, a pair added since, or a failed build)
         self.stale = np.ones(S, dtype=bool)
@@ -598,37 +413,82 @@ class _Wavefront:
                                for t in range(T)], dtype=bool)
         self.explicit_before = [0, *np.cumsum(self.sched).tolist()]     # steps < t
         self.codes = np.zeros((S, T), dtype=np.int8)    # indices into MODE_LABELS
-        # each lane's step constants: its rows n, n + sign, sign, c1, c2 and label
-        self.NR, self.DEN, self.SIGN, self.C1, self.C2, self.YR = np.zeros((6, S))
+        # each lane's step constants, one row per lane: its rows n,
+        # n + sign*r and sign (read as columns), c1, c2 and its change row's
+        # label
+        self.CONST = np.zeros((S, 6))
+        self.NR, self.DEN, self.SIGN = (self.CONST[:, i:i + 1] for i in range(3))
+        self.C1, self.C2, self.YR = (self.CONST[:, i] for i in range(3, 6))
+        self.slots = np.arange(S)
         self.counts = dict.fromkeys(_COUNTERS, 0)
+        # a lone lane's change term, its row count, whether it is a row x
+        # (then x . w_t from a step on), its per-step terms (minibatches) and
+        # its last factorization
+        self.term, self.r, self.row, self.xw = None, 0, False, None
+        self.changes = self.built = None
 
     def start(self, k):
         """Lane k starts at w_0 with an empty buffer and its constants."""
         j, lane = k % self.S, self.lanes[k]
-        n, sign = lane.n, lane.sign
-        denom = n + sign
-        c1, c2 = n / denom, 1.0 / (sign * denom)
         self.Z[j] = self.COEF[j] = self.KC[j] = 0.0
-        self.Z[j, -1] = self.params[0]
-        self.KC[j, -1] = self.Z[j, self.k + 1] = lane.change.data.features[0]
-        self.COEF[j, self.k + 2:] = c1, c2 * self.l2
-        self.NR[j], self.DEN[j], self.SIGN[j], self.C1[j], self.C2[j] = n, denom, sign, c1, c2
-        self.YR[j] = lane.change.data.labels[0]
+        self.Z[j, self.cur] = self.params[0]
+        self.SIGN[j] = lane.sign
         self.pairs.clear(j)
         self.stale[j] = True
         self.codes[j] = np.where(self.sched, 0, 1)
+        self.changes = lane.changes
+        if lane.changes is None:
+            self.set_term(j, lane.change, lane.n)
+
+    def set_term(self, j, term, n, t=0):
+        """Slot j's change term (None for r = 0) over a step of n rows, met
+        at step t, and the constants that follow; a new c1 rescales a lone
+        lane's factorization."""
+        k, sign = self.k, self.SIGN.item(j)
+        r = 0 if term is None else term.n
+        denom = n + sign * r
+        c1, c2 = n / denom, 1.0 / (sign * denom)
+        if c1 != self.C1.item(j) and not self.stale.item(j):
+            sigma, Kt = self.built
+            np.multiply(Kt[0], -c1, out=self.KC[j, :len(Kt[0])])
+            self.COEF[j, 0] = c1 * sigma.item(0)
+        self.CONST[j, :5] = n, denom, sign, c1, c2
+        self.COEF[j, k + 2] = c1
+        self.COEF[j, self.cur] = c2 * r * self.l2 if r else 0.0
+        self.term, self.r = term, r
+        self.row = r == 1 and type(term).data_grad_sum is Objective.data_grad_sum
+        if self.row:
+            x = self.KC[j, k] = self.Z[j, k + 1] = term.data.features[0]
+            self.YR[j] = term.data.labels[0]
+            if self.S == 1:     # x . w_t of the cached iterates the term serves
+                steps = self.params[t:] if self.changes is None else self.params[t:t + 1]
+                self.xw = t, (steps * x).sum(axis=1).tolist()
+
+    def skip(self, t):
+        """Step t of a minibatch lane gets its term and rows; True when the
+        batch has no row left, so the step is skipped: the iterate stays and
+        the step gradient is zero."""
+        term, n = next(self.changes), self.batches[t].size
+        if n == (0 if term is None else term.n):
+            self.codes[0, t] = MODE_LABELS.index("skipped-empty-batch")
+            self.params[t] = self.Z[0, self.cur]
+            self.grads[t] = 0.0
+            return True
+        self.set_term(0, term, n, t)
+        return False
 
     def build(self, sb):
-        """Fresh factorizations for slots sb, one batched build per pair
-        count (once full, every lane has the same)."""
+        """Fresh factorizations for slots sb (indices or a slice), one
+        batched build per pair count (once full, every lane has the same)."""
         ms = self.pairs.count[sb]
-        sizes = [int(ms[0])] if ms.min() == ms.max() else np.unique(ms).tolist()
+        sizes = ([int(ms[0])] if len(ms) == 1 or ms.min() == ms.max()
+                 else np.unique(ms).tolist())
         for m in sizes:
-            group = sb if len(sizes) == 1 else sb[ms == m]
-            sigma, Kt, _, MinvKt, failed = self.pairs.build(group, m)
-            ok = failed < 0
-            if not ok.all():
-                group, sigma, Kt, MinvKt = (x[ok] for x in (group, sigma, Kt, MinvKt))
+            group = sb if len(sizes) == 1 else self.slots[sb][ms == m]
+            sigma, Kt, _, MinvKt, failed = self.pairs.build(self.slots[group], m)
+            if np.count_nonzero(failed >= 0):
+                ok = failed < 0
+                group, sigma, Kt, MinvKt = (x[ok] for x in (self.slots[group], sigma, Kt, MinvKt))
             c1 = self.C1[group]
             self.COEF[group, 0] = c1 * sigma
             self.KC[group, :2 * m] = Kt * -c1[:, None, None]
@@ -637,33 +497,44 @@ class _Wavefront:
                 self.KC[group, 2 * m:self.k] = 0.0
                 self.Z[group, 1 + 2 * m:1 + self.k] = 0.0
             self.stale[group] = False
+            self.built = sigma, Kt
 
     def fallbacks(self, explicit, sl, V):
         """The lanes of a wave part (slots sl) that run exactly, scheduled or
         as a fallback, and the fallbacks, after one batched build of the
         factorizations that the other lanes need."""
-        counts = self.counts
-        approx = ~explicit
-        need = approx & self.stale[sl] & (self.pairs.count[sl] > 0)
-        if need.any():
-            self.build(np.flatnonzero(need) + sl.start)
+        counts, stale, count = self.counts, self.stale[sl], self.pairs.count[sl]
+        need = ~explicit & stale
+        built = need & (count > 0)
+        b = np.count_nonzero(built)
+        if b:
+            self.build(sl if b == len(built) else np.flatnonzero(built) + sl.start)
         # no factorization (empty buffer or failed build): B v is needed
         # unless v = 0, so the step is recomputed exactly
-        fallback = approx & self.stale[sl]
-        if fallback.any():
+        fallback = need & stale
+        if np.count_nonzero(fallback):
             fallback &= np.count_nonzero(V, axis=1) > 0
-            empty = int(np.count_nonzero(fallback & (self.pairs.count[sl] == 0)))
+            empty = int(np.count_nonzero(fallback & (count == 0)))
             counts["empty_buffer_fallbacks"] += empty
             counts["cholesky_fallbacks"] += int(np.count_nonzero(fallback)) - empty
         return explicit | fallback, fallback
 
-    def explicit(self, e, se, first, W, V, Gt):
+    def anchor(self, t):
+        """A guarded lane ran step t exactly off the schedule: its period
+        restarts there."""
+        later = slice(t + 1, len(self.sched))
+        self.sched[later] = np.arange(1, len(self.sched) - t) % self.period == 0
+        self.explicit_before = [0, *np.cumsum(self.sched).tolist()]
+        self.codes[0, later] = np.where(self.sched[later], 0, 1)
+
+    def explicit(self, e, se, first, W, V, Gt, t):
         """Step gradients of a wave part's explicit lanes (rows e of the
-        part, slots se, lane indices from `first`), which also insert their
-        curvature pairs."""
+        part, slots se, indices or a slice, lane indices from `first`, the
+        first at step t), which also insert their curvature pairs."""
         iw = W[e]
         k, logistic = self.k, self.logistic
-        S_ = self.obj.data_grad_sum(iw[0])[None] if len(se) == 1 else self.obj.data_grad_sum(iw)
+        obj = self.obj if self.batches is None else self.obj.rows(self.batches[t])
+        S_ = obj.data_grad_sum(iw[0])[None] if len(iw) == 1 else obj.data_grad_sum(iw)
         ks = first + np.arange(len(W))[e]
         if ks[-1] > self.k_lo:
             # the rows the requests ahead (k_lo .. k-1) deleted or added
@@ -672,67 +543,114 @@ class _Wavefront:
             X = self.KC[sj, k]
             with np.errstate(over="ignore"):
                 A = coefficients(logistic, X @ iw.T, self.YR[sj][:, None])
-            A *= np.where(ahead[:, None] < ks, self.SIGN[sj][:, None], 0.0)
+            A *= np.where(ahead[:, None] < ks, self.SIGN[sj], 0.0)
             S_ = S_ + A.T @ X
         l2iw = self.l2 * iw
-        dg = S_ / self.NR[se][:, None]
+        dg = S_ / self.NR[se]
         dg += l2iw                              # the exact gradient g_full
         dg -= Gt[e]
-        self.stale[se[self.pairs.insert(se, V[e], dg)]] = True
-        # (S + sign*changed) / denom + l2*w, the change row's gradient a(x . w) x
-        X = self.KC[se, k]
-        with np.errstate(over="ignore"):
-            a = coefficients(logistic, np.einsum("ij,ij->i", X, iw), self.YR[se])
-        g = X * a[:, None]
-        g += 0.0
-        g *= self.SIGN[se][:, None]
+        if self.guards and np.count_nonzero(V) and float(dg[0] @ V[0]) <= 0.0:
+            self.counts["convexity_guard_events"] += 1     # concave stretch: drop the pair
+        else:
+            lanes = self.slots[se]
+            self.stale[lanes[self.pairs.insert(lanes, V[e], dg)]] = True
+        # (S + sign*changed) / denom + l2*w
+        if self.S > 1:      # the change rows' gradients a(x . w) x
+            X = self.KC[se, k]
+            with np.errstate(over="ignore"):
+                a = coefficients(logistic, np.einsum("ij,ij->i", X, iw), self.YR[se])
+            g = X * a[:, None]
+            g += 0.0
+        else:
+            g = self.term.data_grad_sum(iw[0])[None] if self.r else np.zeros(iw.shape)
+        g *= self.SIGN[se]
         g += S_
-        g /= self.DEN[se][:, None]
+        g /= self.DEN[se]
         g += l2iw
         return g
 
-    def approximate(self, sl, Z, C, P, Gt):
-        """Step gradients of a wave part's lanes (slots sl, their stacked
-        matrices Z and coefficients C, cached iterates P and gradients Gt)
-        as approximate steps; the explicit lanes' rows are overwritten."""
+    def approximate(self, sl, Z, C, P, Gt, t):
+        """Step gradients of a wave part's lanes (slots sl, the first at
+        step t, their stacked matrices Z and coefficients C, the first
+        product in C, cached iterates P and gradients Gt) as approximate
+        steps; the explicit lanes' rows are overwritten."""
         k = self.k
-        np.matmul(self.KC[sl], Z[:, 0, :, None], out=C[:, 1:k + 2, None])
-        # x . w = x . v, from the product above, plus x . w_t
-        z = np.einsum("lp,lp->l", Z[:, k + 1], P)
-        z += C[:, k + 1]
-        with np.errstate(over="ignore"):
-            a = coefficients(self.logistic, z, self.YR[sl])
-        np.multiply(a, self.C2[sl], out=C[:, k + 1])
-        Z[:, k + 2] = Gt
-        return np.matmul(C[:, None], Z)[:, 0]
+        if self.S > 1:
+            # x . w = x . v, from the first product, plus x . w_t
+            z = np.einsum("lp,lp->l", Z[:, k + 1], P)
+            z += C[:, k + 1]
+            with np.errstate(over="ignore"):
+                a = coefficients(self.logistic, z, self.YR[sl])
+            np.multiply(a, self.C2[sl], out=C[:, k + 1])
+            Z[:, k + 2] = Gt
+            return np.matmul(C[:, None], Z)[:, 0]
+        c, z = C[0], Z[0]
+        if self.row:
+            t0, xw = self.xw
+            xw = xw[t - t0]
+            if not self.stale[0]:
+                xw += c.item(k + 1)
+            c[k + 1] = self.C2[0] * coefficient(self.kind, xw, self.YR.item(0))
+        elif self.r:
+            z[k + 1] = self.term.data_grad_sum(z[self.cur])
+            c[k + 1] = self.C2[0]
+        elif self.stale[0]:
+            return Gt.copy()                    # B v = 0 and no change: the cached gradient
+        else:
+            c[k + 1] = 0.0
+        z[k + 2] = Gt[0]
+        return np.dot(c, z)[None]
 
     def step(self, sl, t_top, first):
         """Wave steps of the lanes in slots sl (contiguous), lane `first` at
         step t_top and each next lane one step behind. Returns the part's
         first lane whose next iterate is not finite, with its error, or None."""
-        L = sl.stop - sl.start
-        rows = slice(t_top - L + 1, t_top + 1)
+        if self.changes is not None and self.skip(t_top):
+            return None
+        L, k, cur = sl.stop - sl.start, self.k, self.cur
+        # the lanes' steps, in lane order: descending t
+        rows = slice(t_top, t_top - L if t_top >= L else None, -1)
         Z, C = self.Z[sl], self.COEF[sl]
-        P = self.params[rows][::-1]             # lane order is descending t
-        Gt = self.grads[rows][::-1]
-        W, V = Z[:, -1], Z[:, 0]
+        P, Gt = self.params[rows], self.grads[rows]
+        W, V = Z[:, cur], Z[:, 0]
         np.subtract(W, P, out=V)
-        explicit = self.sched[rows][::-1]
-        n = self.explicit_before[t_top + 1] - self.explicit_before[rows.start]
-        if n < L and self.stale[sl].any():
+        explicit = self.sched[rows]
+        n = self.explicit_before[t_top + 1] - self.explicit_before[t_top + 1 - L]
+        if n < L and np.count_nonzero(self.stale[sl]):
             explicit, fallback = self.fallbacks(explicit, sl, V)
             f = np.flatnonzero(fallback)
             if f.size:
                 self.codes[f + sl.start, t_top - f] = MODE_LABELS.index("fallback")
                 n += f.size
+        if n < L and self.S == 1 and self.stale[0]:
+            C[0, :k + 2] = 0.0                  # v = 0 and no factorization: B v = 0
+        elif n < L:
+            # the first product: -c1 K'v and x . v
+            if L == 1:
+                np.dot(self.KC[sl.start], V[0], out=C[0, 1:k + 2])
+            else:
+                np.matmul(self.KC[sl], V[:, :, None], out=C[:, 1:k + 2, None])
+            # the local smoothness guard (of a lone lane): a drift estimate
+            # past the trusted Lipschitz cap means B is not believable here;
+            # c1 B v = c1*sigma*v - (M^-1 K')'(c1 K'v)
+            if self.guards and np.count_nonzero(V) and np.linalg.norm(
+                    np.dot(C[0, :k + 1], Z[0, :k + 1])) >= (
+                    SMOOTHNESS_LIMIT * self.C1[0] * np.linalg.norm(V[0])):
+                self.counts["smoothness_guard_events"] += 1
+                self.codes[0, t_top] = MODE_LABELS.index("fallback")
+                n = 1
+        if self.guards and n and not self.sched[t_top]:
+            self.anchor(t_top)
         if n == L:
-            G = self.explicit(slice(None), np.arange(sl.start, sl.stop), first, W, V, Gt)
+            G = self.explicit(slice(None), sl, first, W, V, Gt, t_top)
         else:
-            G = self.approximate(sl, Z, C, P, Gt)
+            G = self.approximate(sl, Z, C, P, Gt, t_top)
             if n:
                 e = np.flatnonzero(explicit)
-                G[e] = self.explicit(e, e + sl.start, first, W, V, Gt)
-        nxt = G * self.eta[rows][::-1, None]
+                G[e] = self.explicit(e, e + sl.start, first, W, V, Gt, t_top)
+        other = 2 * k + 7 - cur
+        nxt = Z[:, other]
+        np.multiply(G, self.eta[t_top] if L == 1 else self.eta[rows, None], out=nxt)
         np.subtract(W, nxt, out=nxt)
         failure = None
         if np.count_nonzero(np.isfinite(nxt)) != nxt.size:
@@ -741,15 +659,18 @@ class _Wavefront:
                                                  last_finite=W[i].copy())
         P[:] = W
         Gt[:] = G
-        W[:] = nxt
+        if self.S > 1:
+            W[:] = nxt
+        else:                                   # the next iterate's row becomes current
+            C[0, cur], C[0, other] = C.item(0, other), C.item(0, cur)
+            self.cur = other
         return failure
 
     def run(self):
         lanes, counts, S, T = self.lanes, self.counts, self.S, self.grads.shape[0]
         K = len(lanes)
-        secs = np.zeros(K)
         error, failed = None, K                 # the first failed lane, K for none
-        self.k_lo, clock = 0, time.perf_counter()
+        self.k_lo, waves = 0, [(0, -1, time.perf_counter())]     # lanes and end of each wave
         for s in itertools.count():
             k_lo, k_hi = self.k_lo, min(s, failed - 1, K - 1)
             if k_lo > k_hi:
@@ -757,21 +678,26 @@ class _Wavefront:
             if k_hi == s:
                 self.start(s)
             lo, hi = k_lo % S, k_hi % S
-            # a wave whose slots wrap around the ring runs as two parts
+            # a wave whose slots wrap around the ring runs as two parts; with
+            # T = 0 there are no steps, and each request ends at w_0
             parts = (((lo, hi + 1, k_lo),) if lo <= hi
                      else ((lo, S, k_lo), (0, hi + 1, k_lo + S - lo)))
-            for a, b, first in parts:
+            for a, b, first in parts if T else ():
                 failure = self.step(slice(a, b), s - first, first)
                 if failure is not None and failure[0] < failed:
                     # this lane and the lanes after it stop
                     failed, error = failure
-            if s - k_lo == T - 1 and k_lo < failed:    # the oldest lane is done
+            if s - k_lo >= T - 1 and k_lo < failed:    # the oldest lane is done
                 self.finish(k_lo)
                 self.k_lo += 1
-            now = time.perf_counter()
-            secs[k_lo:k_hi + 1] += (now - clock) / (k_hi - k_lo + 1)
-            clock = now
-        for lane, sec in zip(lanes, secs):
+            waves.append((k_lo, k_hi, time.perf_counter()))
+        # each wave's time, shared evenly by its lanes
+        lo, hi, end = np.array(waves).T
+        share = np.diff(end) / (hi - lo + 1)[1:]
+        secs = np.zeros(K + 1)
+        np.add.at(secs, lo[1:].astype(np.intp), share)
+        np.add.at(secs, hi[1:].astype(np.intp) + 1, -share)
+        for lane, sec in zip(lanes, np.cumsum(secs)):
             lane.seconds += sec
         if error is not None:
             raise error
@@ -784,7 +710,7 @@ class _Wavefront:
         """Lane k's last step is done: its results, its counters, and the
         sample set's edit by its request for the lanes after it."""
         j, lane = k % self.S, self.lanes[k]
-        lane.final = self.params[-1] = self.Z[j, -1].copy()
+        lane.final = self.params[-1] = self.Z[j, self.cur].copy()
         codes = self.codes[j]
         lane.trace = [MODE_LABELS[c] for c in codes.tolist()]
         for c, label in enumerate(MODE_LABELS):

@@ -48,16 +48,17 @@ matrix-vector products, O(m*p); the engines' approximate step reads K'
 and M^-1 K' directly and folds the second product into its own.
 
 One store keeps the pairs: `PairLanes`, a stack of buffers (lanes) with
-the one curvature test, the one eviction and the one compact build. A
-request stream keeps one lane per request in flight: a wave of requests
-inserts its pairs with one call, and builds the factorizations of every
-lane that needs one with one call, whose float operations, or np.linalg
-calls, take the whole stack. A single request's `CurvaturePairBuffer` is
-lane 0 of a one-lane `PairLanes`, with a cached snapshot of its
-factorization. Up to the lanes' crossover, and beyond one buffer's, each
-lane's factorization has the bits it has alone; in between its M^-1 and
-M^-1 K' differ at roundoff. A lane whose C is not SPD is marked failed in
-its own lane only.
+the one curvature test, the one eviction and the one compact build. The
+engines keep one lane per request in flight, and a single request is lane
+0 of a one-lane `PairLanes`: a wave of requests inserts its pairs with one
+call, and builds the factorizations of every lane that needs one with one
+call, whose float operations, or np.linalg calls, take the whole stack.
+`CurvaturePairBuffer`, one pair set with a cached snapshot of its
+factorization that `quasi_hvp` applies, is lane 0 of a one-lane
+`PairLanes` as well; the test oracles use it, the engines do not. Up to
+the lanes' crossover, and beyond one buffer's, each lane's factorization
+has the bits it has alone; in between its M^-1 and M^-1 K' differ at
+roundoff. A lane whose C is not SPD is marked failed in its own lane only.
 """
 
 from __future__ import annotations
@@ -217,10 +218,11 @@ def _linalg_factors(grams: np.ndarray, sigma: np.ndarray) -> tuple:
 
 class PairLanes:
     """`lanes` curvature-pair buffers of at most `capacity` pairs of length
-    p each, stored as stacked arrays: W and G (lanes x capacity x p) hold
-    each lane's pairs oldest first, and `count` how many. One call inserts
-    a pair into each of several lanes, and one call builds the compact
-    factorizations of several lanes.
+    p each, stored as one array: GW[j] (2 x capacity x p) holds lane j's G
+    and W, pairs oldest first, so that an eviction is one copy and a build
+    one gather; G and W are its views, and `count` says how many pairs
+    each lane holds. One call inserts a pair into each of several lanes,
+    and one call builds the compact factorizations of several lanes.
 
     Inserts enforce the curvature condition dg.dw > CURVATURE_FLOOR*||dw||^2
     per lane; a rejected pair (dw = 0 included) leaves its lane unchanged
@@ -231,8 +233,8 @@ class PairLanes:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.W = np.zeros((lanes, capacity, p))
-        self.G = np.zeros((lanes, capacity, p))
+        self.GW = np.zeros((lanes, 2, capacity, p))     # each lane's [G; W]
+        self.G, self.W = self.GW[:, 0], self.GW[:, 1]
         self.count = np.zeros(lanes, dtype=np.intp)
         self.rejected = np.zeros(lanes, dtype=np.intp)
 
@@ -255,8 +257,7 @@ class PairLanes:
             full = at == self.capacity
             if np.count_nonzero(full):
                 evict = acc[full]
-                self.W[evict, :-1] = self.W[evict, 1:]
-                self.G[evict, :-1] = self.G[evict, 1:]
+                self.GW[evict, :, :-1] = self.GW[evict, :, 1:]
                 at = at - full
             self.W[acc, at] = dW
             self.G[acc, at] = dG
@@ -271,9 +272,8 @@ class PairLanes:
         LANES_FLOAT_FACTOR_MAX_M pairs, and above FLOAT_FACTOR_MAX_M, every
         lane's entries have the bits that a build of that lane alone gives
         them."""
-        W, G = self.W[lanes, :m], self.G[lanes, :m]
-        Kt = np.concatenate([G, W], axis=1)
-        grams = W @ Kt.transpose(0, 2, 1)           # rows [W'G | W'W]
+        Kt = self.GW[lanes, :, :m].reshape(len(lanes), 2 * m, -1)     # [G; W], a copy
+        grams = Kt[:, m:] @ Kt.transpose(0, 2, 1)   # rows [W'G | W'W]
         sigma = grams[:, m - 1, m - 1] / grams[:, m - 1, 2 * m - 1]
         if len(grams) == 1 and m <= FLOAT_FACTOR_MAX_M:
             F, failed = _float_factors(grams[0], float(sigma[0]))
@@ -294,10 +294,10 @@ _LANE0 = np.zeros(1, dtype=np.intp)
 
 
 class CurvaturePairBuffer:
-    """The curvature pairs of a single request: at most `capacity`, oldest
-    evicted first, kept as lane 0 of a one-lane `PairLanes` of the first
-    pair's length, so a single request and a stream share one curvature
-    test, one eviction and one build.
+    """One set of curvature pairs: at most `capacity`, oldest evicted
+    first, kept as lane 0 of a one-lane `PairLanes` of the first pair's
+    length, so that it has the curvature test, eviction and build of the
+    engines' lanes.
 
     A rejected pair (dw = 0 included) leaves the buffer unchanged and is
     counted in `rejected`. Single writer; each accepted insert makes

@@ -1,6 +1,6 @@
 """One SHA-256 over the bits of training and of every correction engine.
 
-    PYTHONPATH=src python tests/engine_digests.py [--small]
+    PYTHONPATH=src python tests/engine_digests.py [--small] [--per-run]
 
 Trains small logistic and ridge problems with `train_gd` and `train_sgd`,
 then runs, at each history size m, a gd deletion (r = 0, 1 and 4), a gd
@@ -9,6 +9,8 @@ addition (r = 0, 1 and 3), the general engine, the sgd engine (r = 0 and
 stream of mixed requests. It hashes every run's final parameters,
 corrected iterates and step gradients, mode trace, counters and
 per-request records (all but their timings), and prints the hex digest.
+With --per-run it first prints `kind:name <sha256>` for each run, so that
+two revisions whose digests differ can be told apart run by run.
 
 Two revisions that print the same digest gave every engine the same bits.
 A change that should keep the bits is checked by running this script at
@@ -111,20 +113,30 @@ def _runs(kind: str, n: int, p: int, iterations: int, history_sizes):
         yield f"online-stream-{m}", unlearn_online(data, gd, stream, cfg)
 
 
+def _hash_run(h, kind, name, result):
+    h.update(f"{kind}:{name}".encode())
+    if hasattr(result, "mode_trace"):
+        _hash_outcome(h, result)
+    else:
+        _hash_history(h, result)
+
+
 def digest(history_sizes=HISTORY_SIZES, losses=LOSSES, n: int = 120, p: int = 6,
-           iterations: int = 40) -> str:
-    """The hex SHA-256 of every run of `_runs`, in order, for each loss."""
+           iterations: int = 40, per_run=None) -> str:
+    """The hex SHA-256 of every run of `_runs`, in order, for each loss.
+    `per_run`, a callable, is given each run's `kind:name` and the SHA-256
+    of that run alone."""
     h = hashlib.sha256()
     with warnings.catch_warnings():     # large deleted fractions of small problems
         warnings.simplefilter("ignore")
         runs = [(kind, name, result) for kind in losses
                 for name, result in _runs(kind, n, p, iterations, history_sizes)]
     for kind, name, result in runs:
-        h.update(f"{kind}:{name}".encode())
-        if hasattr(result, "mode_trace"):
-            _hash_outcome(h, result)
-        else:
-            _hash_history(h, result)
+        _hash_run(h, kind, name, result)
+        if per_run is not None:
+            one = hashlib.sha256()
+            _hash_run(one, kind, name, result)
+            per_run(f"{kind}:{name}", one.hexdigest())
     return h.hexdigest()
 
 
@@ -135,8 +147,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--small", action="store_true", help="the smallest configuration only")
+    ap.add_argument("--per-run", action="store_true",
+                    help="print `kind:name <sha256>` for every run before the total")
     args = ap.parse_args(argv)
-    print(digest(**SMALLEST) if args.small else digest())
+    per_run = (lambda name, hexdigest: print(name, hexdigest)) if args.per_run else None
+    print(digest(**SMALLEST, per_run=per_run) if args.small else digest(per_run=per_run))
 
 
 if __name__ == "__main__":

@@ -269,6 +269,23 @@ def test_exit_codes(tmp_path, cache):
                "--iters", "1", "--cache-out", str(tmp_path / "x.dgc")) == 11
 
 
+def test_a_failed_cache_write_keeps_the_old_cache(cache, monkeypatch):
+    # a write that fails mid-body is an I/O error (exit 11), and the cache
+    # the command would have replaced keeps its bytes; no temporary file is
+    # left behind
+    from deltagrad import dataio
+
+    def disk_full(p):
+        raise OSError(28, "No space left on device")
+
+    old = cache.read_bytes()
+    monkeypatch.setattr(dataio, "_record_dtype", disk_full)
+    assert run("train", "--data", SYNTH, "--format", "synthetic", "--iters", "5",
+               "--cache-out", str(cache)) == 11
+    assert cache.read_bytes() == old
+    assert [entry.name for entry in cache.parent.iterdir()] == [cache.name]
+
+
 @pytest.mark.parametrize("flag", [("--seed", str(2**64)), ("--lr", f"0:0.2,{2**64}:0.1")])
 def test_train_rejects_what_a_cache_cannot_store(tmp_path, capsys, flag):
     # a seed or breakpoint of 2^64 or above is a config error, found before

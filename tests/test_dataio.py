@@ -265,6 +265,38 @@ def test_model_file_round_trip(tmp_path):
         load_cache(path)            # wrong magic for a cache
 
 
+def _disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("kind", ["cache", "model"])
+def test_a_failed_write_leaves_the_old_file(tmp_path, monkeypatch, logistic_history, kind):
+    # a file is written under a temporary name and renamed over the old one:
+    # a write that fails once the header is out leaves the old file byte for
+    # byte and no temporary file; a new file gets the mode `open` gives
+    from deltagrad import dataio
+
+    def save(path):
+        if kind == "cache":
+            save_cache(logistic_history, path)
+        else:
+            save_model(logistic_history.params[-1], path)
+
+    path = tmp_path / f"out.{kind}"
+    save(path)
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert path.stat().st_mode == plain.stat().st_mode
+    plain.unlink()
+    old = path.read_bytes()
+    monkeypatch.setattr(dataio, "_record_dtype" if kind == "cache" else "_pack_vector",
+                        _disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        save(path)
+    assert path.read_bytes() == old
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
+
+
 # Length fields whose 8x overflows ssize_t: a read sized by one raises
 # OverflowError, so they must be checked against the file size first.
 HUGE_P = 2 ** 61

@@ -466,6 +466,23 @@ def test_stream_longer_than_the_trajectory_matches_the_reference():
     assert [rec["index"] for rec in out.diagnostics["requests"]][-2:] == [data.n + 5, data.n + 2]
 
 
+def test_a_history_of_no_steps_leaves_every_request_at_w0():
+    # T = 0: no step runs, so a single request and each request of a
+    # stream end at w_0, with empty mode traces and no gradient counted
+    data, hist = train_problem(n=40, p=3, T=0)
+    stream = [ChangeSet.delete([1]), ChangeSet.add([0.5, -0.5, 1.0], [1.0]),
+              ChangeSet.delete([data.n])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        outs = (unlearn_batch_gd(data, hist, ChangeSet.delete([1]), GD),
+                unlearn_online(data, hist, stream, GD))
+    for out in outs:
+        assert out.mode_trace == []
+        assert out.w_final.tobytes() == hist.params[0].tobytes()
+        assert out.diagnostics["full_gradient_evals"] == 0
+        assert all(rec["shift"] == 0.0 for rec in out.diagnostics["requests"])
+
+
 def test_stream_request_seconds_sum_to_the_engine_time():
     # a stream request's seconds are its set-up plus its even share of every
     # wave it ran in; they add up to the engine's time, as one request's do
@@ -1024,15 +1041,18 @@ def fused_requests(name, data, hist, ids, rng):
     T=st.integers(1, 40),
     period=st.integers(1, 6),
     burn_in=st.integers(2, 10),
+    history_size=st.integers(1, 3),
     seed=st.integers(0, 2**16),
     data_st=st.data(),
 )
-def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn_in, seed,
-                                               data_st):
+def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn_in,
+                                               history_size, seed, data_st):
     # every engine, and a stream of requests run as a wavefront, against the
     # loop that runs the requests one by one and writes the approximate step
     # out term by term (tests/oracles.py): the same modes and counters,
-    # iterates and step gradients equal to roundoff, and r = 0 bit for bit
+    # iterates and step gradients equal to roundoff, and r = 0 bit for bit;
+    # history sizes 1 to 3 take one pair, the float factorizations and, in
+    # a stream's lanes at 3 pairs, np.linalg
     from unittest import mock
 
     from deltagrad import lbfgs
@@ -1048,7 +1068,8 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     train_cfg = TrainConfig(loss=loss_cfg, iterations=T, batch_size=batch,
                             eta_schedule=((0, eta),), seed=seed)
     hist = train_sgd(data, train_cfg) if name == "sgd" else train_gd(data, train_cfg)
-    cfg = DeltaGradConfig(period=period, burn_in=burn_in, history_size=2,
+    cfg = DeltaGradConfig(period=period, burn_in=max(burn_in, history_size),
+                          history_size=history_size,
                           mode={"sgd": "sgd", "general": "general"}.get(name, "gd"))
     ids = data_st.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
     engine, requests, setting = fused_requests(name, data, hist, ids, np.random.default_rng(seed))
@@ -1212,6 +1233,53 @@ def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
     assert waves.stale.tolist() == [False, True, False, False]
 
 
+# ------------------------------------------------------------ the loop's returns
+
+@pytest.mark.parametrize("name", ["gd-delete", "gd-add", "sgd", "general", "online", "stream"])
+def test_the_correction_loop_returns_every_requests_trace(monkeypatch, name):
+    # dgbench/tracing.py wraps engine._run_gd_core and counts the labels of
+    # the trace it returns against the counters it returns: that trace holds
+    # T labels per request in request order, the last request's are the
+    # outcome's mode trace, and its label counts are the counters
+    T = 40
+    data, hist = train_problem(n=60, p=4, T=T, batch=6 if name == "sgd" else None)
+    returned = []
+    core = engine_mod._run_gd_core
+    monkeypatch.setattr(engine_mod, "_run_gd_core",
+                        lambda *a, **k: returned.append(core(*a, **k)) or returned[-1])
+    rows = np.random.default_rng(3).normal(size=(2, data.p))
+    stream = [ChangeSet.delete([3]), ChangeSet.add(rows[0], [1.0]), ChangeSet.delete([7]),
+              ChangeSet.delete([data.n]), ChangeSet.add(rows[1], [-1.0])]
+    run = {
+        "gd-delete": lambda: unlearn_batch_gd(data, hist, ChangeSet.delete([1, 2]), GD),
+        "gd-add": lambda: relearn_batch_gd(data, hist, ChangeSet.add(rows, [1.0, -1.0]), GD),
+        # every row of the first batch: its steps are skipped
+        "sgd": lambda: unlearn_batch_sgd(data, hist, ChangeSet.delete(hist.batches()[0]), SGD),
+        "general": lambda: unlearn_general(data, hist, ChangeSet.delete([4]), GEN),
+        "online": lambda: unlearn_online(data, hist, stream[:1], GD),
+        "stream": lambda: unlearn_online(data, hist, stream, GD),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        out = run()
+        final, trace, counters = returned[0]
+        requests = len(out.diagnostics["requests"])
+        assert len(returned) == 1 and len(trace) == requests * T
+        assert trace[-T:] == out.mode_trace
+        assert final.tobytes() == out.w_final.tobytes()
+        for label in engine_mod.MODE_LABELS:
+            assert trace.count(label) == counters[label] == out.diagnostics[label], label
+        assert counters["full_gradient_evals"] == counters["explicit"] + counters["fallback"]
+        assert counters["scheduled_full_gradient_evals"] == requests * (
+            expected_full_gradient_evals(T, GD.burn_in, GD.period))
+        if name == "sgd":
+            assert "skipped-empty-batch" in trace
+        # request k's labels are those it has as the last request of a stream
+        for k in range(requests - 1):
+            prefix = unlearn_online(data, hist, stream[:k + 1], GD)
+            assert trace[k * T:(k + 1) * T] == prefix.mode_trace
+
+
 # ------------------------------------------------------------ request checks
 
 def test_stream_that_would_empty_the_dataset_fails_before_any_work(core_calls):
@@ -1248,3 +1316,10 @@ def test_the_engine_digest_repeats(capsys):
     printed = capsys.readouterr().out.strip()
     assert len(printed) == 64
     assert engine_digests.digest(**engine_digests.SMALLEST) == printed
+    # --per-run names every run and its own digest before the same total
+    engine_digests.main(["--small", "--per-run"])
+    *runs, total = capsys.readouterr().out.strip().split("\n")
+    assert total == printed
+    names = [line.split()[0] for line in runs]
+    assert names[:3] == ["logistic:train_gd", "logistic:train_sgd", "logistic:gd-delete-2-0"]
+    assert len(set(names)) == len(names) and all(len(line.split()[1]) == 64 for line in runs)
