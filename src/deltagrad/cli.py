@@ -378,12 +378,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_data_flags(sub, include_label=True):
+def _add_data_flags(sub):
     sub.add_argument("--data", required=True,
                      help="dataset path, or a synthetic spec like 'n=1000,p=10,seed=0'")
     sub.add_argument("--format", choices=["libsvm", "csv", "synthetic"], default="libsvm")
-    if include_label:
-        sub.add_argument("--label-column", default="label", help="label column for csv")
+    sub.add_argument("--label-column", default="label", help="label column for csv")
 
 
 def _add_train_flags(sub):

@@ -157,6 +157,8 @@ class SyntheticSpec:
             raise ValueError("need n >= 1 and p >= 1")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise is a probability")
+        if not math.isfinite(self.margin):
+            raise ValueError("margin must be finite")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -269,6 +271,8 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
         )
         if loss_code not in _LOSS_NAMES:
             raise CacheFormatError(f"unknown loss code {loss_code}")
+        if p < 1:
+            raise CacheFormatError("invalid cache header: p = 0")
         (l2,) = struct.unpack("<d", _read_exact(fh, 8, "header"))
         (n_seg,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
         schedule = []

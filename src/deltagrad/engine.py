@@ -411,7 +411,6 @@ class _Wavefront:
         self.stale = np.ones(S, dtype=bool)
         self.sched = np.array([t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
                                for t in range(T)], dtype=bool)
-        self.explicit_before = [0, *np.cumsum(self.sched).tolist()]     # steps < t
         self.codes = np.zeros((S, T), dtype=np.int8)    # indices into MODE_LABELS
         # each lane's step constants, one row per lane: its rows n,
         # n + sign*r and sign (read as columns), c1, c2 and its change row's
@@ -524,7 +523,6 @@ class _Wavefront:
         restarts there."""
         later = slice(t + 1, len(self.sched))
         self.sched[later] = np.arange(1, len(self.sched) - t) % self.period == 0
-        self.explicit_before = [0, *np.cumsum(self.sched).tolist()]
         self.codes[0, later] = np.where(self.sched[later], 0, 1)
 
     def explicit(self, e, se, first, W, V, Gt, t):
@@ -615,7 +613,7 @@ class _Wavefront:
         W, V = Z[:, cur], Z[:, 0]
         np.subtract(W, P, out=V)
         explicit = self.sched[rows]
-        n = self.explicit_before[t_top + 1] - self.explicit_before[t_top + 1 - L]
+        n = np.count_nonzero(explicit)
         if n < L and np.count_nonzero(self.stale[sl]):
             explicit, fallback = self.fallbacks(explicit, sl, V)
             f = np.flatnonzero(fallback)

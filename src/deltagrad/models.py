@@ -5,7 +5,8 @@ regression (labels in {-1, +1}) and ridge regression. The regularizer
 (l2/2)*||w||^2 is part of every per-sample loss, so per-sample gradients
 carry an l2*w term and subset sums are consistent with n times the full
 gradient. The one gradient kernel, `gradient_sum`, sums every row it is
-given; rows are picked by `Objective.rows` alone.
+given, in one block loop at one iterate (one-row datasets included) and
+one at a matrix of iterates; rows are picked by `Objective.rows` alone.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
 frozen after construction and safe to share across threads, except a
@@ -208,8 +209,8 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not self.l2 >= 0.0:
-            raise ValueError("l2 must be >= 0")
+        if not 0.0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be >= 0 and finite")
 
 
 def _check_w(data: Dataset, w, lanes: bool = False) -> np.ndarray:
@@ -250,24 +251,22 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
 
 
 def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
-    """Data-part gradient sum over rows lo .. lo+rows of (X, y): z = X_b @ w,
-    the per-row coefficient a, then X_b.T @ a. For iterates as rows w
-    (L, p), the same as matrix products: z = w @ X_b.T (L x R), then a @ X_b
-    (L x p). A logistic caller holds np.errstate(over="ignore")."""
-    Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
-    if w.ndim == 2:
-        return coefficients(logistic, w @ Xb.T, yb) @ Xb
-    return Xb.T @ coefficients(logistic, Xb @ w, yb)
+    """Data-part gradient sum over rows lo .. lo+rows of (X, y) at one
+    iterate w: z = X_b @ w, the per-row coefficient a, then X_b.T @ a. A
+    logistic caller holds np.errstate(over="ignore")."""
+    Xb = X[lo:lo + rows]
+    return Xb.T @ coefficients(logistic, Xb @ w, y[lo:lo + rows])
 
 
-def coefficients(logistic: bool, z, y):
+def coefficients(logistic: bool, z, y, out=None):
     """The coefficients a of rows with labels y at margins z (arrays that
     broadcast), whose data-part gradients are a * x: (logistic)
-    y / (-1 - exp(y*z)), an exact 0 where exp overflows, or (ridge) z - y.
-    Where exp may overflow the caller holds np.errstate(over="ignore")."""
+    y / (-1 - exp(y*z)), an exact 0 where exp overflows, or (ridge) z - y;
+    written into `out` when given, which may be z. Where exp may overflow
+    the caller holds np.errstate(over="ignore")."""
     if not logistic:
-        return z - y
-    a = y * z
+        return np.subtract(z, y, out=out)
+    a = np.multiply(y, z, out=out)
     np.exp(a, out=a)
     np.subtract(-1.0, a, out=a)
     np.divide(y, a, out=a)
@@ -309,18 +308,13 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
     y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
     The block sums are added into zeros in block order; the sum of data of
-    one block is that block's sum plus 0.0, which turns -0.0 into 0.0 as the
-    sum into zeros does, so the bits are the same. One row, the size of most
-    change terms in an online stream, skips the block machinery: its
-    gradient is its float `coefficient` times the row, plus 0.0, again the
-    same bits. A matrix of L iterates makes the two products of a block
-    matrix products (gemm), and the blocks shrink so that each product
-    stays within LANE_BLOCK_MACS; each row of the result equals the
-    one-iterate sum to roundoff, not bit for bit. Logistic rows whose
-    labels are all +1, the signed rows y*x that `ActiveRows` keeps for a
-    stream, skip the label passes there (`_signed_lanes_gradient`), with
-    the bits of the label-weighted products over (x, y); L = 0 iterates
-    give a (0, p) sum.
+    one block, a one-row change term among them, is that block's sum plus
+    0.0, which turns -0.0 into 0.0 as the sum into zeros does, so the bits
+    are the same. A matrix of L iterates runs one loop of its own
+    (`_lanes_gradient`): the two products of a block are matrix products
+    (gemm), and the blocks shrink so that each product stays within
+    LANE_BLOCK_MACS; each row of the result equals the one-iterate sum to
+    roundoff, not bit for bit. L = 0 iterates give a (0, p) sum.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
@@ -337,27 +331,17 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     if logistic:
         _check_logistic_labels(data)
     rows = max(1, BLOCK_BYTES // (8 * data.p))
-    if w.ndim == 2:
-        if not len(w):
-            return np.zeros(w.shape)
-        rows = max(1, min(rows, LANE_BLOCK_MACS // (w.shape[0] * data.p)))
-        if logistic and data._unit_labels:
-            return _signed_lanes_gradient(X, w, rows)
-    elif y.size == 1:
-        # z = x . w as the block's 1 x p product (`dot` and `@` make the same
-        # BLAS call), then the coefficient in floats
-        g = X[0] * coefficient(cfg.kind, X.dot(w).item(), y.item())
-        g += 0.0
-        return g
     # exp(y*z) may overflow to inf, which makes the coefficient an exact 0
     with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
+        if w.ndim == 2:
+            return _lanes_gradient(X, y, w, logistic, logistic and data._unit_labels, rows)
         if y.size <= rows:
             g = _block_gradient(X, y, w, logistic, rows, 0)
             g += 0.0
             return g
         block = functools.partial(_block_gradient, X, y, w, logistic, rows)
         starts = range(0, y.size, rows)
-        pool, helpers = _helper_pool() if w.ndim == 1 else (None, 0)
+        pool, helpers = _helper_pool()
         parts = _parallel_blocks(pool, helpers, block, starts) if helpers else map(block, starts)
         g = np.zeros(w.shape)
         for part in parts:
@@ -365,26 +349,33 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     return g
 
 
-def _signed_lanes_gradient(X, w, rows: int) -> np.ndarray:
-    """The logistic `gradient_sum` at iterates w (L, p) over signed rows
-    X, y*x with every label +1, in blocks of `rows`: the label-weighted
-    block kernel with its label passes left out. The coefficient y/(-1-e)
-    of a row is y*(1/(-1-e)) exactly, and y*(x . w) is (y*x) . w, so each
-    product term, and with it each sum, has the bits of the label-weighted
-    kernel over (x, y). Every block writes its margins and coefficients
-    into one buffer."""
+def _lanes_gradient(X, y, w, logistic: bool, signed: bool, rows: int) -> np.ndarray:
+    """`gradient_sum` at iterates w (L, p), in blocks of at most `rows` rows
+    and LANE_BLOCK_MACS: the margins w @ X_b.T of a block go into one
+    buffer, its coefficients a overwrite them there, then g += a @ X_b.
+    Rows with every label +1 (`signed`, the rows y*x a logistic stream
+    keeps) skip the label passes: the coefficient y/(-1-e) of a row is
+    y*(1/(-1-e)) exactly, and y*(x . w) is (y*x) . w, so each product term,
+    and with it each sum, has the bits of the label-weighted kernel over
+    (x, y). Ridge rows enter no errstate; a logistic caller holds
+    np.errstate(over="ignore")."""
     L = len(w)
+    if not L:
+        return np.zeros(w.shape)
+    rows = max(1, min(rows, LANE_BLOCK_MACS // (L * X.shape[1])))
     buf = np.empty(L * min(rows, len(X)))
     g = np.zeros(w.shape)
-    with np.errstate(over="ignore"):    # exp overflows to inf: an exact 0
-        for lo in range(0, len(X), rows):
-            Xb = X[lo:lo + rows]
-            a = buf[:L * len(Xb)].reshape(L, len(Xb))
-            np.matmul(w, Xb.T, out=a)
+    for lo in range(0, len(X), rows):
+        Xb = X[lo:lo + rows]
+        a = buf[:L * len(Xb)].reshape(L, len(Xb))
+        np.matmul(w, Xb.T, out=a)
+        if signed:
             np.exp(a, out=a)
             np.subtract(-1.0, a, out=a)
             np.divide(1.0, a, out=a)
-            g += a @ Xb
+        else:
+            coefficients(logistic, a, y[lo:lo + rows], out=a)
+        g += a @ Xb
     return g
 
 
@@ -492,11 +483,11 @@ def per_sample_gradient_norms(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     w = _check_w(data, w)
     X = data.features
     z = X @ w
-    if cfg.kind == "logistic":
+    logistic = cfg.kind == "logistic"
+    if logistic:
         _check_logistic_labels(data)
-        a = (sigmoid(data.labels * z) - 1.0) * data.labels
-    else:
-        a = z - data.labels
+    with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
+        a = coefficients(logistic, z, data.labels)
     row_sq = np.einsum("ij,ij->i", X, X)
     sq = a * a * row_sq + 2.0 * cfg.l2 * a * z + cfg.l2 ** 2 * float(w @ w)
     return np.sqrt(np.maximum(sq, 0.0))

@@ -38,8 +38,8 @@ class TrainConfig:
         object.__setattr__(self, "eta_schedule", sched)
         if not sched or sched[0][0] != 0:
             raise ValueError("eta_schedule must start with a breakpoint at iteration 0")
-        if any(r <= 0 for _, r in sched):
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < r < np.inf for _, r in sched):
+            raise ValueError("learning rates must be positive and finite")
         if any(nxt[0] <= prev[0] for prev, nxt in zip(sched, sched[1:])):
             raise ValueError("eta_schedule breakpoints must be strictly increasing")
         if sched[-1][0] >= 2**64:     # a cache stores each breakpoint in 64 bits

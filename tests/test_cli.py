@@ -297,6 +297,24 @@ def test_train_rejects_what_a_cache_cannot_store(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,message", [
+    pytest.param(("--lr", "nan"), "learning rates", id="nan-rate"),
+    pytest.param(("--lr", "0:0.2,10:inf"), "learning rates", id="infinite-rate"),
+    pytest.param(("--l2", "inf"), "l2", id="infinite-l2"),
+    pytest.param(("--data", SYNTH.replace("margin=2.0", "margin=nan")), "margin", id="nan-margin"),
+    pytest.param(("--data", SYNTH.replace("margin=2.0", "margin=-inf")), "margin",
+                 id="infinite-margin"),
+])
+def test_non_finite_settings_are_config_errors(tmp_path, capsys, flag, message):
+    # a NaN or infinite rate, an infinite l2 or a non-finite synthetic
+    # margin is a config error, found before the cache file is opened
+    out = tmp_path / "bad.dgc"
+    assert run("train", "--data", SYNTH, "--format", "synthetic", "--iters", "1",
+               *flag, "--cache-out", str(out)) == 10
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt,text", [("libsvm", "+1\n-1\n"), ("csv", "label\n1\n-1\n")])
 def test_data_without_features_exits_3(tmp_path, capsys, fmt, text):
     bare = tmp_path / f"bare.{fmt}"
@@ -314,6 +332,8 @@ HEADER_EDITS = {
     "batch-size-above-n": (29, "<Q", 1000, 1001),
     "negative-l2": (46, "<d", 0.01, -0.5),
     "zero-rate": (66, "<d", 0.2, 0.0),
+    "nan-rate": (66, "<d", 0.2, float("nan")),
+    "infinite-l2": (46, "<d", 0.01, float("inf")),
 }
 
 

@@ -231,6 +231,19 @@ def test_cache_trailing_bytes(cached, tmp_path):
         load_cache(bad)
 
 
+def test_cache_with_no_feature_fails_to_load(cached, tmp_path):
+    # p = 0 in the header and a body of 2T+1 empty records, whose lengths
+    # all agree with it: no training run writes such a file
+    blob = bytearray(cached.read_bytes())
+    p, T = struct.unpack_from("<QQ", blob, 13)
+    struct.pack_into("<Q", blob, 13, 0)
+    head = blob[:len(blob) - (2 * T + 1) * (8 + 8 * p)]
+    bad = tmp_path / "p0.dgc"
+    bad.write_bytes(bytes(head) + struct.pack("<Q", 0) * (2 * T + 1))
+    with pytest.raises(CacheFormatError, match="invalid cache header: p = 0"):
+        load_cache(bad)
+
+
 def test_cache_fingerprint_mismatch(cached, logistic_data):
     mutated = Dataset(
         np.where(np.arange(logistic_data.n)[:, None] == 0,

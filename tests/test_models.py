@@ -134,6 +134,18 @@ def test_subset_sum_rejects_out_of_range(ridge_data):
         Objective(LossConfig("ridge", 0.0), ridge_data).rows([ridge_data.n])
 
 
+@pytest.mark.parametrize("kind", ["logistic", "ridge"])
+def test_per_sample_gradient_norms_match_the_scalar_oracle(kind):
+    # two logistic rows have y*z above 710, where exp(y*z) overflows and the
+    # coefficient is an exact 0; the suite fails on any RuntimeWarning
+    data, w = margin_problem(kind, 40, 4, 800.0, seed=3)
+    l2 = 0.05
+    expected = [np.linalg.norm(per_sample_grad(kind, l2, x, label, w))
+                for x, label in zip(data.features, data.labels)]
+    got = per_sample_gradient_norms(LossConfig(kind, l2), data, w)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
 def test_hvp_zero_vector(logistic_data):
     cfg = LossConfig("logistic", 0.01)
     out = hessian_vector_product(cfg, logistic_data, np.ones(logistic_data.p),
@@ -584,30 +596,35 @@ def test_one_row_gradient_keeps_signed_zeros_of_the_block_sum(kind):
     L=st.integers(1, 12),
     n=st.integers(1, 300),
     p=st.integers(1, 20),
-    labels=st.sampled_from(["+1", "-1", "mixed"]),
+    kind=st.sampled_from(["+1", "-1", "mixed", "ridge"]),
     block_macs=st.integers(1, 4096),
     margin=st.floats(0.0, 800.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(L=3, n=50, p=4, labels="mixed", block_macs=60, margin=800.0, seed=0)
-@example(L=5, n=40, p=3, labels="-1", block_macs=4096, margin=800.0, seed=0)
-def test_lane_kernel_over_signed_rows_is_the_label_weighted_kernel(L, n, p, labels, block_macs,
+@example(L=3, n=50, p=4, kind="mixed", block_macs=60, margin=800.0, seed=0)
+@example(L=5, n=40, p=3, kind="-1", block_macs=4096, margin=800.0, seed=0)
+@example(L=4, n=60, p=5, kind="ridge", block_macs=80, margin=3.0, seed=0)
+def test_lane_kernel_over_signed_rows_is_the_label_weighted_kernel(L, n, p, kind, block_macs,
                                                                     margin, seed):
     # rows y*x with label +1 give the label-weighted lane kernel over (x, y)
     # bit for bit: a row's coefficient and product terms only change sign.
     # Margins past 710 overflow exp, where the coefficient is an exact 0;
-    # each example has at least one such margin.
+    # each logistic example has at least one such margin. Ridge rows, with
+    # real labels, run the same lanes loop and match the block oracle too.
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     y = {"+1": np.ones(n), "-1": -np.ones(n),
-         "mixed": np.where(rng.random(n) < 0.5, 1.0, -1.0)}[labels]
+         "mixed": np.where(rng.random(n) < 0.5, 1.0, -1.0),
+         "ridge": rng.normal(size=n)}[kind]
     W = rng.normal(size=(L, p))
     W *= margin / max(np.max(np.abs(W @ X.T)), 1e-300)
     rows = max(1, min(models.BLOCK_BYTES // (8 * p), block_macs // (L * p)))
-    expected = bits(block_gradient_sum("logistic", X, y, W, rows))
-    cfg = LossConfig("logistic", 0.0)
+    loss_kind = "ridge" if kind == "ridge" else "logistic"
+    expected = bits(block_gradient_sum(loss_kind, X, y, W, rows))
+    cfg = LossConfig(loss_kind, 0.0)
     with mock.patch.object(models, "LANE_BLOCK_MACS", block_macs):
-        assert bits(gradient_sum(cfg, Dataset(X * y[:, None], np.ones(n)), W)) == expected
+        if kind != "ridge":
+            assert bits(gradient_sum(cfg, Dataset(X * y[:, None], np.ones(n)), W)) == expected
         assert bits(gradient_sum(cfg, Dataset(X, y), W)) == expected
 
 
@@ -698,6 +715,14 @@ def test_helper_warnings_reach_the_caller():
             warnings.catch_warnings():
         warnings.simplefilter("error")
         assert bits(gradient_sum(LossConfig("ridge", 0.0), data, w)) == bits(g)
+
+
+def test_ridge_lanes_enter_no_errstate():
+    # at a matrix of iterates too, only logistic rows silence an overflow
+    # (of exp); a ridge residual z - y that overflows warns
+    data = Dataset([[1e308], [1.0]], [-1e308, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        gradient_sum(LossConfig("ridge", 0.0), data, np.ones((2, 1)))
 
 
 def test_helper_errors_are_raised_in_the_caller():
