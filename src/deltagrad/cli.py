@@ -310,7 +310,7 @@ def cmd_noise(args) -> int:
     delta = privacy.delta_bound(est, args.deleted_count)
     scale = delta / args.epsilon
     # delta = 0: the corrected model already is the retrained one
-    noised = privacy.laplace_noise(w, scale, args.seed) if delta > 0.0 else w
+    noised = w if delta == 0.0 else privacy.laplace_noise(w, scale, args.seed)
     dataio.save_model(noised, args.out)
     print(f"delta = {delta:.6e}  scale = {scale:.6e}")
     print(f"noised model written to {args.out}")
@@ -445,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of deleted samples the bound should cover")
     noise.add_argument("--seed", type=int, default=0)
     noise.add_argument("--c1", type=float, default=privacy.DEFAULT_INDEPENDENCE,
-                       help="strong-independence constant estimate")
-    noise.add_argument("--m", type=int, default=2)
+                       help="strong-independence constant estimate (finite, > 0)")
+    noise.add_argument("--m", type=int, default=2, help="history size the bound assumes (>= 1)")
     noise.add_argument("--out", required=True)
     noise.add_argument("--report", default=None)
 

@@ -52,7 +52,7 @@ from .errors import ChangeSetError, DivergenceError, FactorizationError
 from .lbfgs import PairLanes
 from .lbfgs import quasi_hvp  # noqa: F401 (dgbench patches it here)
 from .models import gradient_sum  # noqa: F401 (dgbench patches it here)
-from .models import ActiveRows, Dataset, Objective, coefficient, coefficients
+from .models import ActiveRows, Dataset, Objective, coefficients
 from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
 
 MODES = ("gd", "sgd", "general")
@@ -334,8 +334,12 @@ def _run_gd_core(
     run as a wavefront (`_Wavefront`): since step t reads nothing of request
     k-1 past step t, wave s runs step s - k of every request k in flight,
     up to min(requests, T) of them, and each wave's arithmetic serves them
-    all. A single request is a wavefront of one lane. Several requests need
-    a full-batch history, no guards and one-row changes, as a stream has.
+    all. A single request is a wavefront of one lane, which runs the
+    arithmetic of a stream's lanes: from the same state an approximate step
+    has the same bits alone as in a stream, and a stream moves at roundoff
+    from its requests run one by one only through its explicit steps.
+    Several requests need a full-batch history, no guards and one-row
+    changes, as a stream has.
 
     The reference loop, request by request and term by term, is
     `reference_stream` in tests/oracles.py. params and grads are
@@ -362,41 +366,44 @@ class _Wavefront:
     coefficients [c1*sigma, -c1*K'v, c2*a, c1, c2*r*l2, 0], and KC the rows
     -c1*K' and x, so that one product, the first, gives -c1*K'v and x . v
     together. The change row is the row x of a one-row change term that
-    uses the library's own gradient, with a = a(x . w), its float
-    coefficient at x . w = x . v + x . w_t; or, for wider or custom terms,
-    the changed rows' data sum c, with a = 1; none at r = 0. The
-    approximate steps of a wave are then two batched products and the
-    change coefficients; the arrays of a wave are views (a wave whose slots
-    wrap around runs as two parts).
+    uses the library's own gradient, with a = a(x . w) at
+    x . w = x . w_t + x . v; or, for wider or custom terms, the changed
+    rows' data sum c, with a = 1; none at r = 0. The approximate steps of a
+    wave are then two batched products and the change coefficients; the
+    arrays of a wave are views (a wave whose slots wrap around runs as two
+    parts). Every lane writes its next iterate to the row that is not
+    current, and after each wave that row becomes the current one.
+
+    Every lane runs one arithmetic, and each of its operations acts on each
+    lane alone: x . w_t is a sum of products per lane, a one-row term's
+    margin at an explicit step is a dot product with the bits of the
+    kernel's x @ w, coefficients are computed over arrays, and both
+    products are matrix products over the lanes. So an approximate step has
+    the same bits in a wave of one lane as in a wave of many, and a single
+    request, a wave of one lane, has the bits tests/engine_digests.py pins.
 
     A wave's explicit lanes share one kernel call. `obj` holds the sample
     set of the oldest request in flight (for a logistic stream as signed
     rows y*x, over which the kernel skips its label passes), and a younger
     lane adds one signed one-row term for each row the requests ahead of it
-    deleted or added; so a stream's explicit steps move at roundoff from a
-    request run alone. Each lane keeps its own pair buffer (a lane of
-    `pairs`), the pairs of a wave's explicit lanes go in with one insert,
-    and the lanes that need a fresh factorization get it from one batched
-    build, a failed build falling back in its own lane only.
+    deleted or added; so a stream's explicit steps, and only they, move at
+    roundoff from a request run alone. Each lane keeps its own pair buffer
+    (a lane of `pairs`), the pairs of a wave's explicit lanes go in with one
+    insert, and the lanes that need a fresh factorization get it from one
+    batched build, a failed build falling back in its own lane only.
 
-    A run of one lane (S = 1) is a single request. Only it may have a
-    change term that is wide, empty or new at every step (a minibatch
-    history, whose steps have rows of their own and skip an emptied batch)
-    and the general engine's guards. It makes the calls of a one-iterate
-    loop: the change gradient of an explicit step from its term, x . w_t as
-    a sum of products, the change coefficient in floats. Its next iterate
-    goes to the other iterate row, which becomes the current one, since the
-    product's rounding follows the place of w in Z. These fix a single
-    request's bits, which tests/engine_digests.py pins. A stream's lanes
-    keep w in one row and take these values in batched operations.
+    A stream's lanes all have one-row change terms. A run of one lane
+    (S = 1), a single request, may also have a change term that is wide,
+    custom, empty or new at every step (a minibatch history, whose steps
+    have rows of their own and skip an emptied batch) and the general
+    engine's guards.
     """
 
     def __init__(self, obj, params, grads, etas, cfg, lanes, batches=None, guards=False):
         T, p = grads.shape
         self.obj, self.params, self.grads, self.lanes = obj, params, grads, lanes
         self.batches, self.guards = batches, guards
-        self.l2, self.kind = obj.l2, obj.cfg.kind
-        self.logistic = self.kind == "logistic"
+        self.l2, self.logistic = obj.l2, obj.cfg.kind == "logistic"
         self.burn_in, self.period = cfg.burn_in, cfg.period
         self.eta = np.asarray(etas, dtype=np.float64)
         self.S = S = max(1, min(len(lanes), T))
@@ -420,10 +427,10 @@ class _Wavefront:
         self.C1, self.C2, self.YR = (self.CONST[:, i] for i in range(3, 6))
         self.slots = np.arange(S)
         self.counts = dict.fromkeys(_COUNTERS, 0)
-        # a lone lane's change term, its row count, whether it is a row x
-        # (then x . w_t from a step on), its per-step terms (minibatches) and
-        # its last factorization
-        self.term, self.r, self.row, self.xw = None, 0, False, None
+        # the change term of the lane started last, its row count and
+        # whether it is a row x (a stream's always are); a lone lane's
+        # per-step terms (minibatches) and its last factorization
+        self.term, self.r, self.row = None, 0, False
         self.changes = self.built = None
 
     def start(self, k):
@@ -439,10 +446,10 @@ class _Wavefront:
         if lane.changes is None:
             self.set_term(j, lane.change, lane.n)
 
-    def set_term(self, j, term, n, t=0):
-        """Slot j's change term (None for r = 0) over a step of n rows, met
-        at step t, and the constants that follow; a new c1 rescales a lone
-        lane's factorization."""
+    def set_term(self, j, term, n):
+        """Slot j's change term (None for r = 0) over a step of n rows, and
+        the constants that follow; a new c1 rescales a lone lane's
+        factorization."""
         k, sign = self.k, self.SIGN.item(j)
         r = 0 if term is None else term.n
         denom = n + sign * r
@@ -457,11 +464,8 @@ class _Wavefront:
         self.term, self.r = term, r
         self.row = r == 1 and type(term).data_grad_sum is Objective.data_grad_sum
         if self.row:
-            x = self.KC[j, k] = self.Z[j, k + 1] = term.data.features[0]
+            self.KC[j, k] = self.Z[j, k + 1] = term.data.features[0]
             self.YR[j] = term.data.labels[0]
-            if self.S == 1:     # x . w_t of the cached iterates the term serves
-                steps = self.params[t:] if self.changes is None else self.params[t:t + 1]
-                self.xw = t, (steps * x).sum(axis=1).tolist()
 
     def skip(self, t):
         """Step t of a minibatch lane gets its term and rows; True when the
@@ -473,7 +477,7 @@ class _Wavefront:
             self.params[t] = self.Z[0, self.cur]
             self.grads[t] = 0.0
             return True
-        self.set_term(0, term, n, t)
+        self.set_term(0, term, n)
         return False
 
     def build(self, sb):
@@ -553,58 +557,50 @@ class _Wavefront:
             lanes = self.slots[se]
             self.stale[lanes[self.pairs.insert(lanes, V[e], dg)]] = True
         # (S + sign*changed) / denom + l2*w
-        if self.S > 1:      # the change rows' gradients a(x . w) x
+        if self.row:        # the change rows' gradients a(x . w) x, as the kernel's
             X = self.KC[se, k]
             with np.errstate(over="ignore"):
-                a = coefficients(logistic, np.einsum("ij,ij->i", X, iw), self.YR[se])
+                a = coefficients(logistic, np.vecdot(X, iw), self.YR[se])
             g = X * a[:, None]
             g += 0.0
+        elif self.r:        # a wide or custom term (a lone lane)
+            g = self.term.data_grad_sum(iw[0])[None]
         else:
-            g = self.term.data_grad_sum(iw[0])[None] if self.r else np.zeros(iw.shape)
+            g = np.zeros(iw.shape)
         g *= self.SIGN[se]
         g += S_
         g /= self.DEN[se]
         g += l2iw
         return g
 
-    def approximate(self, sl, Z, C, P, Gt, t):
-        """Step gradients of a wave part's lanes (slots sl, the first at
-        step t, their stacked matrices Z and coefficients C, the first
-        product in C, cached iterates P and gradients Gt) as approximate
-        steps; the explicit lanes' rows are overwritten."""
+    def approximate(self, sl, Z, C, P, Gt):
+        """Step gradients of a wave part's lanes (slots sl, their stacked
+        matrices Z and coefficients C, the first product in C, cached
+        iterates P and gradients Gt) as approximate steps; the explicit
+        lanes' rows are overwritten."""
         k = self.k
-        if self.S > 1:
-            # x . w = x . v, from the first product, plus x . w_t
-            z = np.einsum("lp,lp->l", Z[:, k + 1], P)
+        if self.row:
+            # x . w = x . w_t plus x . v, from the first product
+            z = (Z[:, k + 1] * P).sum(axis=1)
             z += C[:, k + 1]
             with np.errstate(over="ignore"):
                 a = coefficients(self.logistic, z, self.YR[sl])
             np.multiply(a, self.C2[sl], out=C[:, k + 1])
-            Z[:, k + 2] = Gt
-            return np.matmul(C[:, None], Z)[:, 0]
-        c, z = C[0], Z[0]
-        if self.row:
-            t0, xw = self.xw
-            xw = xw[t - t0]
-            if not self.stale[0]:
-                xw += c.item(k + 1)
-            c[k + 1] = self.C2[0] * coefficient(self.kind, xw, self.YR.item(0))
-        elif self.r:
-            z[k + 1] = self.term.data_grad_sum(z[self.cur])
-            c[k + 1] = self.C2[0]
-        elif self.stale[0]:
-            return Gt.copy()                    # B v = 0 and no change: the cached gradient
+        elif self.r:        # a wide or custom term (a lone lane): its data sum at w
+            Z[:, k + 1] = self.term.data_grad_sum(Z[0, self.cur])
+            C[:, k + 1] = self.C2[sl]
+        elif self.stale[sl.start]:      # r = 0 (a lone lane), B v = 0: the cached gradient
+            return Gt.copy()
         else:
-            c[k + 1] = 0.0
-        z[k + 2] = Gt[0]
-        return np.dot(c, z)[None]
+            C[:, k + 1] = 0.0
+        Z[:, k + 2] = Gt
+        return np.matmul(C[:, None], Z)[:, 0]
 
     def step(self, sl, t_top, first):
         """Wave steps of the lanes in slots sl (contiguous), lane `first` at
-        step t_top and each next lane one step behind. Returns the part's
+        step t_top and each next lane one step behind; each writes its next
+        iterate to the iterate row that is not current. Returns the part's
         first lane whose next iterate is not finite, with its error, or None."""
-        if self.changes is not None and self.skip(t_top):
-            return None
         L, k, cur = sl.stop - sl.start, self.k, self.cur
         # the lanes' steps, in lane order: descending t
         rows = slice(t_top, t_top - L if t_top >= L else None, -1)
@@ -620,14 +616,10 @@ class _Wavefront:
             if f.size:
                 self.codes[f + sl.start, t_top - f] = MODE_LABELS.index("fallback")
                 n += f.size
-        if n < L and self.S == 1 and self.stale[0]:
-            C[0, :k + 2] = 0.0                  # v = 0 and no factorization: B v = 0
-        elif n < L:
-            # the first product: -c1 K'v and x . v
-            if L == 1:
-                np.dot(self.KC[sl.start], V[0], out=C[0, 1:k + 2])
-            else:
-                np.matmul(self.KC[sl], V[:, :, None], out=C[:, 1:k + 2, None])
+        if n < L:
+            # the first product: -c1 K'v and x . v (zero for a stale lane,
+            # whose v is 0 here)
+            np.matmul(self.KC[sl], V[:, :, None], out=C[:, 1:k + 2, None])
             # the local smoothness guard (of a lone lane): a drift estimate
             # past the trusted Lipschitz cap means B is not believable here;
             # c1 B v = c1*sigma*v - (M^-1 K')'(c1 K'v)
@@ -642,13 +634,12 @@ class _Wavefront:
         if n == L:
             G = self.explicit(slice(None), sl, first, W, V, Gt, t_top)
         else:
-            G = self.approximate(sl, Z, C, P, Gt, t_top)
+            G = self.approximate(sl, Z, C, P, Gt)
             if n:
                 e = np.flatnonzero(explicit)
                 G[e] = self.explicit(e, e + sl.start, first, W, V, Gt, t_top)
-        other = 2 * k + 7 - cur
-        nxt = Z[:, other]
-        np.multiply(G, self.eta[t_top] if L == 1 else self.eta[rows, None], out=nxt)
+        nxt = Z[:, 2 * k + 7 - cur]
+        np.multiply(G, self.eta[rows, None], out=nxt)
         np.subtract(W, nxt, out=nxt)
         failure = None
         if np.count_nonzero(np.isfinite(nxt)) != nxt.size:
@@ -657,11 +648,6 @@ class _Wavefront:
                                                  last_finite=W[i].copy())
         P[:] = W
         Gt[:] = G
-        if self.S > 1:
-            W[:] = nxt
-        else:                                   # the next iterate's row becomes current
-            C[0, cur], C[0, other] = C.item(0, other), C.item(0, cur)
-            self.cur = other
         return failure
 
     def run(self):
@@ -680,11 +666,17 @@ class _Wavefront:
             # T = 0 there are no steps, and each request ends at w_0
             parts = (((lo, hi + 1, k_lo),) if lo <= hi
                      else ((lo, S, k_lo), (0, hi + 1, k_lo + S - lo)))
-            for a, b, first in parts if T else ():
-                failure = self.step(slice(a, b), s - first, first)
-                if failure is not None and failure[0] < failed:
-                    # this lane and the lanes after it stop
-                    failed, error = failure
+            if T and (self.changes is None or not self.skip(s)):
+                for a, b, first in parts:
+                    failure = self.step(slice(a, b), s - first, first)
+                    if failure is not None and failure[0] < failed:
+                        # this lane and the lanes after it stop
+                        failed, error = failure
+                # the row of the next iterates becomes the current one, and
+                # w's coefficient moves with it (the other row's is 0)
+                cur, self.cur = self.cur, 2 * self.k + 7 - self.cur
+                self.COEF[:, self.cur] = self.COEF[:, cur]
+                self.COEF[:, cur] = 0.0
             if s - k_lo >= T - 1 and k_lo < failed:    # the oldest lane is done
                 self.finish(k_lo)
                 self.k_lo += 1

@@ -7,6 +7,9 @@ carry an l2*w term and subset sums are consistent with n times the full
 gradient. The one gradient kernel, `gradient_sum`, sums every row it is
 given, in one block loop at one iterate (one-row datasets included) and
 one at a matrix of iterates; rows are picked by `Objective.rows` alone.
+A row's data-part gradient is a*x, and its coefficient a comes from one
+function over arrays, `coefficients`, which the kernel's blocks and the
+engine's one-row change terms both call.
 
 All arithmetic is float64. Every function here is pure; Dataset arrays are
 frozen after construction and safe to share across threads, except a
@@ -271,27 +274,6 @@ def coefficients(logistic: bool, z, y, out=None):
     np.subtract(-1.0, a, out=a)
     np.divide(y, a, out=a)
     return a
-
-
-# exp(a) overflows from a = log(DBL_MAX) ~ 709.78 on; the one-row logistic
-# coefficient enters np.errstate only above this margin
-EXP_SAFE_MARGIN = 709.0
-
-
-def coefficient(kind: str, z: float, y: float) -> float:
-    """The coefficient a of a row x with label y at margin z = x . w, whose
-    data-part gradient is a * x, in plain floats: (logistic)
-    y / (-1 - exp(y*z)) or (ridge) z - y. Each float operation is the one
-    the block kernel applies to its arrays, and exp is np.exp, so a has the
-    kernel's bits; np.errstate is entered only where exp overflows, above
-    EXP_SAFE_MARGIN, and the coefficient is then an exact 0."""
-    if kind != "logistic":
-        return z - y
-    a = y * z
-    if a > EXP_SAFE_MARGIN:
-        with np.errstate(over="ignore"):
-            return y / (-1.0 - float(np.exp(a)))
-    return y / (-1.0 - float(np.exp(a)))
 
 
 def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
@@ -582,7 +564,6 @@ class ActiveRows:
         self._y = np.ones(capacity) if signed else np.empty(capacity)
         self._deleted = np.empty(0, dtype=np.intp)     # sorted
         self.n = data.n
-        self.next_id = data.n
         self._write(0, data.features, data.labels)
 
     def positions(self, ids) -> np.ndarray:
@@ -615,7 +596,5 @@ class ActiveRows:
 
     def append(self, features, labels):
         """Add rows after the last; they take the next ids."""
-        r = len(labels)
         self._write(self.n, features, labels)
-        self.n += r
-        self.next_id += r
+        self.n += len(labels)

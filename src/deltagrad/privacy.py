@@ -95,7 +95,13 @@ def estimate_constants(data: Dataset, history: TrainingHistory, history_size: in
     constant is 0 for ridge (constant Hessian) and otherwise the max over
     PAIR_BUDGET random iterate pairs of ||H(w_a)-H(w_b)|| / ||w_a-w_b||,
     spectral norms via power iteration (relative tolerance POWER_TOL).
+    A history size below 1 or an independence constant that is not finite
+    and positive is a PrivacyBoundError, raised before any estimate.
     """
+    if history_size < 1:
+        raise PrivacyBoundError("the history size m must be >= 1")
+    if not 0.0 < independence < np.inf:
+        raise PrivacyBoundError("the independence constant must be finite and > 0")
     verify_fingerprint(history, data)
     cfg = history.config.loss
     if cfg.l2 <= 0.0:
@@ -141,8 +147,8 @@ def delta_bound(est: ConstantEstimates, r: int) -> float:
                 / ( eta * (mu/2 - r*mu/(n-r) - c0*M1*r/(2n))^2 * (n-r) * (n/2-r) )
 
     Raises PrivacyBoundError for r < 0 or a non-positive n, p, eta or mu,
-    and when the denominator is not positive (the deleted fraction is too
-    large for the bound to hold).
+    when the denominator is not positive (the deleted fraction is too
+    large for the bound to hold), and when delta is not finite.
     """
     n = est.n
     if r < 0 or n <= 0 or est.p <= 0 or est.eta <= 0.0 or est.mu <= 0.0:
@@ -156,9 +162,13 @@ def delta_bound(est: ConstantEstimates, r: int) -> float:
     )
     if gap <= 0.0:
         raise PrivacyBoundError("deletion fraction too large for privacy bound")
-    num = np.sqrt(est.p) * est.amplification * est.m1 ** 2 * r ** 2
-    den = est.eta * gap ** 2 * (n - r) * (n / 2.0 - r)
-    return float(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite delta is refused
+        num = np.sqrt(est.p) * est.amplification * est.m1 ** 2 * r ** 2
+        den = est.eta * gap ** 2 * (n - r) * (n / 2.0 - r)
+        delta = float(num / den)
+    if not np.isfinite(delta):
+        raise PrivacyBoundError(f"the privacy bound is not finite (delta = {delta})")
+    return delta
 
 
 def sample_laplace(size: int, scale: float, seed: int) -> np.ndarray:

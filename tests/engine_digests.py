@@ -8,14 +8,17 @@ addition (r = 0, 1 and 3), the general engine, the sgd engine (r = 0 and
 3), single online requests (one deletion, one addition) and an online
 stream of mixed requests. It hashes every run's final parameters,
 corrected iterates and step gradients, mode trace, counters and
-per-request records (all but their timings), and prints the hex digest.
-With --per-run it first prints `kind:name <sha256>` for each run, so that
-two revisions whose digests differ can be told apart run by run.
+per-request records (all but their timings). It prints `single <sha256>`,
+the hex digest of every run but the streams of several requests, then the
+hex digest of every run. With --per-run it first prints
+`kind:name <sha256>` for each run, so that two revisions whose digests
+differ can be told apart run by run.
 
-Two revisions that print the same digest gave every engine the same bits.
-A change that should keep the bits is checked by running this script at
-both. pytest does not collect this file; `tests/test_engine.py` runs the
-smallest configuration twice and checks that the digest repeats.
+Two revisions that print the same digest gave every engine the same bits;
+the same `single` digest, every single request and the trainer. A change
+that should keep the bits is checked by running this script at both.
+pytest does not collect this file; `tests/test_engine.py` runs the
+smallest configuration twice and checks that the digests repeat.
 """
 
 from __future__ import annotations
@@ -121,23 +124,31 @@ def _hash_run(h, kind, name, result):
         _hash_history(h, result)
 
 
-def digest(history_sizes=HISTORY_SIZES, losses=LOSSES, n: int = 120, p: int = 6,
-           iterations: int = 40, per_run=None) -> str:
-    """The hex SHA-256 of every run of `_runs`, in order, for each loss.
-    `per_run`, a callable, is given each run's `kind:name` and the SHA-256
-    of that run alone."""
-    h = hashlib.sha256()
+def _several(result) -> bool:
+    """Whether a run is a stream of several requests."""
+    return hasattr(result, "mode_trace") and len(result.diagnostics["requests"]) > 1
+
+
+def digests(history_sizes=HISTORY_SIZES, losses=LOSSES, n: int = 120, p: int = 6,
+            iterations: int = 40, per_run=None) -> tuple[str, str]:
+    """The hex SHA-256 of every run of `_runs` but the streams of several
+    requests, and that of every run, in order, for each loss. `per_run`, a
+    callable, is given each run's `kind:name` and the SHA-256 of that run
+    alone."""
+    single, h = hashlib.sha256(), hashlib.sha256()
     with warnings.catch_warnings():     # large deleted fractions of small problems
         warnings.simplefilter("ignore")
         runs = [(kind, name, result) for kind in losses
                 for name, result in _runs(kind, n, p, iterations, history_sizes)]
     for kind, name, result in runs:
         _hash_run(h, kind, name, result)
+        if not _several(result):
+            _hash_run(single, kind, name, result)
         if per_run is not None:
             one = hashlib.sha256()
             _hash_run(one, kind, name, result)
             per_run(f"{kind}:{name}", one.hexdigest())
-    return h.hexdigest()
+    return single.hexdigest(), h.hexdigest()
 
 
 SMALLEST = {"history_sizes": (2,), "losses": ("logistic",), "n": 24, "p": 3, "iterations": 20}
@@ -148,10 +159,12 @@ def main(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--small", action="store_true", help="the smallest configuration only")
     ap.add_argument("--per-run", action="store_true",
-                    help="print `kind:name <sha256>` for every run before the total")
+                    help="print `kind:name <sha256>` for every run before the digests")
     args = ap.parse_args(argv)
     per_run = (lambda name, hexdigest: print(name, hexdigest)) if args.per_run else None
-    print(digest(**SMALLEST, per_run=per_run) if args.small else digest(per_run=per_run))
+    single, total = digests(**(SMALLEST if args.small else {}), per_run=per_run)
+    print("single", single)
+    print(total)
 
 
 if __name__ == "__main__":

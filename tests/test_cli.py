@@ -580,6 +580,21 @@ def test_noise_needs_a_positive_epsilon(tmp_path, noise_cache, epsilon):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--m=-1", "--m=0", "--c1=-0.2", "--c1=0", "--c1=nan",
+                                  "--c1=inf"])
+def test_noise_needs_a_history_size_and_a_finite_positive_independence(tmp_path, noise_cache,
+                                                                        flag):
+    # out of range, these constants gave delta = NaN (m = -1), inf (c1 = 0)
+    # or a negative delta (c1 = -0.2); each exits 8 and writes no model
+    from deltagrad import save_model
+    model, out = tmp_path / "w.dgw", tmp_path / "n.dgw"
+    save_model(np.zeros(6), model)
+    assert run("noise", "--data", NOISE_SYNTH, "--format", "synthetic",
+               "--cache", str(noise_cache), "--model", str(model),
+               "--epsilon", "1.0", "--deleted-count", "2", flag, "--out", str(out)) == 8
+    assert not out.exists()
+
+
 def test_bad_delete_ids_are_parse_errors(tmp_path, cache, capsys):
     ids = tmp_path / "ids.txt"
     ids.write_text("3\n1.5\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -1122,6 +1123,57 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), field
 
 
+def _started_wave(obj, params, grads, etas, lanes):
+    """A `_Wavefront` over copies of params and grads with every lane started."""
+    waves = engine_mod._Wavefront(obj, params.copy(), grads.copy(), etas, GD, lanes)
+    for k in range(len(lanes)):
+        waves.start(k)
+    return waves
+
+
+@pytest.mark.parametrize("kind", ["logistic", "ridge"])
+def test_a_lane_steps_with_the_same_bits_alone_and_in_a_wave(kind):
+    # every lane runs one arithmetic: an approximate step of three lanes in
+    # one wave part gives each lane, bit for bit, the next iterate and step
+    # gradient of a wave of that lane alone, from the same drift,
+    # factorization rows, one-row change term, g_t, w_t and constants
+    # (four random draws)
+    T, p, t_top = 20, 20, 14                # steps 14, 13, 12: approximate at GD
+    loss = LossConfig(kind, 0.01)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        params, grads = rng.normal(size=(T + 1, p)), rng.normal(size=(T, p))
+        etas = rng.uniform(0.05, 0.2, size=T).tolist()
+        obj = Objective(loss, Dataset(rng.normal(size=(40, p)), np.ones(40)))
+        labels = [1.0, -1.0, 1.0] if kind == "logistic" else rng.normal(size=3).tolist()
+        lanes = [engine_mod._Lane(sign=sign, n=40 + j, change=Objective(
+                     loss, Dataset(rng.normal(size=(1, p)), [labels[j]])))
+                 for j, sign in enumerate((-1.0, 1.0, -1.0))]
+        wide = _started_wave(obj, params, grads, etas, lanes)
+        k, cur = wide.k, wide.cur
+        nxt = 2 * k + 7 - cur
+        assert not wide.sched[t_top - 2:t_top + 1].any()
+        wide.Z[:, cur] = params[t_top - np.arange(3)] + 0.1 * rng.normal(size=(3, p))
+        wide.Z[:, 1:1 + k] = rng.normal(size=(3, k, p))
+        wide.KC[:, :k] = rng.normal(size=(3, k, p))
+        wide.COEF[:, 0] = rng.uniform(0.5, 2.0, size=3)
+        wide.stale[:] = False
+        alone = []
+        for j in range(3):
+            one = _started_wave(obj, params, grads, etas, lanes[j:j + 1])
+            one.Z[0], one.KC[0], one.COEF[0] = wide.Z[j], wide.KC[j], wide.COEF[j]
+            one.stale[:] = False
+            assert one.CONST.tobytes() == wide.CONST[j:j + 1].tobytes()
+            assert one.step(slice(0, 1), t_top - j, 0) is None
+            alone.append(one)
+        assert wide.step(slice(0, 3), t_top, 0) is None
+        for j, one in enumerate(alone):
+            t = t_top - j
+            assert one.Z[0, nxt].tobytes() == wide.Z[j, nxt].tobytes()
+            assert one.grads[t].tobytes() == wide.grads[t].tobytes()
+            assert one.params[t].tobytes() == wide.params[t].tobytes()
+
+
 # ------------------------------------------------------------ operation counts
 
 def test_online_request_operation_counts(monkeypatch):
@@ -1313,13 +1365,23 @@ def test_the_engine_digest_repeats(capsys):
     import engine_digests
 
     engine_digests.main(["--small"])
-    printed = capsys.readouterr().out.strip()
-    assert len(printed) == 64
-    assert engine_digests.digest(**engine_digests.SMALLEST) == printed
-    # --per-run names every run and its own digest before the same total
+    label, single, total = capsys.readouterr().out.split()
+    assert label == "single" and len(single) == len(total) == 64 and single != total
+    assert engine_digests.digests(**engine_digests.SMALLEST) == (single, total)
+    # --per-run names every run and its own digest before the same two lines
     engine_digests.main(["--small", "--per-run"])
-    *runs, total = capsys.readouterr().out.strip().split("\n")
-    assert total == printed
+    *runs, single_line, last = capsys.readouterr().out.strip().split("\n")
+    assert single_line == f"single {single}" and last == total
     names = [line.split()[0] for line in runs]
     assert names[:3] == ["logistic:train_gd", "logistic:train_sgd", "logistic:gd-delete-2-0"]
     assert len(set(names)) == len(names) and all(len(line.split()[1]) == 64 for line in runs)
+    # `single` hashes every run but the stream of several requests
+    small = {k: v for k, v in engine_digests.SMALLEST.items() if k != "losses"}
+    assert engine_digests.SMALLEST["losses"] == ("logistic",)
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # r/n above the small-change hint
+        for name, result in engine_digests._runs("logistic", **small):
+            if name != "online-stream-2":
+                engine_digests._hash_run(h, "logistic", name, result)
+    assert h.hexdigest() == single

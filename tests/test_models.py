@@ -545,10 +545,11 @@ def bits(a):
 
 
 def one_row_examples(test):
-    """Hypothesis examples of one row (n = 1, p = 3), the kernel's scalar
-    path, for both losses at margins 0, 709.5 (exp(y*z) still finite, past
-    EXP_SAFE_MARGIN) and 800 (exp overflows when y*z > 0); with p = 3,
-    seed 0 gives a logistic row y*z = +margin and seed 1 gives -margin."""
+    """Hypothesis examples of one row (n = 1, p = 3), whose sum the
+    engine's one-row change terms reproduce bit for bit, for both losses
+    at margins 0, 709.5 (exp(y*z) still finite, just below log(DBL_MAX)
+    ~ 709.78) and 800 (exp overflows when y*z > 0); with p = 3, seed 0
+    gives a logistic row y*z = +margin and seed 1 gives -margin."""
     for kind in ("logistic", "ridge"):
         for margin in (0.0, 709.5, 800.0):
             for seed in (0, 1):
@@ -662,7 +663,6 @@ def test_signed_active_rows_are_the_rows_a_retrain_sees(n, edits, seed):
         assert np.array_equal(got.features, np.array([X_all[i] * y_all[i] for i in live]))
         assert np.array_equal(got.labels, np.ones(len(live)))
         assert np.array_equal(rows.positions(live), np.arange(len(live)))
-    assert rows.next_id == len(y_all)
 
 
 def test_gradient_sum_at_no_iterates_and_bad_shapes(logistic_data):

@@ -78,6 +78,15 @@ def test_constants_require_the_training_dataset(logistic_data, logistic_history)
         estimate_constants(other, logistic_history)
 
 
+@pytest.mark.parametrize("kw", [{"history_size": 0}, {"history_size": -1},
+                                {"independence": 0.0}, {"independence": -0.2},
+                                {"independence": np.nan}, {"independence": np.inf}])
+def test_constants_need_a_history_size_and_a_finite_positive_independence(
+        logistic_data, logistic_history, kw):
+    with pytest.raises(PrivacyBoundError):
+        estimate_constants(logistic_data, logistic_history, **kw)
+
+
 # ------------------------------------------------------------ delta bound
 
 def test_delta_zero_deletions():
@@ -106,6 +115,13 @@ def test_delta_denominator_guard():
         delta_bound(*make_params(r=400))        # r/(n-r) term kills the gap
     with pytest.raises(PrivacyBoundError, match="too large"):
         delta_bound(*make_params(r=600))        # n/2 - r <= 0
+
+
+@pytest.mark.parametrize("amplification", [np.inf, np.nan, 1e308])
+def test_delta_must_be_finite(amplification):
+    # 1e308 overflows the numerator to inf
+    with pytest.raises(PrivacyBoundError, match="not finite"):
+        delta_bound(*make_params(amplification=amplification))
 
 
 # --------------------------------------------------------------- sampler
