@@ -39,6 +39,7 @@ schedule over the changed sample set through the trainer's own descent loop.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import time
@@ -325,8 +326,8 @@ def _run_gd_core(
     factorization (an empty buffer or a failed build) and v != 0 runs
     exactly, a fallback. With `guards` (the general engine) a pair with
     dg . v <= 0 is dropped, an approximate step whose ||B v|| reaches
-    SMOOTHNESS_LIMIT * ||v|| runs exactly, and every fallback restarts the
-    period at its step.
+    SMOOTHNESS_LIMIT * ||v|| runs exactly, and every fallback restarts its
+    request's period at its step.
 
     Request k corrects the trajectory request k-1 left: its step t reads
     params[t] and grads[t] as request k-1's step t wrote them, then
@@ -338,8 +339,8 @@ def _run_gd_core(
     arithmetic of a stream's lanes: from the same state an approximate step
     has the same bits alone as in a stream, and a stream moves at roundoff
     from its requests run one by one only through its explicit steps.
-    Several requests need a full-batch history, no guards and one-row
-    changes, as a stream has.
+    Several requests need a full-batch history and one-row changes, as a
+    stream has.
 
     The reference loop, request by request and term by term, is
     `reference_stream` in tests/oracles.py. params and grads are
@@ -351,8 +352,8 @@ def _run_gd_core(
     trace in request order, and the counters summed over the requests; each
     request's final iterate and trace are also set on its lane.
     """
-    if len(lanes) > 1 and (batches is not None or guards):
-        raise ValueError("several requests need a full-batch history and no guards")
+    if len(lanes) > 1 and batches is not None:
+        raise ValueError("several requests need a full-batch history")
     return _Wavefront(obj, params, grads, etas, cfg, lanes, batches, guards).run()
 
 
@@ -392,11 +393,11 @@ class _Wavefront:
     insert, and the lanes that need a fresh factorization get it from one
     batched build, a failed build falling back in its own lane only.
 
+    Each lane has its own schedule, and both guards act on each lane alone.
     A stream's lanes all have one-row change terms. A run of one lane
     (S = 1), a single request, may also have a change term that is wide,
     custom, empty or new at every step (a minibatch history, whose steps
-    have rows of their own and skip an emptied batch) and the general
-    engine's guards.
+    have rows of their own and skip an emptied batch).
     """
 
     def __init__(self, obj, params, grads, etas, cfg, lanes, batches=None, guards=False):
@@ -416,9 +417,8 @@ class _Wavefront:
         # the lane's KC, Z and COEF rows do not hold the factorization of its
         # pairs (none built yet, a pair added since, or a failed build)
         self.stale = np.ones(S, dtype=bool)
-        self.sched = np.array([t <= cfg.burn_in or (t - cfg.burn_in) % cfg.period == 0
-                               for t in range(T)], dtype=bool)
-        self.codes = np.zeros((S, T), dtype=np.int8)    # indices into MODE_LABELS
+        self.codes = np.zeros((S, T), dtype=np.int8)    # schedule, then trace, per slot
+        self.flat, self.stride = self.codes.reshape(-1), max(T - 1, 1)
         # each lane's step constants, one row per lane: its rows n,
         # n + sign*r and sign (read as columns), c1, c2 and its change row's
         # label
@@ -436,12 +436,12 @@ class _Wavefront:
     def start(self, k):
         """Lane k starts at w_0 with an empty buffer and its constants."""
         j, lane = k % self.S, self.lanes[k]
-        self.Z[j] = self.COEF[j] = self.KC[j] = 0.0
+        self.Z[j] = self.COEF[j] = self.KC[j] = self.codes[j] = 0
         self.Z[j, self.cur] = self.params[0]
         self.SIGN[j] = lane.sign
         self.pairs.clear(j)
         self.stale[j] = True
-        self.codes[j] = np.where(self.sched, 0, 1)
+        self.anchor(j, self.burn_in)
         self.changes = lane.changes
         if lane.changes is None:
             self.set_term(j, lane.change, lane.n)
@@ -503,9 +503,8 @@ class _Wavefront:
             self.built = sigma, Kt
 
     def fallbacks(self, explicit, sl, V):
-        """The lanes of a wave part (slots sl) that run exactly, scheduled or
-        as a fallback, and the fallbacks, after one batched build of the
-        factorizations that the other lanes need."""
+        """The fallbacks of a wave part (slots sl), after one batched build
+        of the factorizations that its approximate lanes need."""
         counts, stale, count = self.counts, self.stale[sl], self.pairs.count[sl]
         need = ~explicit & stale
         built = need & (count > 0)
@@ -520,14 +519,12 @@ class _Wavefront:
             empty = int(np.count_nonzero(fallback & (count == 0)))
             counts["empty_buffer_fallbacks"] += empty
             counts["cholesky_fallbacks"] += int(np.count_nonzero(fallback)) - empty
-        return explicit | fallback, fallback
+        return fallback
 
-    def anchor(self, t):
-        """A guarded lane ran step t exactly off the schedule: its period
-        restarts there."""
-        later = slice(t + 1, len(self.sched))
-        self.sched[later] = np.arange(1, len(self.sched) - t) % self.period == 0
-        self.codes[0, later] = np.where(self.sched[later], 0, 1)
+    def anchor(self, j, t):
+        """Slot j's period restarts at step t: of the steps after it, every
+        `period`-th is explicit (0), the others approximated (1)."""
+        self.codes[j, t + 1:] = np.arange(1, self.codes.shape[1] - t) % self.period > 0
 
     def explicit(self, e, se, first, W, V, Gt, t):
         """Step gradients of a wave part's explicit lanes (rows e of the
@@ -543,7 +540,7 @@ class _Wavefront:
             ahead = np.arange(self.k_lo, ks[-1])
             sj = ahead % self.S
             X = self.KC[sj, k]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
                 A = coefficients(logistic, X @ iw.T, self.YR[sj][:, None])
             A *= np.where(ahead[:, None] < ks, self.SIGN[sj], 0.0)
             S_ = S_ + A.T @ X
@@ -551,15 +548,19 @@ class _Wavefront:
         dg = S_ / self.NR[se]
         dg += l2iw                              # the exact gradient g_full
         dg -= Gt[e]
-        if self.guards and np.count_nonzero(V) and float(dg[0] @ V[0]) <= 0.0:
-            self.counts["convexity_guard_events"] += 1     # concave stretch: drop the pair
-        else:
-            lanes = self.slots[se]
-            self.stale[lanes[self.pairs.insert(lanes, V[e], dg)]] = True
+        lanes = self.slots[se]
+        ok = self.pairs.insert(lanes, V[e], dg)
+        self.stale[lanes[ok]] = True
+        if np.count_nonzero(ok) < len(ok):
+            # a concave stretch's pair fails the curvature test too; on a
+            # guarded lane that is a guard event, not a rejection
+            concave = self.guards & ~ok & (np.vecdot(dg, V[e]) <= 0.0) & V[e].any(axis=1)
+            self.counts["convexity_guard_events"] += int(np.count_nonzero(concave))
+            self.counts["pair_rejections"] += int(np.count_nonzero(~ok & ~concave))
         # (S + sign*changed) / denom + l2*w
         if self.row:        # the change rows' gradients a(x . w) x, as the kernel's
             X = self.KC[se, k]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
                 a = coefficients(logistic, np.vecdot(X, iw), self.YR[se])
             g = X * a[:, None]
             g += 0.0
@@ -581,9 +582,8 @@ class _Wavefront:
         k = self.k
         if self.row:
             # x . w = x . w_t plus x . v, from the first product
-            z = (Z[:, k + 1] * P).sum(axis=1)
-            z += C[:, k + 1]
-            with np.errstate(over="ignore"):
+            z = np.add.reduce(Z[:, k + 1] * P, axis=1) + C[:, k + 1]
+            with np.errstate(over="ignore") if self.logistic else contextlib.nullcontext():
                 a = coefficients(self.logistic, z, self.YR[sl])
             np.multiply(a, self.C2[sl], out=C[:, k + 1])
         elif self.r:        # a wide or custom term (a lone lane): its data sum at w
@@ -602,35 +602,37 @@ class _Wavefront:
         iterate to the iterate row that is not current. Returns the part's
         first lane whose next iterate is not finite, with its error, or None."""
         L, k, cur = sl.stop - sl.start, self.k, self.cur
-        # the lanes' steps, in lane order: descending t
-        rows = slice(t_top, t_top - L if t_top >= L else None, -1)
+        rows = slice(t_top, t_top - L if t_top >= L else None, -1)  # lane order: descending t
         Z, C = self.Z[sl], self.COEF[sl]
         P, Gt = self.params[rows], self.grads[rows]
         W, V = Z[:, cur], Z[:, 0]
         np.subtract(W, P, out=V)
-        explicit = self.sched[rows]
+        sched = self.flat[sl.start + t_top::self.stride][sl]    # (sl.start + i, t_top - i)
+        explicit, fallback = np.logical_not(sched), None      # code 0: explicit
         n = np.count_nonzero(explicit)
         if n < L and np.count_nonzero(self.stale[sl]):
-            explicit, fallback = self.fallbacks(explicit, sl, V)
-            f = np.flatnonzero(fallback)
-            if f.size:
-                self.codes[f + sl.start, t_top - f] = MODE_LABELS.index("fallback")
-                n += f.size
+            fallback = self.fallbacks(explicit, sl, V)
         if n < L:
-            # the first product: -c1 K'v and x . v (zero for a stale lane,
-            # whose v is 0 here)
+            # the first product: -c1 K'v and x . v (0 for a stale lane that is not a
+            # fallback: its v is 0)
             np.matmul(self.KC[sl], V[:, :, None], out=C[:, 1:k + 2, None])
-            # the local smoothness guard (of a lone lane): a drift estimate
-            # past the trusted Lipschitz cap means B is not believable here;
-            # c1 B v = c1*sigma*v - (M^-1 K')'(c1 K'v)
-            if self.guards and np.count_nonzero(V) and np.linalg.norm(
-                    np.dot(C[0, :k + 1], Z[0, :k + 1])) >= (
-                    SMOOTHNESS_LIMIT * self.C1[0] * np.linalg.norm(V[0])):
-                self.counts["smoothness_guard_events"] += 1
-                self.codes[0, t_top] = MODE_LABELS.index("fallback")
-                n = 1
-        if self.guards and n and not self.sched[t_top]:
-            self.anchor(t_top)
+            if self.guards:
+                # the local smoothness guard: a drift estimate past the
+                # trusted Lipschitz cap means B is not believable here;
+                # c1 B v = c1*sigma*v - (M^-1 K')'(c1 K'v)
+                Bv = np.matmul(C[:, None, :k + 1], Z[:, :k + 1])[:, 0]
+                v = np.sqrt(np.vecdot(V, V))
+                rough = np.sqrt(np.vecdot(Bv, Bv)) >= SMOOTHNESS_LIMIT * self.C1[sl] * v
+                if np.count_nonzero(rough):     # of an approximate lane with B and v != 0
+                    rough &= V.any(axis=1) & ~(explicit | self.stale[sl])
+                    self.counts["smoothness_guard_events"] += int(np.count_nonzero(rough))
+                    fallback = rough if fallback is None else fallback | rough
+        if fallback is not None and np.count_nonzero(fallback):    # exact, off the schedule
+            sched[fallback] = MODE_LABELS.index("fallback")
+            explicit |= fallback
+            n = np.count_nonzero(explicit)
+            for i in np.flatnonzero(fallback).tolist() if self.guards else ():
+                self.anchor(sl.start + i, t_top - i)
         if n == L:
             G = self.explicit(slice(None), sl, first, W, V, Gt, t_top)
         else:
@@ -701,11 +703,9 @@ class _Wavefront:
         sample set's edit by its request for the lanes after it."""
         j, lane = k % self.S, self.lanes[k]
         lane.final = self.params[-1] = self.Z[j, self.cur].copy()
-        codes = self.codes[j]
-        lane.trace = [MODE_LABELS[c] for c in codes.tolist()]
-        for c, label in enumerate(MODE_LABELS):
-            self.counts[label] += int(np.count_nonzero(codes == c))
-        self.counts["pair_rejections"] += int(self.pairs.rejected[j])
+        lane.trace = [MODE_LABELS[c] for c in self.codes[j].tolist()]
+        for label in MODE_LABELS:
+            self.counts[label] += lane.trace.count(label)
         if k + 1 < len(self.lanes) and lane.finish is not None:
             self.obj = lane.finish()
 
@@ -870,9 +870,9 @@ def unlearn_general(data, history, change, cfg, *, with_baseline=False,
     """Guarded deletion engine for objectives without global strong convexity.
 
     Explicit iterations drop curvature pairs whenever the local convexity
-    check (dg . dw <= 0) fails; approximate iterations recompute exactly
-    (and re-anchor the explicit period) whenever
-    ||B v|| >= SMOOTHNESS_LIMIT * ||v||.
+    check (dg . dw <= 0) fails; approximate iterations recompute exactly,
+    and re-anchor the request's own explicit period, whenever
+    ||B v|| >= SMOOTHNESS_LIMIT * ||v|| or there is no factorization.
     Accepts l2 = 0 and a custom per-sample objective.
     """
     if cfg.mode != "general":

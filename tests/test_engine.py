@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -1010,13 +1012,14 @@ def test_engines_do_not_mutate_inputs():
 
 # ------------------------------------------------ fused step vs reference loop
 
-FUSED_ENGINES = ("gd", "add", "sgd", "general", "online")
+FUSED_ENGINES = ("gd", "add", "sgd", "general", "online", "general-stream")
 
 
 def fused_requests(name, data, hist, ids, rng):
     """The entry point for engine `name`, its request list over the rows
     `ids` (added rows drawn from rng; online alternates deletions and
-    additions) and what `reference_stream` needs to know of the engine."""
+    additions; general-stream deletes them one by one, with guards) and
+    what `reference_stream` needs to know of the engine."""
     p = data.p
     labels = (lambda size: rng.choice([-1.0, 1.0], size=size)) \
         if hist.config.loss.kind == "logistic" else (lambda size: rng.normal(size=size))
@@ -1028,6 +1031,9 @@ def fused_requests(name, data, hist, ids, rng):
             ChangeSet.delete([i]) if j % 2 == 0
             else ChangeSet.add(rng.uniform(-1.0, 1.0, size=p), labels(1))
             for j, i in enumerate(ids)], {}
+    if name == "general-stream":
+        return functools.partial(engine_mod._update, guards=True), [
+            ChangeSet.delete([i]) for i in ids], {"guards": True}
     engine = {"gd": unlearn_batch_gd, "sgd": unlearn_batch_sgd, "general": unlearn_general}[name]
     return engine, [ChangeSet.delete(ids)], {"sgd": {"minibatch": True},
                                              "general": {"guards": True}}.get(name, {})
@@ -1048,12 +1054,13 @@ def fused_requests(name, data, hist, ids, rng):
 )
 def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn_in,
                                                history_size, seed, data_st):
-    # every engine, and a stream of requests run as a wavefront, against the
-    # loop that runs the requests one by one and writes the approximate step
-    # out term by term (tests/oracles.py): the same modes and counters,
-    # iterates and step gradients equal to roundoff, and r = 0 bit for bit;
-    # history sizes 1 to 3 take one pair, the float factorizations and, in
-    # a stream's lanes at 3 pairs, np.linalg
+    # every engine, and a stream of requests run as a wavefront (also with
+    # the general engine's guards), against the loop that runs the requests
+    # one by one and writes the approximate step out term by term
+    # (tests/oracles.py): the same modes and counters, iterates and step
+    # gradients equal to roundoff, and r = 0 bit for bit; history sizes 1 to
+    # 3 take one pair, the float factorizations and, in a stream's lanes at
+    # 3 pairs, np.linalg
     from unittest import mock
 
     from deltagrad import lbfgs
@@ -1063,7 +1070,7 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
     if kind == "ridge":
         data = Dataset(data.features, rng.normal(size=n))
-    loss_cfg = LossConfig(kind, 0.0 if name == "general" and seed % 3 == 0 else 0.01)
+    loss_cfg = LossConfig(kind, 0.0 if name.startswith("general") and seed % 3 == 0 else 0.01)
     eta = 1.0 / (smoothness_bound(loss_cfg, data) + loss_cfg.l2)
     batch = data_st.draw(st.integers(3, n - 1)) if name == "sgd" else n
     train_cfg = TrainConfig(loss=loss_cfg, iterations=T, batch_size=batch,
@@ -1072,7 +1079,8 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     cfg = DeltaGradConfig(period=period, burn_in=max(burn_in, history_size),
                           history_size=history_size,
                           mode={"sgd": "sgd", "general": "general"}.get(name, "gd"))
-    ids = data_st.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    ids = data_st.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4,
+                                min_size=2 if name == "general-stream" else 0))
     engine, requests, setting = fused_requests(name, data, hist, ids, np.random.default_rng(seed))
 
     # the condition of every factorization the fused run builds (a stream
@@ -1100,7 +1108,8 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
         with mock.patch.object(lbfgs.PairLanes, "build", measured_build), \
                 mock.patch.object(lbfgs.CurvaturePairBuffer, "factorization",
                                   measured_factorization):
-            out = engine(data, hist, requests if name == "online" else requests[0], cfg)
+            out = engine(data, hist, requests if name in ("online", "general-stream")
+                         else requests[0], cfg)
         params, grads, trace, counters = reference_stream(data, hist, requests, cfg, **setting)
 
     assert out.mode_trace == trace
@@ -1152,7 +1161,9 @@ def test_a_lane_steps_with_the_same_bits_alone_and_in_a_wave(kind):
         wide = _started_wave(obj, params, grads, etas, lanes)
         k, cur = wide.k, wide.cur
         nxt = 2 * k + 7 - cur
-        assert not wide.sched[t_top - 2:t_top + 1].any()
+        # each lane's own schedule entry: slots 0, 1, 2 at steps 14, 13, 12
+        labels = [engine_mod.MODE_LABELS[wide.codes[j, t_top - j]] for j in range(3)]
+        assert labels == ["approximated"] * 3
         wide.Z[:, cur] = params[t_top - np.arange(3)] + 0.1 * rng.normal(size=(3, p))
         wide.Z[:, 1:1 + k] = rng.normal(size=(3, k, p))
         wide.KC[:, :k] = rng.normal(size=(3, k, p))
@@ -1172,6 +1183,63 @@ def test_a_lane_steps_with_the_same_bits_alone_and_in_a_wave(kind):
             assert one.Z[0, nxt].tobytes() == wide.Z[j, nxt].tobytes()
             assert one.grads[t].tobytes() == wide.grads[t].tobytes()
             assert one.params[t].tobytes() == wide.params[t].tobytes()
+
+
+def test_a_guarded_lane_restarts_only_its_own_period():
+    # every lane keeps a schedule of its own: beside request 1, request 0
+    # falls back off its schedule (the smoothness guard, at a step size near
+    # 2/L) and restarts its period there, while request 1 keeps the default
+    # schedule; each lane's trace is that of its request run alone, over the
+    # sample set the request before it left
+    from oracles import reference_correction
+
+    n, T = 40, 40
+    data = generate_synthetic(SyntheticSpec(n=n, p=3, noise=0.05, seed=0))
+    data = Dataset(data.features, np.random.default_rng(0).normal(size=n))
+    loss = LossConfig("ridge", 0.01)
+    eta = 1.9 / smoothness_bound(loss, data)
+    hist = train_gd(data, TrainConfig(loss=loss, iterations=T, batch_size=n,
+                                      eta_schedule=((0, eta),)))
+    etas, full, active = [eta] * T, Objective(loss, data), models_mod.ActiveRows(data, n)
+    lanes = [engine_mod._Lane(sign=-1.0, n=n, change=full.rows([3]), finish=functools.partial(
+                 engine_mod._edit, active, ChangeSet.delete([3]), loss)),
+             engine_mod._Lane(sign=-1.0, n=n - 1, change=full.rows([2]))]
+    engine_mod._run_gd_core(Objective(loss, active.dataset()), hist.params.copy(),
+                            hist.gradients.copy(), etas, GEN, lanes, guards=True)
+
+    params, grads = hist.params.copy(), hist.gradients.copy()
+    left = Dataset(np.delete(data.features, 3, axis=0), np.delete(data.labels, 3))
+    for lane, (rows, pos) in zip(lanes, ((data, 3), (left, 2))):
+        obj = Objective(loss, rows)
+        _, trace, _ = reference_correction(obj, params, grads, etas, GEN,
+                                           itertools.repeat(obj.rows([pos])), -1.0, guards=True)
+        assert lane.trace == trace
+    default = ["explicit" if t <= GEN.burn_in or (t - GEN.burn_in) % GEN.period == 0
+               else "approximated" for t in range(T)]
+    assert "fallback" in lanes[0].trace and lanes[1].trace == default
+
+
+@pytest.mark.parametrize("t", [0, GD.burn_in + 1])
+def test_ridge_lanes_enter_no_errstate(t):
+    # a ridge lane's one-row coefficient z - y has no exp to overflow, so it
+    # runs outside np.errstate, at an explicit step (t = 0) and at an
+    # approximate one: a residual that overflows warns
+    loss, T = LossConfig("ridge", 0.01), 20
+    obj = Objective(loss, Dataset(np.ones((4, 1)), np.zeros(4)))
+    lane = engine_mod._Lane(sign=-1.0, n=4, change=Objective(loss, Dataset([[1e308]], [-1e308])))
+    wave = _started_wave(obj, np.ones((T + 1, 1)), np.zeros((T, 1)), [0.1] * T, [lane])
+    wave.k_lo = 0
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        wave.step(slice(0, 1), t, 0)
+
+
+def test_several_requests_over_a_minibatch_history_are_refused():
+    # a minibatch step has a change term of its own, which only a lone lane
+    # keeps: the correction loop refuses several requests over such a history
+    data, hist = train_problem(n=60, p=4, T=20, batch=6)
+    with pytest.raises(ValueError, match="several requests need a full-batch history"):
+        engine_mod._update(data, hist, [ChangeSet.delete([1]), ChangeSet.delete([2])], SGD,
+                           minibatch=True)
 
 
 # ------------------------------------------------------------ operation counts
