@@ -108,11 +108,14 @@ def evaluate_predictions(cfg: LossConfig, data: Dataset, w) -> dict:
     return {"mse": float(np.mean((scores - data.labels) ** 2))}
 
 
+def write_text(path, text: str):
+    """Replace `path` as a cache is replaced: a failed write keeps the old file."""
+    dataio._write_atomically(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
 def write_report(path, report: dict):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(report, indent=2) + "\n")
 
 
 def _lines(path):
@@ -369,12 +372,10 @@ def cmd_bench(args) -> int:
         cols = ["rate", "r", "period", "burn_in", "baseline_s", "deltagrad_s", "speedup",
                 "full_gradient_evals", "scheduled_full_gradient_evals",
                 "baseline_gradient_evals"]
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols + ["uw_iw", "uw_w"]) + "\n")
-            for cell in rows:
-                vals = [str(cell[c]) for c in cols]
-                vals += [repr(cell["distances"]["uw_iw"]), repr(cell["distances"]["uw_w"])]
-                fh.write(",".join(vals) + "\n")
+        lines = [cols + ["uw_iw", "uw_w"]] + [
+            [str(cell[c]) for c in cols] + [repr(cell["distances"][d]) for d in ("uw_iw", "uw_w")]
+            for cell in rows]
+        write_text(args.out_csv, "".join(",".join(line) + "\n" for line in lines))
     return 0
 
 

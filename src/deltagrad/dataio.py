@@ -18,11 +18,14 @@ import numpy as np
 
 from .errors import CacheFormatError, ParseError
 from .models import Dataset, LossConfig
-from .trainer import TrainConfig, TrainingHistory, verify_fingerprint
+from .trainer import TrainConfig, TrainingHistory, require_integer, verify_fingerprint
 
 CACHE_MAGIC = b"DGC1"
 MODEL_MAGIC = b"DGW1"
 FORMAT_VERSION = 1
+_PREFIX = struct.Struct("<4sB")         # every file: magic, version
+_HEADER = struct.Struct("<QQQQQBdI")    # DGC1: n, p, T, batch, seed, loss code, l2, segments
+_SEGMENT = struct.Struct("<Qd")         # an eta schedule segment: first iteration, rate
 _LOSS_CODES = {"ridge": 0, "logistic": 1}
 _LOSS_NAMES = {v: k for k, v in _LOSS_CODES.items()}
 
@@ -153,6 +156,8 @@ class SyntheticSpec:
     margin: float = 2.0
 
     def __post_init__(self):
+        for name in ("n", "p", "seed"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n < 1 or self.p < 1:
             raise ValueError("need n >= 1 and p >= 1")
         if not 0.0 <= self.noise <= 1.0:
@@ -173,11 +178,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(X, y)
 
 
-def _pack_vector(vec: np.ndarray) -> bytes:
-    v = np.ascontiguousarray(vec, dtype="<f8")
-    return struct.pack("<Q", v.size) + v.tobytes()
-
-
 def _read_exact(fh, count: int, what: str) -> bytes:
     blob = fh.read(count)
     if len(blob) != count:
@@ -185,22 +185,44 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return blob
 
 
-def _check_body_length(fh, expect: int, what: str):
-    """Compare the body length that the lengths read from the file promise,
-    up to the end of `what`, with the bytes left in it. Run once, before any
-    record is read, so that a corrupt length fails to load instead of sizing
-    a read."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left < expect:
-        raise CacheFormatError(
-            f"truncated body: {left} bytes left, {expect} needed through the {what}")
-    if left > expect:
-        raise CacheFormatError(f"trailing bytes after the {what}")
+def _read_prefix(fh, magic: bytes, kind: str):
+    """Check the magic and format version that open every file of `kind`."""
+    blob = fh.read(_PREFIX.size)
+    if blob[:len(magic)] != magic:
+        raise CacheFormatError(f"bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+    if len(blob) < _PREFIX.size:
+        raise CacheFormatError("truncated body while reading version")
+    version = _PREFIX.unpack(blob)[1]
+    if version != FORMAT_VERSION:
+        raise CacheFormatError(f"unsupported {kind} version {version}")
 
 
 def _record_dtype(p: int) -> np.dtype:
-    """One cache body record: a little-endian u64 length, then p f64."""
+    """One body record: a little-endian u64 length, then p f64."""
     return np.dtype([("size", "<u8"), ("vector", "<f8", (p,))])
+
+
+def _write_records(fh, *blocks):
+    """Write the rows of each 2-D block, in order, as body records of the
+    blocks' common width, built as one structured array in one call."""
+    p = blocks[0].shape[1]
+    body = np.empty(sum(len(block) for block in blocks), dtype=_record_dtype(p))
+    body["size"] = p
+    np.concatenate(blocks, out=body["vector"])
+    fh.write(body.data)
+
+
+def _read_records(fh, count: int, p: int, what: str) -> np.ndarray:
+    """The file's last `count` body records of width p (`what` names the
+    last in an error), checked against the bytes left first: a corrupt
+    length fails to load instead of sizing a read."""
+    size, left = count * (8 + 8 * p), os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < size:
+        raise CacheFormatError(
+            f"truncated body: {left} bytes left, {size} needed through the {what}")
+    if left > size:
+        raise CacheFormatError(f"trailing bytes after the {what}")
+    return np.frombuffer(_read_exact(fh, size, what), dtype=_record_dtype(p))
 
 
 def _write_atomically(path, write):
@@ -223,33 +245,20 @@ def _write_atomically(path, write):
 
 def save_cache(history: TrainingHistory, path):
     """Serialize a TrainingHistory, replacing `path` only once the whole
-    file is written.
-
-    Layout: magic, version byte, header (n, p, T, B, seed, loss kind, l2,
-    eta schedule, 32-byte dataset fingerprint), then T+1 parameter records
-    and T gradient records, each a length-prefixed little-endian f64 vector.
-    The body is built as one structured array and written in one call.
-    """
+    file is written. Layout: the prefix, the header, one segment per eta
+    schedule breakpoint, the 32-byte dataset fingerprint, then T+1
+    parameter records and T gradient records."""
     cfg = history.config
-    T = history.iterations
 
     def write(fh):
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<B", FORMAT_VERSION))
-        fh.write(struct.pack(
-            "<QQQQQB", history.n, history.p, T, cfg.batch_size, cfg.seed,
-            _LOSS_CODES[cfg.loss.kind],
-        ))
-        fh.write(struct.pack("<d", cfg.loss.l2))
-        fh.write(struct.pack("<I", len(cfg.eta_schedule)))
-        for start, rate in cfg.eta_schedule:
-            fh.write(struct.pack("<Qd", start, rate))
+        fh.write(_PREFIX.pack(CACHE_MAGIC, FORMAT_VERSION))
+        fh.write(_HEADER.pack(history.n, history.p, history.iterations, cfg.batch_size,
+                              cfg.seed, _LOSS_CODES[cfg.loss.kind], cfg.loss.l2,
+                              len(cfg.eta_schedule)))
+        for segment in cfg.eta_schedule:
+            fh.write(_SEGMENT.pack(*segment))
         fh.write(history.fingerprint)
-        body = np.empty(2 * T + 1, dtype=_record_dtype(history.p))
-        body["size"] = history.p
-        body["vector"][:T + 1] = history.params
-        body["vector"][T + 1:] = history.gradients
-        fh.write(body.data)
+        _write_records(fh, history.params, history.gradients)
 
     _write_atomically(path, write)
 
@@ -258,43 +267,27 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
     """Load a cache; verifies magic, version, header fields, the body length
     against the file size, every record's length (naming the first bad
     record), and (when a dataset is supplied) the content fingerprint. The
-    body is read in one call and viewed as structured records."""
+    schedule is read one segment at a time, so a corrupt segment count
+    reads no further than the file; the body is read in one call."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-        (version,) = struct.unpack("<B", _read_exact(fh, 1, "version"))
-        if version != FORMAT_VERSION:
-            raise CacheFormatError(f"unsupported cache version {version}")
-        n, p, T, batch, seed, loss_code = struct.unpack(
-            "<QQQQQB", _read_exact(fh, 41, "header")
-        )
+        _read_prefix(fh, CACHE_MAGIC, "cache")
+        n, p, T, batch, seed, loss_code, l2, n_seg = _HEADER.unpack(
+            _read_exact(fh, _HEADER.size, "header"))
         if loss_code not in _LOSS_NAMES:
             raise CacheFormatError(f"unknown loss code {loss_code}")
         if p < 1:
             raise CacheFormatError("invalid cache header: p = 0")
-        (l2,) = struct.unpack("<d", _read_exact(fh, 8, "header"))
-        (n_seg,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        schedule = []
-        for _ in range(n_seg):
-            start, rate = struct.unpack("<Qd", _read_exact(fh, 16, "eta schedule"))
-            schedule.append((start, rate))
+        schedule = [_SEGMENT.unpack(_read_exact(fh, _SEGMENT.size, "eta schedule"))
+                    for _ in range(n_seg)]
         try:
-            cfg = TrainConfig(
-                loss=LossConfig(kind=_LOSS_NAMES[loss_code], l2=l2),
-                iterations=T,
-                batch_size=batch,
-                eta_schedule=tuple(schedule),
-                seed=seed,
-            )
+            cfg = TrainConfig(loss=LossConfig(kind=_LOSS_NAMES[loss_code], l2=l2), iterations=T,
+                              batch_size=batch, eta_schedule=tuple(schedule), seed=seed)
         except ValueError as exc:
             raise CacheFormatError(f"invalid cache header: {exc}") from None
         if batch > n:
             raise CacheFormatError(f"invalid cache header: batch size {batch} exceeds n = {n}")
         fingerprint = _read_exact(fh, 32, "fingerprint")
-        _check_body_length(fh, (2 * T + 1) * (8 + 8 * p), "last record")
-        body = np.frombuffer(_read_exact(fh, (2 * T + 1) * (8 + 8 * p), "body"),
-                             dtype=_record_dtype(p))
+        body = _read_records(fh, 2 * T + 1, p, "last record")
         bad = np.flatnonzero(body["size"] != p)
         if bad.size:
             i = int(bad[0])
@@ -302,34 +295,28 @@ def load_cache(path, data: Dataset | None = None) -> TrainingHistory:
             raise CacheFormatError(f"{what}: record length {body['size'][i]} != header p {p}")
         params = body["vector"][:T + 1].astype(np.float64)
         grads = body["vector"][T + 1:].astype(np.float64)
-    history = TrainingHistory(
-        params=params, gradients=grads, config=cfg, n=n, p=p, fingerprint=fingerprint
-    )
+    history = TrainingHistory(params, grads, cfg, n, p, fingerprint)
     if data is not None:
         verify_fingerprint(history, data)
     return history
 
 
 def save_model(w: np.ndarray, path):
-    """Single parameter vector, same record encoding as the cache body;
+    """Single parameter vector as one body record of the cache's layout;
     `path` is replaced only once the whole file is written."""
     def write(fh):
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<B", FORMAT_VERSION))
-        fh.write(_pack_vector(np.asarray(w, dtype=np.float64)))
+        fh.write(_PREFIX.pack(MODEL_MAGIC, FORMAT_VERSION))
+        _write_records(fh, np.asarray(w, dtype=np.float64).reshape(1, -1))
 
     _write_atomically(path, write)
 
 
 def load_model(path) -> np.ndarray:
+    """Load a model file: its prefix, then one body record that must end
+    the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        (version,) = struct.unpack("<B", _read_exact(fh, 1, "version"))
-        if version != FORMAT_VERSION:
-            raise CacheFormatError(f"unsupported model version {version}")
-        (size,) = struct.unpack("<Q", _read_exact(fh, 8, "model vector"))
-        _check_body_length(fh, 8 * size, "model vector")
-        vec = np.frombuffer(_read_exact(fh, 8 * size, "model vector"), dtype="<f8")
-    return vec.astype(np.float64)
+        _read_prefix(fh, MODEL_MAGIC, "model")
+        # the record's length prefix alone reads as a record of width 0
+        size = np.frombuffer(_read_exact(fh, 8, "model vector"), _record_dtype(0))["size"]
+        fh.seek(-8, os.SEEK_CUR)
+        return _read_records(fh, 1, int(size[0]), "model vector")["vector"][0].astype(np.float64)

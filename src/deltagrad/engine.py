@@ -49,12 +49,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChangeSetError, DivergenceError, FactorizationError
+from .errors import ChangeSetError, DivergenceError
 from .lbfgs import PairLanes
 from .lbfgs import quasi_hvp  # noqa: F401 (dgbench patches it here)
 from .models import gradient_sum  # noqa: F401 (dgbench patches it here)
 from .models import ActiveRows, Dataset, Objective, coefficients
-from .trainer import TrainingHistory, _check_finite, _descend, verify_fingerprint
+from .trainer import TrainingHistory, _descend, require_integer, verify_fingerprint
 
 MODES = ("gd", "sgd", "general")
 MODE_LABELS = ("explicit", "approximated", "fallback", "skipped-empty-batch")
@@ -80,6 +80,8 @@ class DeltaGradConfig:
     mode: str = "gd"
 
     def __post_init__(self):
+        for name in ("period", "burn_in", "history_size"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if self.history_size < 1:
@@ -540,8 +542,7 @@ class _Wavefront:
             ahead = np.arange(self.k_lo, ks[-1])
             sj = ahead % self.S
             X = self.KC[sj, k]
-            with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
-                A = coefficients(logistic, X @ iw.T, self.YR[sj][:, None])
+            A = coefficients(logistic, X @ iw.T, self.YR[sj][:, None])
             A *= np.where(ahead[:, None] < ks, self.SIGN[sj], 0.0)
             S_ = S_ + A.T @ X
         l2iw = self.l2 * iw
@@ -560,8 +561,7 @@ class _Wavefront:
         # (S + sign*changed) / denom + l2*w
         if self.row:        # the change rows' gradients a(x . w) x, as the kernel's
             X = self.KC[se, k]
-            with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
-                a = coefficients(logistic, np.vecdot(X, iw), self.YR[se])
+            a = coefficients(logistic, np.vecdot(X, iw), self.YR[se])
             g = X * a[:, None]
             g += 0.0
         elif self.r:        # a wide or custom term (a lone lane)
@@ -583,8 +583,7 @@ class _Wavefront:
         if self.row:
             # x . w = x . w_t plus x . v, from the first product
             z = np.add.reduce(Z[:, k + 1] * P, axis=1) + C[:, k + 1]
-            with np.errstate(over="ignore") if self.logistic else contextlib.nullcontext():
-                a = coefficients(self.logistic, z, self.YR[sl])
+            a = coefficients(self.logistic, z, self.YR[sl])
             np.multiply(a, self.C2[sl], out=C[:, k + 1])
         elif self.r:        # a wide or custom term (a lone lane): its data sum at w
             Z[:, k + 1] = self.term.data_grad_sum(Z[0, self.cur])
@@ -657,32 +656,34 @@ class _Wavefront:
         K = len(lanes)
         error, failed = None, K                 # the first failed lane, K for none
         self.k_lo, waves = 0, [(0, -1, time.perf_counter())]     # lanes and end of each wave
-        for s in itertools.count():
-            k_lo, k_hi = self.k_lo, min(s, failed - 1, K - 1)
-            if k_lo > k_hi:
-                break
-            if k_hi == s:
-                self.start(s)
-            lo, hi = k_lo % S, k_hi % S
-            # a wave whose slots wrap around the ring runs as two parts; with
-            # T = 0 there are no steps, and each request ends at w_0
-            parts = (((lo, hi + 1, k_lo),) if lo <= hi
-                     else ((lo, S, k_lo), (0, hi + 1, k_lo + S - lo)))
-            if T and (self.changes is None or not self.skip(s)):
-                for a, b, first in parts:
-                    failure = self.step(slice(a, b), s - first, first)
-                    if failure is not None and failure[0] < failed:
-                        # this lane and the lanes after it stop
-                        failed, error = failure
-                # the row of the next iterates becomes the current one, and
-                # w's coefficient moves with it (the other row's is 0)
-                cur, self.cur = self.cur, 2 * self.k + 7 - self.cur
-                self.COEF[:, self.cur] = self.COEF[:, cur]
-                self.COEF[:, cur] = 0.0
-            if s - k_lo >= T - 1 and k_lo < failed:    # the oldest lane is done
-                self.finish(k_lo)
-                self.k_lo += 1
-            waves.append((k_lo, k_hi, time.perf_counter()))
+        # an overflowing logistic exp gives an exact 0; ridge has no exp
+        with np.errstate(over="ignore") if self.logistic else contextlib.nullcontext():
+            for s in itertools.count():
+                k_lo, k_hi = self.k_lo, min(s, failed - 1, K - 1)
+                if k_lo > k_hi:
+                    break
+                if k_hi == s:
+                    self.start(s)
+                lo, hi = k_lo % S, k_hi % S
+                # a wave whose slots wrap around the ring runs as two parts; with
+                # T = 0 there are no steps, and each request ends at w_0
+                parts = (((lo, hi + 1, k_lo),) if lo <= hi
+                         else ((lo, S, k_lo), (0, hi + 1, k_lo + S - lo)))
+                if T and (self.changes is None or not self.skip(s)):
+                    for a, b, first in parts:
+                        failure = self.step(slice(a, b), s - first, first)
+                        if failure is not None and failure[0] < failed:
+                            # this lane and the lanes after it stop
+                            failed, error = failure
+                    # the row of the next iterates becomes the current one, and
+                    # w's coefficient moves with it (the other row's is 0)
+                    cur, self.cur = self.cur, 2 * self.k + 7 - self.cur
+                    self.COEF[:, self.cur] = self.COEF[:, cur]
+                    self.COEF[:, cur] = 0.0
+                if s - k_lo >= T - 1 and k_lo < failed:    # the oldest lane is done
+                    self.finish(k_lo)
+                    self.k_lo += 1
+                waves.append((k_lo, k_hi, time.perf_counter()))
         # each wave's time, shared evenly by its lanes
         lo, hi, end = np.array(waves).T
         share = np.diff(end) / (hi - lo + 1)[1:]

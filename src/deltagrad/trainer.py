@@ -18,6 +18,13 @@ from .errors import DivergenceError, FingerprintMismatchError
 from .models import Dataset, LossConfig, Objective, smoothness_bound
 
 
+def require_integer(value, what: str) -> int:
+    """int(value) of a Python or numpy integer (never wraps); others, 3.0 too, raise ValueError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training recipe.
@@ -34,7 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sched = tuple((int(t), float(r)) for t, r in self.eta_schedule)
+        for name in ("iterations", "batch_size", "seed"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
+        sched = tuple((require_integer(t, "eta_schedule breakpoint"), float(r))
+                      for t, r in self.eta_schedule)
         object.__setattr__(self, "eta_schedule", sched)
         if not sched or sched[0][0] != 0:
             raise ValueError("eta_schedule must start with a breakpoint at iteration 0")

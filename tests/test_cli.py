@@ -275,15 +275,33 @@ def test_a_failed_cache_write_keeps_the_old_cache(cache, monkeypatch):
     # left behind
     from deltagrad import dataio
 
-    def disk_full(p):
+    def disk_full(*args):
         raise OSError(28, "No space left on device")
 
     old = cache.read_bytes()
-    monkeypatch.setattr(dataio, "_record_dtype", disk_full)
+    monkeypatch.setattr(dataio, "_write_records", disk_full)
     assert run("train", "--data", SYNTH, "--format", "synthetic", "--iters", "5",
                "--cache-out", str(cache)) == 11
     assert cache.read_bytes() == old
     assert [entry.name for entry in cache.parent.iterdir()] == [cache.name]
+
+
+def test_a_failed_report_write_keeps_the_old_report(cache, monkeypatch):
+    # a report is replaced as a cache is: an encoder that fails while the
+    # report is written is an I/O error (exit 11), the report the command
+    # would have replaced keeps its bytes, and no temporary file is left
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    report = cache.parent / "train.json"
+    argv = ("train", "--data", SYNTH, "--format", "synthetic", "--iters", "5",
+            "--cache-out", str(cache), "--report", str(report))
+    assert run(*argv) == 0
+    old = report.read_bytes()
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", disk_full)
+    assert run(*argv) == 11
+    assert report.read_bytes() == old
+    assert sorted(entry.name for entry in cache.parent.iterdir()) == [cache.name, report.name]
 
 
 @pytest.mark.parametrize("flag", [("--seed", str(2**64)), ("--lr", f"0:0.2,{2**64}:0.1")])

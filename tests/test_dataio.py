@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from deltagrad import (
     ParseError,
     SyntheticSpec,
     TrainConfig,
+    TrainingHistory,
     full_gradient,
     generate_synthetic,
     load_cache,
@@ -302,8 +304,7 @@ def test_a_failed_write_leaves_the_old_file(tmp_path, monkeypatch, logistic_hist
     assert path.stat().st_mode == plain.stat().st_mode
     plain.unlink()
     old = path.read_bytes()
-    monkeypatch.setattr(dataio, "_record_dtype" if kind == "cache" else "_pack_vector",
-                        _disk_full)
+    monkeypatch.setattr(dataio, "_write_records", _disk_full)
     with pytest.raises(OSError, match="No space left"):
         save(path)
     assert path.read_bytes() == old
@@ -371,4 +372,58 @@ def test_cache_names_the_first_bad_record(cached, tmp_path, logistic_history, re
     length = p - 1 if record == 120 else p + 1
     message = f"^{name}: record length {length} != header p {p}$"
     with pytest.raises(CacheFormatError, match=message):
+        load_cache(bad)
+
+
+def _pinned_history(kind, batch_size):
+    """A T = 3, p = 4 history made of chosen bits (-0, an infinity, a NaN, a
+    subnormal, 1e300 multiples), so that its cache depends on the format
+    alone, with three rate segments and a seed above 2^63."""
+    T, p = 3, 4
+    params = np.arange((T + 1) * p, dtype=np.float64).reshape(T + 1, p) / 7.0
+    params[1] = [-0.0, np.inf, np.nan, 5e-324]
+    grads = np.arange(T * p, dtype=np.float64).reshape(T, p) * -1e300
+    cfg = TrainConfig(loss=LossConfig(kind, 0.25), iterations=T, batch_size=batch_size,
+                      eta_schedule=((0, 0.5), (1, 0.25), (2, 0.125)), seed=2**63 + 5)
+    return TrainingHistory(params, grads, cfg, 6, p, bytes(range(32)))
+
+
+PINNED_DIGESTS = {
+    "full-batch": "d807fa9f045b55e5a3275ea8dd0121f1ef6c811ff8bbe683fcb891fe4423ea4e",
+    "minibatch": "a7e298ba1dfbbe5c318843684e01f97392c1db85599af78aaef3935b37317105",
+    "model": "6342b7f4e3126c58b4c257d3e5017a44f58ab89aea0fd6977292faf2d024cc12",
+    "empty-model": "f28975dff537b1edead4113c0738401af391b0d537e824413a4df8402c9c0bb9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_file_bytes_are_pinned(tmp_path, name):
+    # DGC1 and DGW1 files keep their bytes: each SHA-256 was taken from the
+    # writers that spelled the header field by field, and each file loads
+    # back bit for bit
+    full = _pinned_history("ridge", 6)
+    value = {"full-batch": full, "minibatch": _pinned_history("logistic", 4),
+             "model": full.params[1], "empty-model": np.zeros(0)}[name]
+    path = tmp_path / name
+    if name.endswith("model"):
+        save_model(value, path)
+        assert load_model(path).tobytes() == value.tobytes()
+    else:
+        save_cache(value, path)
+        back = load_cache(path)
+        assert back.params.tobytes() == value.params.tobytes()
+        assert back.gradients.tobytes() == value.gradients.tobytes()
+        assert back.config == value.config and back.fingerprint == value.fingerprint
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
+
+
+def test_a_segment_count_beyond_the_file_fails_to_load(cached, tmp_path):
+    # the largest u32 segment count promises 64 GiB of schedule: loading
+    # reads no further than the file and fails as a format error, without
+    # sizing a read or a list by the count
+    blob = bytearray(cached.read_bytes())
+    struct.pack_into("<I", blob, 54, 2**32 - 1)
+    bad = tmp_path / "segments.dgc"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CacheFormatError, match="truncated"):
         load_cache(bad)

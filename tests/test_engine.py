@@ -206,6 +206,25 @@ def test_gd_cholesky_fallback(monkeypatch):
     assert out.distances["uw_iw"] < out.distances["uw_w"]
 
 
+def test_deltagrad_config_validation():
+    # the period, burn-in and history size are Python or numpy integers in
+    # range: a period of 2.5 would run every integer step against a
+    # scheduled count divided by 2.5
+    for field, message in (({"period": 2.5}, "period: 2.5 is not an integer"),
+                           ({"burn_in": 3.5}, "burn_in: 3.5 is not an integer"),
+                           ({"history_size": 2.0}, "history_size: 2.0 is not an integer"),
+                           ({"period": 0}, "period must be"),
+                           ({"history_size": 0}, "history_size must be"),
+                           ({"burn_in": 1}, "burn_in must be"),
+                           ({"mode": "adam"}, "mode must be")):
+        with pytest.raises(ValueError, match=message):
+            DeltaGradConfig(**field)
+    # numpy integers are stored as ints: uint8 arithmetic would wrap or raise
+    cfg = DeltaGradConfig(period=np.uint8(3), burn_in=np.uint8(4), history_size=np.int32(2))
+    assert type(cfg.period) is type(cfg.burn_in) is type(cfg.history_size) is int
+    assert expected_full_gradient_evals(300, cfg.burn_in, cfg.period) == 103
+
+
 def test_changeset_validation():
     with pytest.raises(ChangeSetError):
         ChangeSet.delete([1, 1])
@@ -1071,7 +1090,10 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     if kind == "ridge":
         data = Dataset(data.features, rng.normal(size=n))
     loss_cfg = LossConfig(kind, 0.0 if name.startswith("general") and seed % 3 == 0 else 0.01)
-    eta = 1.0 / (smoothness_bound(loss_cfg, data) + loss_cfg.l2)
+    # the guarded cases also step at 1.9/L, the edge at which a guarded ridge
+    # lane falls back (test_a_guarded_lane_restarts_only_its_own_period)
+    scale = data_st.draw(st.sampled_from([1.0, 1.9])) if name.startswith("general") else 1.0
+    eta = scale / (smoothness_bound(loss_cfg, data) + loss_cfg.l2)
     batch = data_st.draw(st.integers(3, n - 1)) if name == "sgd" else n
     train_cfg = TrainConfig(loss=loss_cfg, iterations=T, batch_size=batch,
                             eta_schedule=((0, eta),), seed=seed)

@@ -7,6 +7,7 @@ from deltagrad import (
     Dataset,
     DivergenceError,
     LossConfig,
+    SyntheticSpec,
     TrainConfig,
     derive_schedule,
     full_gradient,
@@ -187,6 +188,20 @@ def test_config_validation():
     for field in ({"seed": 2**64}, {"seed": -1}, {"eta_schedule": ((0, 0.1), (2**64, 0.05))}):
         with pytest.raises(ValueError, match="64"):
             TrainConfig(**{"loss": LossConfig(), "iterations": 5, "batch_size": 4, **field})
+    # counts, seeds and breakpoints are Python or numpy integers: a float,
+    # even a whole one, is refused before training instead of failing in it,
+    # in save_cache or by rounding a breakpoint of 0.5 down to 0
+    for field in ({"iterations": 5.0}, {"batch_size": 4.0}, {"seed": 1.5},
+                  {"eta_schedule": ((0.5, 0.1),)}):
+        with pytest.raises(ValueError, match="not an integer"):
+            TrainConfig(**{"loss": LossConfig(), "iterations": 5, "batch_size": 4, **field})
+    for field in ({"n": 10.5}, {"p": 2.0}, {"seed": 0.0}):
+        with pytest.raises(ValueError, match="not an integer"):
+            SyntheticSpec(**{"n": 10, "p": 2, **field})
+    cfg = TrainConfig(loss=LossConfig(), iterations=np.int64(5), batch_size=np.int32(4),
+                      eta_schedule=((np.uint64(0), 0.1),), seed=np.uint64(2**64 - 1))
+    assert cfg.eta_schedule == ((0, 0.1),) and type(cfg.eta_schedule[0][0]) is int
+    assert type(cfg.seed) is type(cfg.batch_size) is int and cfg.seed == 2**64 - 1
 
 
 def test_seeds_from_two_to_the_63_key_their_own_schedules(tmp_path):
