@@ -29,15 +29,18 @@ in plain Python floats for one buffer, and for a stack of buffers with
 each float an array over the stack, the same operations in the same
 order, so a buffer's F has the same bits in a stack as alone. The float
 work grows as m^3, and np.linalg (`cholesky`, `inv`, `_linalg_factors`)
-takes over above a crossover: FLOAT_FACTOR_MAX_M pairs for one buffer,
-LANES_FLOAT_FACTOR_MAX_M for a stack. Time of F in us, floats / np.linalg
-(p = 20, 2-vCPU x86, numpy 2.4, the least of 15 interleaved rounds):
+takes over above one crossover, FLOAT_FACTOR_MAX_M pairs, for one buffer
+and a stack alike: the pair count alone picks the route, so a buffer's F
+has its lone bits in a stack of any size, and a stack of 3 or 4 pairs
+pays for that with floats where np.linalg would be faster. Time of F in
+us, floats / np.linalg, the route taken marked * (p = 20, 2-vCPU x86,
+numpy 2.4, the least of 15 interleaved rounds of 200 calls):
 
-    lanes   m = 1     m = 2     m = 3     m = 4      m = 5
-      1     5 / 25    9 / 29   23 / 47   31 / 31    52 / 48
-      8    22 / 45   33 / 35   76 / 38  181 / 43   239 / 48
-     24    21 / 44   35 / 48   74 / 58  130 / 62   222 / 80
-     48    14 / 35   35 / 61   72 / 83  131 / 92   219 / 126
+    lanes    m = 1      m = 2      m = 3      m = 4      m = 5
+      1     4* / 19    8* / 21   12* / 22   18* / 22    25 / 23*
+      8    10* / 21   24* / 25   50* / 29   91* / 30   146 / 35*
+     24     9* / 23   24* / 33   51* / 42   91* / 44   150 / 58*
+     48    10* / 26   25* / 45   52* / 61   94* / 68   153 / 92*
 
 At m = 20 one buffer took 0.9 ms in floats against 0.06 to 0.11 ms
 through np.linalg.
@@ -55,10 +58,9 @@ call, and builds the factorizations of every lane that needs one with one
 call, whose float operations, or np.linalg calls, take the whole stack.
 `CurvaturePairBuffer`, one pair set with a cached snapshot of its
 factorization that `quasi_hvp` applies, is lane 0 of a one-lane
-`PairLanes` as well; the test oracles use it, the engines do not. Up to
-the lanes' crossover, and beyond one buffer's, each lane's factorization
-has the bits it has alone; in between its M^-1 and M^-1 K' differ at
-roundoff. A lane whose C is not SPD is marked failed in its own lane only.
+`PairLanes` as well; the test oracles use it, the engines do not. At
+every pair count each lane's factorization has the bits it has alone. A
+lane whose C is not SPD is marked failed in its own lane only.
 """
 
 from __future__ import annotations
@@ -71,10 +73,9 @@ import numpy as np
 from .errors import DimensionMismatchError, FactorizationError
 
 CURVATURE_FLOOR = 1e-12
-# largest pair count whose F `_float_factors` computes for one buffer, and
-# for a stack of two or more (the crossovers of the module docstring's table)
+# largest pair count whose F `_float_factors` computes, for one buffer and
+# a stack alike (the crossover of the module docstring's table)
 FLOAT_FACTOR_MAX_M = 4
-LANES_FLOAT_FACTOR_MAX_M = 2
 
 
 @dataclass
@@ -93,15 +94,14 @@ class CompactFactorization:
 
 def _cholesky_inverse(C: list) -> tuple:
     """J^-1 for the lower Cholesky factor J of the symmetric m x m matrix C,
-    J J' = C, and -1. C is given by the rows of its lower triangle, whose
-    entries are floats, or arrays over a stack of matrices, and J^-1, lower
-    triangular too, is returned the same way. For floats, the first pivot i
-    that is not positive, NaN included, returns (None, i). For arrays each
-    matrix's first such pivot is returned in place of -1, as an array over
-    the stack (-1 for none); a failed matrix goes on with a pivot of 1, and
-    its entries are meaningless. Floats and arrays run the same operations
-    in the same order, so each matrix of a stack gets the bits it gets
-    alone."""
+    J J' = C, and the first pivot that is not positive, NaN included, or -1.
+    C is given by the rows of its lower triangle, whose entries are floats,
+    or arrays over a stack of matrices, and J^-1, lower triangular too, is
+    returned the same way, the failed pivot as an array over the stack. A
+    failed matrix goes on with a pivot of 1, and its entries are
+    meaningless. Floats and arrays run the same operations in the same
+    order, so each matrix of a stack gets the bits it gets alone."""
+    sqrt = math.sqrt if isinstance(C[0][0], float) else np.sqrt
     J, failed = [], -1
     for i, Ci in enumerate(C):
         Ji = []
@@ -113,16 +113,11 @@ def _cholesky_inverse(C: list) -> tuple:
         pivot = Ci[i]
         for x in Ji:
             pivot = pivot - x * x
-        if isinstance(pivot, float):
-            if not pivot > 0.0:
-                return None, i
-            Ji.append(math.sqrt(pivot))
-        else:
-            ok = pivot > 0.0
-            if not ok.all():
-                failed = np.where(~ok & (failed < 0), i, failed)
-                pivot = np.where(ok, pivot, 1.0)
-            Ji.append(np.sqrt(pivot))
+        ok = pivot > 0.0
+        if ok is not True and (ok is False or not ok.all()):    # a float's test is a bool
+            failed = np.where(np.logical_not(ok) & (failed < 0), i, failed)
+            pivot = np.where(ok, pivot, 1.0)
+        Ji.append(sqrt(pivot))
         J.append(Ji)
     Jinv = []
     for i, Ji in enumerate(J):
@@ -138,18 +133,21 @@ def _cholesky_inverse(C: list) -> tuple:
     return Jinv, failed
 
 
-def _float_factors(grams: np.ndarray, sigma) -> tuple:
-    """F = [E, J^-1] (m x 2m) from the Gram rows [W'G | W'W] of one buffer
-    (row i holds w_i . g_j, then w_i . w_j, for j = 0 .. m-1), computed in
-    plain floats, and -1; or (None, i) at the first pivot i of C that is
-    not positive. Given a stack of B buffers, grams (B x m x 2m) and sigmas
-    (B,), each float is an array over the stack, and the result is F
-    (B x m x 2m) and each buffer's first failed pivot (-1 for none), whose
-    F is then meaningless; every buffer's F has the bits it has alone."""
-    stack = grams.ndim == 3
+def _float_factors(grams: np.ndarray, sigma: np.ndarray) -> tuple:
+    """F = [E, J^-1] (B x m x 2m) of a stack of B buffers from their Gram
+    rows [W'G | W'W] (grams, B x m x 2m: row i holds w_i . g_j, then
+    w_i . w_j, for j = 0 .. m-1) and sigmas (B,), computed in floats with
+    no np.linalg call, and each buffer's first failed pivot of C (-1 for
+    none), whose F is then meaningless. One buffer runs on plain Python
+    floats; a stack runs the same operations in the same order with each
+    float an array over the stack, so every buffer's F has the bits it has
+    alone."""
+    B, m = grams.shape[:2]
     # g[i][j]: entry (i, j), a float or the stack's entries
-    g = grams.transpose(1, 2, 0).copy() if stack else grams.tolist()
-    m = len(g)
+    if B == 1:
+        g, sigma = grams[0].tolist(), float(sigma[0])
+    else:
+        g = grams.transpose(1, 2, 0).copy()
     # rows of L D^-1 (strictly lower) and of the lower triangle of
     # C = sigma*W'W + L D^-1 L'
     LDinv, C = [], []
@@ -165,8 +163,6 @@ def _float_factors(grams: np.ndarray, sigma) -> tuple:
         LDinv.append(Ri)
         C.append(Ci)
     Jinv, failed = _cholesky_inverse(C)
-    if Jinv is None:
-        return None, failed
     # rows of F: E[i][k] sums over k < j <= i
     F = []
     for i, Xi in enumerate(Jinv):
@@ -177,14 +173,15 @@ def _float_factors(grams: np.ndarray, sigma) -> tuple:
                 s = s + Xi[j] * LDinv[j][k]
             Ei.append(s)
         F.append(Ei + Xi)
-    if not stack:
-        return np.array([row + [0.0] * (m - 1 - i) for i, row in enumerate(F)]), -1
+    if B == 1:
+        return (np.array([[row + [0.0] * (m - 1 - i) for i, row in enumerate(F)]]),
+                np.array([failed]))
     out = np.zeros(grams.shape)
     for i, row in enumerate(F):
         for j, x in enumerate(row):
             if not isinstance(x, float):    # the floats are empty sums, 0.0
                 out[:, i, j] = x
-    return out, np.full(len(grams), -1) if isinstance(failed, int) else failed
+    return out, np.full(B, failed)
 
 
 def _linalg_factors(grams: np.ndarray, sigma: np.ndarray) -> tuple:
@@ -192,8 +189,7 @@ def _linalg_factors(grams: np.ndarray, sigma: np.ndarray) -> tuple:
     (B x m x 2m) and sigmas (B,) give F (B x m x 2m) and the first failed
     pivot of each (-1 for none), whose F is then meaningless. Each call
     costs a few np.linalg calls whatever the pair count, so it is the
-    faster above the float crossovers: from FLOAT_FACTOR_MAX_M + 1 pairs
-    on for one buffer, from LANES_FLOAT_FACTOR_MAX_M + 1 for a stack."""
+    faster above the float crossover, from FLOAT_FACTOR_MAX_M + 1 pairs on."""
     B, m = grams.shape[:2]
     Ltri = grams[:, :, :m] * np.tri(m, k=-1)
     LDinv = Ltri / np.diagonal(grams, axis1=1, axis2=2)[:, None, :]
@@ -225,8 +221,8 @@ class PairLanes:
     and one call builds the compact factorizations of several lanes.
 
     Inserts enforce the curvature condition dg.dw > CURVATURE_FLOOR*||dw||^2
-    per lane; a rejected pair (dw = 0 included) leaves its lane unchanged
-    and is counted in `rejected`. A full lane evicts its oldest pair.
+    per lane; a rejected pair (dw = 0 included) leaves its lane unchanged.
+    A full lane evicts its oldest pair.
     """
 
     def __init__(self, lanes: int, capacity: int, p: int):
@@ -236,12 +232,10 @@ class PairLanes:
         self.GW = np.zeros((lanes, 2, capacity, p))     # each lane's [G; W]
         self.G, self.W = self.GW[:, 0], self.GW[:, 1]
         self.count = np.zeros(lanes, dtype=np.intp)
-        self.rejected = np.zeros(lanes, dtype=np.intp)
 
     def clear(self, lanes):
-        """Empty `lanes` (an index or slice), and zero their counters."""
+        """Empty `lanes` (an index or slice)."""
         self.count[lanes] = 0
-        self.rejected[lanes] = 0
 
     def insert(self, lanes: np.ndarray, dW: np.ndarray, dG: np.ndarray) -> np.ndarray:
         """Store the pair (dW[i], dG[i]) in lane lanes[i] (distinct lanes);
@@ -250,7 +244,6 @@ class PairLanes:
         ok = np.vecdot(dG, dW) > CURVATURE_FLOOR * np.vecdot(dW, dW)
         acc = lanes
         if np.count_nonzero(ok) < len(ok):
-            self.rejected[lanes[~ok]] += 1
             acc, dW, dG = lanes[ok], dW[ok], dG[ok]
         if acc.size:
             at = self.count[acc]
@@ -268,21 +261,14 @@ class PairLanes:
         """The compact factorizations of `lanes`, each holding m pairs:
         sigma (B,), K' (B x 2m x p), M^-1 (B x 2m x 2m), M^-1 K' (B x 2m x p)
         and, per lane, the first pivot of C that is not positive, or -1. The
-        arrays are new; a failed lane's entries are meaningless. Up to
-        LANES_FLOAT_FACTOR_MAX_M pairs, and above FLOAT_FACTOR_MAX_M, every
+        arrays are new; a failed lane's entries are meaningless. Every
         lane's entries have the bits that a build of that lane alone gives
         them."""
         Kt = self.GW[lanes, :, :m].reshape(len(lanes), 2 * m, -1)     # [G; W], a copy
         grams = Kt[:, m:] @ Kt.transpose(0, 2, 1)   # rows [W'G | W'W]
         sigma = grams[:, m - 1, m - 1] / grams[:, m - 1, 2 * m - 1]
-        if len(grams) == 1 and m <= FLOAT_FACTOR_MAX_M:
-            F, failed = _float_factors(grams[0], float(sigma[0]))
-            F = np.zeros((1, m, 2 * m)) if F is None else F[None]
-            failed = np.array([failed])
-        elif m <= LANES_FLOAT_FACTOR_MAX_M:
-            F, failed = _float_factors(grams, sigma)
-        else:
-            F, failed = _linalg_factors(grams, sigma)
+        factors = _float_factors if m <= FLOAT_FACTOR_MAX_M else _linalg_factors
+        F, failed = factors(grams, sigma)
         Minv = F.transpose(0, 2, 1) @ F
         diag = np.arange(m)                         # top-left m x m block: - D^-1
         Minv[:, diag, diag] -= 1.0 / grams[:, diag, diag]
@@ -310,13 +296,10 @@ class CurvaturePairBuffer:
         self._lanes = PairLanes(1, capacity, 0)     # remade at the first pair's length
         self._W, self._G = self._lanes.W[0], self._lanes.G[0]     # lane 0's pairs
         self._fact: CompactFactorization | None = None
+        self.rejected = 0
 
     def __len__(self) -> int:
         return int(self._lanes.count[0])
-
-    @property
-    def rejected(self) -> int:
-        return int(self._lanes.rejected[0])
 
     def append_pair(self, dw, dg) -> bool:
         """Store a pair; returns False (and counts it) when curvature fails."""
@@ -328,9 +311,9 @@ class CurvaturePairBuffer:
             if len(self):
                 raise DimensionMismatchError("pair length differs from stored pairs")
             lanes = PairLanes(1, self.capacity, dw.size)
-            lanes.rejected[0] = self.rejected
             self._lanes, self._W, self._G = lanes, lanes.W[0], lanes.G[0]
         if not self._lanes.insert(_LANE0, dw[None], dg[None])[0]:
+            self.rejected += 1
             return False
         self._fact = None
         return True

@@ -1067,7 +1067,7 @@ def fused_requests(name, data, hist, ids, rng):
     T=st.integers(1, 40),
     period=st.integers(1, 6),
     burn_in=st.integers(2, 10),
-    history_size=st.integers(1, 3),
+    history_size=st.integers(1, 5),
     seed=st.integers(0, 2**16),
     data_st=st.data(),
 )
@@ -1078,8 +1078,8 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     # one by one and writes the approximate step out term by term
     # (tests/oracles.py): the same modes and counters, iterates and step
     # gradients equal to roundoff, and r = 0 bit for bit; history sizes 1 to
-    # 3 take one pair, the float factorizations and, in a stream's lanes at
-    # 3 pairs, np.linalg
+    # 5 take one pair, the float factorizations (up to 4 pairs) and
+    # np.linalg (5 pairs)
     from unittest import mock
 
     from deltagrad import lbfgs
@@ -1089,6 +1089,10 @@ def test_fused_step_matches_the_reference_loop(kind, name, n, p, T, period, burn
     data = generate_synthetic(SyntheticSpec(n=n, p=p, noise=0.05, seed=seed))
     if kind == "ridge":
         data = Dataset(data.features, rng.normal(size=n))
+    elif name.startswith("general"):
+        # the logistic curvature of unit-scale features lies below
+        # SMOOTHNESS_LIMIT; at 4 times the scale the smoothness guard fires
+        data = Dataset(data.features * data_st.draw(st.sampled_from([1.0, 4.0])), data.labels)
     loss_cfg = LossConfig(kind, 0.0 if name.startswith("general") and seed % 3 == 0 else 0.01)
     # the guarded cases also step at 1.9/L, the edge at which a guarded ridge
     # lane falls back (test_a_guarded_lane_restarts_only_its_own_period)
@@ -1275,7 +1279,10 @@ def test_online_request_operation_counts(monkeypatch):
     # factorizations its lanes need, one per lane after each explicit step
     # that added a pair past the burn-in, in floats (no np.linalg at m = 2).
     # The stream's rows are copied once, when it starts: every sample set
-    # its requests see is a view of one buffer.
+    # its requests see is a view of one buffer. The pair count alone picks
+    # the route: streams of 3 and 4 pairs build in floats too, one of
+    # 5 pairs through np.linalg alone. At period 2 the lanes of every other
+    # request step in the same phase, so builds also take stacks of lanes.
     from deltagrad import lbfgs
 
     T, cfg = 62, GD
@@ -1320,6 +1327,15 @@ def test_online_request_operation_counts(monkeypatch):
     assert len(views) == len(reqs)
     assert all(np.shares_memory(view.features, views[0].features) for view in views)
     assert not np.shares_memory(views[0].features, data.features)
+    floats = []
+    float_factors = lbfgs._float_factors
+    monkeypatch.setattr(lbfgs, "_float_factors",
+                        lambda *a: floats.append(len(a[0])) or float_factors(*a))
+    for m in (3, 4, 5):
+        del floats[:], linalg[:]
+        unlearn_online(data, hist, reqs, dataclasses.replace(cfg, history_size=m, period=2))
+        route, other = (floats, linalg) if m <= lbfgs.FLOAT_FACTOR_MAX_M else (linalg, floats)
+        assert max(route) > 1 and other == [], m
 
 
 def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
@@ -1330,7 +1346,7 @@ def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
     # lane whose Schur complement is not SPD fails alone
     from deltagrad import lbfgs
 
-    assert GD.history_size <= lbfgs.LANES_FLOAT_FACTOR_MAX_M
+    assert GD.history_size <= lbfgs.FLOAT_FACTOR_MAX_M
     data, hist = train_problem(n=50, p=4, T=10)
     lanes = [engine_mod._Lane(sign=-1.0, n=data.n) for _ in range(4)]
     waves = engine_mod._Wavefront(Objective(hist.config.loss, data), hist.params.copy(),

@@ -196,22 +196,22 @@ def test_float_and_linalg_factors_agree(m):
     # the buffer computes F = [E, J^-1] in floats up to FLOAT_FACTOR_MAX_M
     # pairs and through np.linalg beyond; both give the same matrix to
     # roundoff (well-conditioned pairs) and both reject a C that is not SPD
-    # (np.linalg takes a stack of buffers; here a stack of one)
+    # (both take a stack of buffers; here a stack of one)
     rng = np.random.default_rng(m)
     buf, *_ = filled_buffer(rng, 7, m)
     W, G = buf._W[:m], buf._G[:m]
-    grams = W @ np.concatenate([G, W]).T
-    sigma = float(grams[-1, m - 1] / grams[-1, -1])
+    grams = (W @ np.concatenate([G, W]).T)[None]
+    sigma = grams[:, -1, m - 1] / grams[:, -1, -1]
     F, failed = lbfgs._float_factors(grams, sigma)
-    assert F.shape == (m, 2 * m) and failed == -1
+    assert F.shape == (1, m, 2 * m) and failed.tolist() == [-1]
     # np.linalg.inv leaves roundoff above the diagonal of J^-1, where the
     # float routine has exact zeros
-    F_linalg, failed = lbfgs._linalg_factors(grams[None], np.array([sigma]))
-    assert np.allclose(F, F_linalg[0], rtol=1e-9, atol=1e-12 * np.abs(F).max())
+    F_linalg, failed = lbfgs._linalg_factors(grams, sigma)
+    assert np.allclose(F, F_linalg, rtol=1e-9, atol=1e-12 * np.abs(F).max())
     assert failed.tolist() == [-1]
     # C = -sigma W'W + L D^-1 L' has C[0, 0] < 0: both name pivot 0
-    assert lbfgs._float_factors(grams, -sigma) == (None, 0)
-    assert lbfgs._linalg_factors(grams[None], np.array([-sigma]))[1].tolist() == [0]
+    assert lbfgs._float_factors(grams, -sigma)[1].tolist() == [0]
+    assert lbfgs._linalg_factors(grams, -sigma)[1].tolist() == [0]
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -231,22 +231,30 @@ def test_stacked_float_factors_are_each_buffers_bits(m):
     assert F.shape == (5, m, 2 * m)
     assert failed.tolist() == [-1, -1, -1, 0, -1]
     for b in (0, 1, 2, 4):
-        alone, ok = lbfgs._float_factors(grams[b], sigmas[b])
-        assert ok == -1 and F[b].tobytes() == alone.tobytes()
+        alone, ok = lbfgs._float_factors(grams[b][None], np.array(sigmas[b:b + 1]))
+        assert ok.tolist() == [-1] and F[b].tobytes() == alone[0].tobytes()
+    assert lbfgs._float_factors(grams[3][None], np.array(sigmas[3:4]))[1].tolist() == [0]
 
 
 def test_buffer_picks_the_float_factors_up_to_the_limit(monkeypatch):
+    # the pair count alone picks the route: a buffer, and a stack of three
+    # lanes, build in floats up to the limit and through np.linalg above it
     calls = []
     for name in ("_float_factors", "_linalg_factors"):
         real = getattr(lbfgs, name)
         monkeypatch.setattr(lbfgs, name,
                             lambda g, s, name=name, real=real: calls.append(name) or real(g, s))
     limit = lbfgs.FLOAT_FACTOR_MAX_M
-    buf, *_ = filled_buffer(np.random.default_rng(3), 6, limit + 1)
-    buf.factorization()
-    buf, *_ = filled_buffer(np.random.default_rng(3), 6, limit)
-    buf.factorization()
-    assert calls == ["_linalg_factors", "_float_factors"]
+    rng = np.random.default_rng(3)
+    for m in (limit + 1, limit):
+        buf, *_ = filled_buffer(rng, 6, m)
+        buf.factorization()
+        lanes = lbfgs.PairLanes(3, m, 6)
+        for _ in range(m):
+            dW = rng.normal(size=(3, 6))
+            assert lanes.insert(np.arange(3), dW, 2.0 * dW).all()
+        assert lanes.build(np.arange(3), m)[4].tolist() == [-1, -1, -1]
+    assert calls == ["_linalg_factors"] * 2 + ["_float_factors"] * 2
 
 
 def test_factorization_snapshot_is_frozen():
@@ -338,11 +346,8 @@ def negated_sigma(position):
     with contextlib.ExitStack() as stack:
         for name in ("_float_factors", "_linalg_factors"):
             def negating(grams, sigma, real=getattr(lbfgs, name)):
-                if np.ndim(sigma):
-                    sigma = sigma.copy()
-                    sigma[position] = -sigma[position]
-                else:
-                    sigma = -sigma
+                sigma = sigma.copy()
+                sigma[position] = -sigma[position]
                 return real(grams, sigma)
             stack.enter_context(mock.patch.object(lbfgs, name, negating))
         yield
@@ -358,10 +363,9 @@ def negated_sigma(position):
 def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
     # one pair sequence goes to a lone buffer and to lane `target` of four
     # lanes, whose other lanes get other pairs in the same insert calls;
-    # after each insert both hold as many pairs, have rejected as many and
-    # build the same factorization: bit for bit where both take the same
-    # route (floats up to the stack's crossover, np.linalg beyond one
-    # buffer's), to roundoff in between, or both fail at the same pivot
+    # after each insert both hold as many pairs, the buffer has counted the
+    # target lane's rejected pairs, and both build the same factorization
+    # bit for bit, or both fail at the same pivot
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(p, p))
     H = A @ A.T + np.eye(p)
@@ -375,7 +379,7 @@ def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
             return s, -(H @ s)                          # negative curvature: rejected
         return s, H @ s + 0.3 * np.linalg.norm(H @ s) * rng.normal(size=p) / np.sqrt(p)
 
-    target = int(rng.integers(4))
+    target, rejected = int(rng.integers(4)), 0
     buf, lanes = CurvaturePairBuffer(capacity), lbfgs.PairLanes(4, capacity, p)
     for _ in range(steps):
         others = [j for j in range(4) if j != target and rng.random() < 0.7]
@@ -385,8 +389,9 @@ def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
         ok = lanes.insert(order, np.array([pairs[j][0] for j in order]),
                           np.array([pairs[j][1] for j in order]))
         assert ok[order.tolist().index(target)] == accepted
+        rejected += not accepted
         m = len(buf)
-        assert m == lanes.count[target] and buf.rejected == lanes.rejected[target]
+        assert m == lanes.count[target] and buf.rejected == rejected
         if not m:
             continue
         group = np.flatnonzero(lanes.count == m)
@@ -406,15 +411,35 @@ def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
             continue
         built = (sigma[at], Kt[at], Minv[at], MinvKt[at])
         mine = (fact.sigma, fact.Kt, fact.Minv, fact.MinvKt)
-        if len(group) == 1 or m <= lbfgs.LANES_FLOAT_FACTOR_MAX_M \
-                or m > lbfgs.FLOAT_FACTOR_MAX_M:
-            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
-                       for a, b in zip(built, mine))
-        else:
-            assert sigma[at] == fact.sigma and Kt[at].tobytes() == fact.Kt.tobytes()
-            dws, dgs = buf._W[:m], buf._G[:m]
-            gram_cond = max(float(np.abs(s) @ np.abs(y) / (s @ y)) for s, y in zip(dws, dgs))
-            cond_C = np.linalg.cond(schur_complement(dws, dgs))
-            tol = 8 * (m + p) * np.finfo(float).eps * cond_C * gram_cond
-            for a, b in ((Minv[at], fact.Minv), (MinvKt[at], fact.MinvKt)):
-                assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(built, mine))
+
+
+@pytest.mark.parametrize("m", range(1, lbfgs.FLOAT_FACTOR_MAX_M + 3))
+def test_a_lane_builds_the_same_bits_alone_and_in_a_stack(m):
+    # one lane's pairs, built alone and at the first, a middle and the last
+    # place of stacks of 2, 3 and 8 lanes whose other lanes hold other
+    # pairs: sigma, K', M^-1 and M^-1 K' have the same bits at every pair
+    # count, on both sides of the float crossover
+    rng = np.random.default_rng(70 + m)
+    p = 7
+
+    def build(pair_sets):
+        lanes = lbfgs.PairLanes(len(pair_sets), m, p)
+        every = np.arange(len(pair_sets))
+        for i in range(m):
+            assert lanes.insert(every, np.array([dws[i] for dws, _ in pair_sets]),
+                                np.array([dgs[i] for _, dgs in pair_sets])).all()
+        return lanes.build(every, m)
+
+    mine = spd_pairs(rng, p, m)[1:]
+    alone = build([mine])
+    assert alone[4].tolist() == [-1]
+    for B in (2, 3, 8):
+        for at in sorted({0, B // 2, B - 1}):
+            pair_sets = [spd_pairs(rng, p, m)[1:] for _ in range(B)]
+            pair_sets[at] = mine
+            built = build(pair_sets)
+            assert built[4].tolist() == [-1] * B
+            for a, b in zip(built[:4], alone[:4]):
+                assert a[at].tobytes() == b[0].tobytes()
