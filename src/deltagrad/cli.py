@@ -120,11 +120,10 @@ def write_report(path, report: dict):
 
 def _lines(path):
     """(`path:lineno`, stripped line) for every non-blank line of a text file."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield f"{path}:{lineno}", line
+    for lineno, raw in enumerate(dataio.text_lines(path, "ascii"), start=1):
+        line = raw.strip()
+        if line:
+            yield f"{path}:{lineno}", line
 
 
 def _parse_row(text: str, where: str, p: int, kind: str):
@@ -208,8 +207,8 @@ def _resolve_change(args, p: int, kind: str) -> engine.ChangeSet:
         features, labels = zip(*rows)
         return engine.ChangeSet.add(np.array(features), labels)
     if args.delete_file:
-        with open(args.delete_file, "r", encoding="ascii") as fh:
-            ids = parse_id_list(fh.read(), args.delete_file)
+        ids = parse_id_list("".join(dataio.text_lines(args.delete_file, "ascii")),
+                            args.delete_file)
     else:
         ids = parse_id_list(args.delete_ids or "", "--delete-ids")
     return engine.ChangeSet.delete(ids)

@@ -72,6 +72,23 @@ def parse_label(text: str, where: str, kind: str) -> float:
     return label
 
 
+def text_lines(path, encoding: str, newline=None) -> list:
+    """The lines of the text file `path` in `encoding`; a byte the codec
+    rejects is a ParseError that names the file and that byte's line."""
+    try:
+        with open(path, "r", encoding=encoding, newline=newline) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode(encoding)
+        except UnicodeDecodeError as exc:
+            line, bad = raw.count(b"\n", 0, exc.start) + 1, raw[exc.start]
+            raise ParseError(f"{path}:{line}: byte 0x{bad:02x} is not valid {encoding}") from None
+        raise
+
+
 def parse_libsvm(path, kind: str = "logistic") -> Dataset:
     """Read `label idx:val ...` lines with 1-based, strictly increasing
     indices per line and finite values. p is the largest index seen. Labels
@@ -80,17 +97,16 @@ def parse_libsvm(path, kind: str = "logistic") -> Dataset:
     rows = []
     labels = []
     p = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            labels.append(parse_label(tokens[0], f"{path}:{lineno}", kind))
-            entries = parse_feature_tokens(tokens[1:], f"{path}:{lineno}")
-            if entries:
-                p = max(p, entries[-1][0] + 1)
-            rows.append(entries)
+    for lineno, raw in enumerate(text_lines(path, "ascii"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels.append(parse_label(tokens[0], f"{path}:{lineno}", kind))
+        entries = parse_feature_tokens(tokens[1:], f"{path}:{lineno}")
+        if entries:
+            p = max(p, entries[-1][0] + 1)
+        rows.append(entries)
     if not rows:
         raise ParseError(f"{path}: no samples")
     if not p:
@@ -106,36 +122,35 @@ def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
     """Dense CSV with a header row; every cell must be a finite number.
     Labels follow `parse_label` under loss `kind`; the default, ridge, keeps
     any finite real."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ParseError(f"{path}: no column named {label_column!r}")
-        label_pos = header.index(label_column)
-        feature_pos = [i for i in range(len(header)) if i != label_pos]
-        rows = []
-        labels = []
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells")
-            values = []
-            for col, cell in zip(header, record):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}"
-                    )
-                values.append(value)
-            labels.append(parse_label(record[label_pos], f"{path}:{lineno}", kind))
-            rows.append([values[i] for i in feature_pos])
+    reader = csv.reader(text_lines(path, "utf-8", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise ParseError(f"{path}: no column named {label_column!r}")
+    label_pos = header.index(label_column)
+    feature_pos = [i for i in range(len(header)) if i != label_pos]
+    rows = []
+    labels = []
+    for lineno, record in enumerate(reader, start=2):
+        if len(record) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells")
+        values = []
+        for col, cell in zip(header, record):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}"
+                )
+            values.append(value)
+        labels.append(parse_label(record[label_pos], f"{path}:{lineno}", kind))
+        rows.append([values[i] for i in feature_pos])
     if not rows:
         raise ParseError(f"{path}: no samples")
     if not feature_pos:

@@ -20,19 +20,18 @@ owns that memory read-only and keeps the digest (`Dataset`). The one piece
 of module state is the helper-thread pool of `gradient_sum`: built on the
 first gradient at one iterate of two or more row blocks, at most
 MAX_HELPER_THREADS threads, shared by every calling thread and dropped in
-a forked child, which builds its own. It changes no bit of any result: the row blocks,
-fixed by BLOCK_BYTES, are summed in block order whatever thread computed
-them. A Dataset owns its labels and checks once, on first use, whether
-they are all +1 or -1; the logistic functions read that result instead of
-scanning the labels on every call, and ridge never pays for it. A
-logistic row x with label y has the loss and gradient of the signed row
+a forked child, which builds its own. It changes no bit of any result: the
+row blocks, fixed by BLOCK_BYTES, one contiguous run per thread, are summed
+in block order. A Dataset owns its labels and checks once, on first use,
+whether they are all +1 or -1; the logistic functions read that result
+instead of scanning the labels on every call, and ridge never pays for it.
+A logistic row x with label y has the loss and gradient of the signed row
 y*x with label +1; a request stream keeps its rows signed (`ActiveRows`),
 and the kernel at a matrix of iterates skips the label passes over them.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
 import functools
@@ -303,9 +302,9 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     worker count. Data of one block, and a matrix of iterates, are summed on
     the caller's thread alone (on a 200-request online stream, 2 vCPUs, a
     helper thread made the matrix sums slower, not faster). From two blocks
-    on, the caller and the helper threads (one per further core this
-    process may run on, at most MAX_HELPER_THREADS) draw the blocks of one
-    iterate from one shared counter; the helper pool is built on first use.
+    on, the caller and each helper thread, built on first use (one per
+    further core, at most MAX_HELPER_THREADS), sum one contiguous run of
+    the blocks of one iterate (`_parallel_blocks`).
     """
     w = _check_w(data, w, lanes=True)
     X, y = data.features, data.labels
@@ -322,13 +321,8 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
             g += 0.0
             return g
         block = functools.partial(_block_gradient, X, y, w, logistic, rows)
-        starts = range(0, y.size, rows)
-        pool, helpers = _helper_pool()
-        parts = _parallel_blocks(pool, helpers, block, starts) if helpers else map(block, starts)
-        g = np.zeros(w.shape)
-        for part in parts:
-            g += part
-    return g
+        parts = _parallel_blocks(*_helper_pool(), block, range(0, y.size, rows))
+    return sum(parts, np.zeros(w.shape))
 
 
 def _lanes_gradient(X, y, w, logistic: bool, signed: bool, rows: int) -> np.ndarray:
@@ -362,41 +356,31 @@ def _lanes_gradient(X, y, w, logistic: bool, signed: bool, rows: int) -> np.ndar
 
 
 def _parallel_blocks(pool, helpers: int, block, starts) -> list:
-    """[block(lo) for lo in starts], computed by the caller and up to
-    `helpers` jobs on `pool` that draw from one shared iterator.
-
-    Each job enters the caller's numpy error state, which a helper thread
-    would not see otherwise: numpy keeps it per context. Warning filters
-    are process-wide, so the caller's hold in the jobs as they are. Once
-    the caller finds nothing left to draw, it cancels the jobs not yet
-    started and waits only for the running ones; an error in any job is
-    raised here.
-    """
-    parts = [None] * len(starts)
-    todo = iter(range(len(starts)))
-    lock = threading.Lock()
+    """[block(lo) for lo in starts] in min(helpers + 1, len(starts))
+    contiguous runs: the caller computes the first, one job on `pool` each
+    of the others. The caller then cancels the jobs no helper has started,
+    computes their runs itself and reads the started jobs' results. Each job
+    enters the caller's numpy error state, which numpy keeps per context
+    (warning filters are process-wide). An error in any run is raised here,
+    once every started job has ended."""
     err = np.geterr()
 
-    def drain():
+    def run(los):
         with np.errstate(**err):
-            while True:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                parts[i] = block(starts[i])
+            return [block(lo) for lo in los]
 
-    jobs = [pool.submit(drain) for _ in range(min(helpers, len(starts) - 1))]
+    k = min(helpers + 1, len(starts))
+    runs = [starts[len(starts) * i // k:len(starts) * (i + 1) // k] for i in range(k)]
+    jobs = [pool.submit(run, los) for los in runs[1:]]
     try:
-        drain()
+        parts = run(runs[0])
+        mine = [run(los) if job.cancel() else None for los, job in zip(runs[1:], jobs)]
     finally:
-        with lock:                  # on an error in the caller, stop the helpers too
-            collections.deque(todo, maxlen=0)
-        started = [job for job in jobs if not job.cancel()]
-        for job in started:
-            job.exception()         # waits for the job to end
-    for job in started:
-        job.result()
+        for job in jobs:            # on an error in the caller, stop the helpers too
+            if not job.cancel():
+                job.exception()     # waits for a started job to end
+    for job, part in zip(jobs, mine):
+        parts += job.result() if part is None else part
     return parts
 
 

@@ -173,8 +173,8 @@ def delta_bound(est: ConstantEstimates, r: int) -> float:
 
 def sample_laplace(size: int, scale: float, seed: int) -> np.ndarray:
     """Inverse-CDF sampling: X = -b * sgn(U) * ln(1 - 2|U|), U ~ U(-1/2, 1/2)."""
-    if scale <= 0.0:
-        raise PrivacyBoundError("noise scale must be > 0")
+    if not 0.0 < scale < np.inf:
+        raise PrivacyBoundError(f"noise scale must be > 0 and finite, got {scale:.6g}")
     rng = np.random.default_rng(seed)
     u = rng.random(size)
     while True:                # u = 0 would put U on the open boundary

@@ -598,6 +598,19 @@ def test_noise_needs_a_positive_epsilon(tmp_path, noise_cache, epsilon):
     assert not out.exists()
 
 
+def test_noise_refuses_an_infinite_scale(tmp_path, noise_cache, capsys):
+    # delta / epsilon overflows to an infinite scale, which gave a model of
+    # +-inf; it exits 8 and writes no model
+    from deltagrad import save_model
+    model, out = tmp_path / "w.dgw", tmp_path / "n.dgw"
+    save_model(np.zeros(6), model)
+    assert run("noise", "--data", NOISE_SYNTH, "--format", "synthetic",
+               "--cache", str(noise_cache), "--model", str(model),
+               "--epsilon", "5e-324", "--deleted-count", "2", "--out", str(out)) == 8
+    assert "noise scale must be > 0 and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--m=-1", "--m=0", "--c1=-0.2", "--c1=0", "--c1=nan",
                                   "--c1=inf"])
 def test_noise_needs_a_history_size_and_a_finite_positive_independence(tmp_path, noise_cache,
@@ -623,6 +636,30 @@ def test_bad_delete_ids_are_parse_errors(tmp_path, cache, capsys):
     assert run(*argv, "--delete-file", str(ids)) == 3
     assert f"{ids}: bad integer '1.5'" in capsys.readouterr().err
     assert not (tmp_path / "w.dgw").exists()
+
+
+@pytest.mark.parametrize("flag,text,line,byte,codec", [
+    ("libsvm", b"+1 1:0.5\n-1 1:0.25 2:\xc3\n", 2, 0xc3, "ascii"),
+    ("csv", b"label,x\n1,0.5\n-1,\xff\n", 3, 0xff, "utf-8"),
+    ("--requests", "del 3\ndel \u00e9\n".encode(), 2, 0xc3, "ascii"),
+    ("--add-file", b"+1 1:0.5\n+1 1:\xe9\n", 2, 0xe9, "ascii"),
+    ("--delete-file", b"3\n\xe9\n", 2, 0xe9, "ascii"),
+], ids=["libsvm", "csv", "requests", "add-file", "delete-file"])
+def test_undecodable_text_is_a_parse_error(tmp_path, cache, capsys, flag, text, line, byte,
+                                           codec):
+    # a byte the reader's codec rejects exits 3 and names the file and line
+    bad, out = tmp_path / "bad.txt", tmp_path / "out"
+    bad.write_bytes(text)
+    if flag in ("libsvm", "csv"):
+        argv = ["train", "--data", str(bad), "--format", flag, "--label-column", "label",
+                "--iters", "1", "--cache-out", str(out)]
+    else:
+        argv = ["relearn" if flag == "--add-file" else "unlearn", "--data", SYNTH,
+                "--format", "synthetic", "--cache", str(cache), flag, str(bad),
+                "--out", str(out)]
+    assert run(*argv) == 3
+    assert f"{bad}:{line}: byte 0x{byte:02x} is not valid {codec}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_periods_are_parsed_as_integers(capsys):

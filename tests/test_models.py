@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent import futures
 from pathlib import Path
@@ -733,6 +734,80 @@ def test_helper_errors_are_raised_in_the_caller():
     with kernel_workers(3, 1, 3), helper_takes_a_block(fail), \
             pytest.raises(ArithmeticError, match="in a helper"):
         gradient_sum(LossConfig("ridge", 0.0), data, w)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_thread_computes_one_contiguous_run_of_blocks(workers):
+    # every thread waits at its first block until all have started, so no
+    # run comes back to the caller; the caller's blocks are then a prefix,
+    # and each helper's blocks one run after it
+    data, w = margin_problem("ridge", 40, 3, 1.0, seed=4)
+    real, everyone = models._block_gradient, threading.Barrier(workers, timeout=10)
+    waited, owner = threading.local(), {}
+
+    def block(*args):
+        if not hasattr(waited, "done"):
+            waited.done = True
+            everyone.wait()
+        owner[args[-1]] = threading.get_ident()
+        return real(*args)
+
+    with kernel_workers(workers, 1, 3), mock.patch.object(models, "_block_gradient", block):
+        g = gradient_sum(LossConfig("ridge", 0.0), data, w)
+    assert bits(g) == bits(block_gradient_sum("ridge", data.features, data.labels, w, 1))
+    threads = [owner[lo] for lo in range(40)]
+    runs = [t for i, t in enumerate(threads) if i == 0 or t != threads[i - 1]]
+    assert len(runs) == len(set(runs)) == workers
+    assert runs[0] == threading.get_ident()
+
+
+def test_a_run_no_helper_starts_comes_back_to_the_caller():
+    # the pool's one thread is held by another job: the caller cancels the
+    # helper's job and computes every block itself, with the serial bits
+    cfg = LossConfig("logistic", 0.0)
+    data, w = margin_problem("logistic", 30, 4, 5.0, seed=6)
+    expected = bits(block_gradient_sum("logistic", data.features, data.labels, w, 4))
+    real, threads, got = models._block_gradient, set(), []
+
+    def block(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    release = threading.Event()
+    with kernel_workers(2, 4, 4), mock.patch.object(models, "_block_gradient", block):
+        held = models._pool[0].submit(release.wait, 30)
+        caller = threading.Thread(target=lambda: got.append(bits(gradient_sum(cfg, data, w))))
+        try:
+            caller.start()
+            caller.join(timeout=10)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+        assert held.result()
+    assert got == [expected]
+    assert threads == {caller.ident}
+
+
+def test_an_error_in_the_callers_run_waits_for_the_running_helper():
+    # two blocks: the caller's fails once the helper has started its own,
+    # and the error reaches the caller only after the helper's job ended
+    real, caller = models._block_gradient, threading.get_ident()
+    started, ended = threading.Event(), threading.Event()
+
+    def block(*args):
+        if threading.get_ident() == caller:
+            assert started.wait(10)
+            raise ArithmeticError("in the caller")
+        started.set()
+        time.sleep(0.2)
+        ended.set()
+        return real(*args)
+
+    data, w = margin_problem("ridge", 2, 3, 1.0, seed=8)
+    with kernel_workers(2, 1, 3), mock.patch.object(models, "_block_gradient", block), \
+            pytest.raises(ArithmeticError, match="in the caller"):
+        gradient_sum(LossConfig("ridge", 0.0), data, w)
+    assert ended.is_set()
 
 
 def fork_child_gradient(cfg, data, w, out):

@@ -140,6 +140,15 @@ def test_noise_requires_positive_scale():
         laplace_noise(np.zeros(3), 0.0, seed=0)
 
 
+@pytest.mark.parametrize("scale", [np.inf, np.nan])
+def test_noise_requires_a_finite_scale(scale):
+    # an infinite scale gave +-inf noise, a NaN scale NaN noise
+    with pytest.raises(PrivacyBoundError, match="finite"):
+        sample_laplace(3, scale, seed=0)
+    with pytest.raises(PrivacyBoundError, match="finite"):
+        laplace_noise(np.zeros(3), scale, seed=0)
+
+
 def test_sampler_moments():
     b = 0.7
     x = sample_laplace(1_000_000, b, seed=0)
