@@ -416,12 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     train = subs.add_parser("train", help="train and cache the optimization path")
+    train.set_defaults(run=cmd_train)
     _add_data_flags(train)
     _add_train_flags(train)
     train.add_argument("--cache-out", required=True)
     train.add_argument("--report", default=None)
 
     unlearn = subs.add_parser("unlearn", help="delete samples from a trained model")
+    unlearn.set_defaults(run=cmd_update)
     _add_data_flags(unlearn)
     _add_engine_flags(unlearn)
     change = unlearn.add_mutually_exclusive_group()
@@ -432,11 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "or 'add <libsvm-row>' per line")
 
     relearn = subs.add_parser("relearn", help="add samples to a trained model")
+    relearn.set_defaults(run=cmd_update)
     _add_data_flags(relearn)
     _add_engine_flags(relearn)
     relearn.add_argument("--add-file", required=True, help="libsvm rows to add")
 
     noise = subs.add_parser("noise", help="add calibrated Laplace noise to a model")
+    noise.set_defaults(run=cmd_noise)
     _add_data_flags(noise)
     noise.add_argument("--model", required=True)
     noise.add_argument("--cache", required=True)
@@ -451,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--report", default=None)
 
     bench = subs.add_parser("bench", help="sweep delete rates and periods")
+    bench.set_defaults(run=cmd_bench)
     _add_data_flags(bench)
     _add_train_flags(bench)
     bench.add_argument("--rates", default="0,0.005,0.01")
@@ -467,15 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command in ("unlearn", "relearn"):
-            return cmd_update(args)
-        if args.command == "noise":
-            return cmd_noise(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except Exception as exc:   # map error classes to distinct exit codes
         for klass, code in EXIT_CODES:
             if isinstance(exc, klass):

@@ -133,23 +133,22 @@ def parse_csv(path, label_column: str, kind: str = "ridge") -> Dataset:
     feature_pos = [i for i in range(len(header)) if i != label_pos]
     rows = []
     labels = []
-    for lineno, record in enumerate(reader, start=2):
+    # an error names its record's first line; a quoted cell may span lines
+    lineno = reader.line_num + 1
+    for record in reader:
+        where, lineno = f"{path}:{lineno}", reader.line_num + 1
         if len(record) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells")
+            raise ParseError(f"{where}: expected {len(header)} cells")
         values = []
         for col, cell in zip(header, record):
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}"
-                ) from None
+                raise ParseError(f"{where}: non-numeric cell {cell!r} in column {col!r}") from None
             if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}"
-                )
+                raise ParseError(f"{where}: non-finite cell {cell!r} in column {col!r}")
             values.append(value)
-        labels.append(parse_label(record[label_pos], f"{path}:{lineno}", kind))
+        labels.append(parse_label(record[label_pos], where, kind))
         rows.append([values[i] for i in feature_pos])
     if not rows:
         raise ParseError(f"{path}: no samples")

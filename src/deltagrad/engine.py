@@ -392,8 +392,8 @@ class _Wavefront:
     deleted or added; so a stream's explicit steps, and only they, move at
     roundoff from a request run alone. Each lane keeps its own pair buffer
     (a lane of `pairs`), the pairs of a wave's explicit lanes go in with one
-    insert, and the lanes that need a fresh factorization get it from one
-    batched build, a failed build falling back in its own lane only.
+    insert, and `fallbacks` gives the lanes that need a fresh factorization
+    one batched build per pair count, a failed build falling back alone.
 
     Each lane has its own schedule, and both guards act on each lane alone.
     A stream's lanes all have one-row change terms. A run of one lane
@@ -482,39 +482,35 @@ class _Wavefront:
         self.set_term(0, term, n)
         return False
 
-    def build(self, sb):
-        """Fresh factorizations for slots sb (indices or a slice), one
-        batched build per pair count (once full, every lane has the same)."""
-        ms = self.pairs.count[sb]
-        sizes = ([int(ms[0])] if len(ms) == 1 or ms.min() == ms.max()
-                 else np.unique(ms).tolist())
-        for m in sizes:
-            group = sb if len(sizes) == 1 else self.slots[sb][ms == m]
-            sigma, Kt, _, MinvKt, failed = self.pairs.build(self.slots[group], m)
-            if np.count_nonzero(failed >= 0):
-                ok = failed < 0
-                group, sigma, Kt, MinvKt = (x[ok] for x in (self.slots[group], sigma, Kt, MinvKt))
-            c1 = self.C1[group]
-            self.COEF[group, 0] = c1 * sigma
-            self.KC[group, :2 * m] = Kt * -c1[:, None, None]
-            self.Z[group, 1:1 + 2 * m] = MinvKt
-            if 2 * m < self.k:
-                self.KC[group, 2 * m:self.k] = 0.0
-                self.Z[group, 1 + 2 * m:1 + self.k] = 0.0
-            self.stale[group] = False
-            self.built = sigma, Kt
-
     def fallbacks(self, explicit, sl, V):
-        """The fallbacks of a wave part (slots sl), after one batched build
-        of the factorizations that its approximate lanes need."""
+        """The lanes of a wave part (slots sl, a slice) whose step runs
+        exactly. Each approximate stale lane that holds pairs is built first,
+        one `PairLanes.build` per pair count, into its rows: sigma, -c1*K' and
+        M^-1 K' in COEF, KC and Z. A lane left stale (an empty buffer or a
+        failed build) with v != 0 falls back. Rows past 2m keep the zeros
+        `start` wrote: a lane's pair count only grows until it finishes."""
         counts, stale, count = self.counts, self.stale[sl], self.pairs.count[sl]
         need = ~explicit & stale
         built = need & (count > 0)
         b = np.count_nonzero(built)
         if b:
-            self.build(sl if b == len(built) else np.flatnonzero(built) + sl.start)
-        # no factorization (empty buffer or failed build): B v is needed
-        # unless v = 0, so the step is recomputed exactly
+            sb = sl if b == len(built) else np.flatnonzero(built) + sl.start
+            ms = self.pairs.count[sb]
+            sizes = ([int(ms[0])] if len(ms) == 1 or ms.min() == ms.max()
+                     else np.unique(ms).tolist())
+            for m in sizes:
+                group = sb if len(sizes) == 1 else self.slots[sb][ms == m]
+                sigma, Kt, _, MinvKt, failed = self.pairs.build(self.slots[group], m)
+                if np.count_nonzero(failed >= 0):
+                    ok = failed < 0
+                    group, sigma, Kt, MinvKt = (x[ok] for x in (self.slots[group], sigma,
+                                                                Kt, MinvKt))
+                c1 = self.C1[group]
+                self.COEF[group, 0] = c1 * sigma
+                self.KC[group, :2 * m] = Kt * -c1[:, None, None]
+                self.Z[group, 1:1 + 2 * m] = MinvKt
+                self.stale[group] = False
+                self.built = sigma, Kt
         fallback = need & stale
         if np.count_nonzero(fallback):
             fallback &= np.count_nonzero(V, axis=1) > 0
@@ -550,14 +546,15 @@ class _Wavefront:
         dg += l2iw                              # the exact gradient g_full
         dg -= Gt[e]
         lanes = self.slots[se]
-        ok = self.pairs.insert(lanes, V[e], dg)
+        ok, concave = self.pairs.insert(lanes, V[e], dg)
         self.stale[lanes[ok]] = True
-        if np.count_nonzero(ok) < len(ok):
-            # a concave stretch's pair fails the curvature test too; on a
-            # guarded lane that is a guard event, not a rejection
-            concave = self.guards & ~ok & (np.vecdot(dg, V[e]) <= 0.0) & V[e].any(axis=1)
-            self.counts["convexity_guard_events"] += int(np.count_nonzero(concave))
-            self.counts["pair_rejections"] += int(np.count_nonzero(~ok & ~concave))
+        rejected = len(ok) - int(np.count_nonzero(ok))
+        if rejected:
+            # on a guarded lane a concave stretch's rejected pair is a guard
+            # event, not a rejection
+            guarded = int(np.count_nonzero(concave)) if self.guards else 0
+            self.counts["convexity_guard_events"] += guarded
+            self.counts["pair_rejections"] += rejected - guarded
         # (S + sign*changed) / denom + l2*w
         if self.row:        # the change rows' gradients a(x . w) x, as the kernel's
             X = self.KC[se, k]

@@ -51,7 +51,8 @@ matrix-vector products, O(m*p); the engines' approximate step reads K'
 and M^-1 K' directly and folds the second product into its own.
 
 One store keeps the pairs: `PairLanes`, a stack of buffers (lanes) with
-the one curvature test, the one eviction and the one compact build. The
+the one curvature test (which also names the concave pairs that the
+general engine counts), the one eviction and the one compact build. The
 engines keep one lane per request in flight, and a single request is lane
 0 of a one-lane `PairLanes`: a wave of requests inserts its pairs with one
 call, and builds the factorizations of every lane that needs one with one
@@ -222,7 +223,7 @@ class PairLanes:
 
     Inserts enforce the curvature condition dg.dw > CURVATURE_FLOOR*||dw||^2
     per lane; a rejected pair (dw = 0 included) leaves its lane unchanged.
-    A full lane evicts its oldest pair.
+    A full lane evicts its oldest pair: a count only grows until cleared.
     """
 
     def __init__(self, lanes: int, capacity: int, p: int):
@@ -237,13 +238,16 @@ class PairLanes:
         """Empty `lanes` (an index or slice)."""
         self.count[lanes] = 0
 
-    def insert(self, lanes: np.ndarray, dW: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    def insert(self, lanes: np.ndarray, dW: np.ndarray, dG: np.ndarray) -> tuple:
         """Store the pair (dW[i], dG[i]) in lane lanes[i] (distinct lanes);
-        returns which were accepted."""
+        returns which were accepted and which of the rejected are concave,
+        dg.dw <= 0 with dw != 0 (a dw = 0 or a NaN product is not)."""
+        dgdw = np.vecdot(dG, dW)
+        ok = dgdw > CURVATURE_FLOOR * np.vecdot(dW, dW)
+        acc, concave = lanes, np.zeros(len(ok), dtype=bool)
         # count_nonzero is one C call; ndarray.all and .any go through Python
-        ok = np.vecdot(dG, dW) > CURVATURE_FLOOR * np.vecdot(dW, dW)
-        acc = lanes
         if np.count_nonzero(ok) < len(ok):
+            concave = (dgdw <= 0.0) & (np.count_nonzero(dW, axis=1) > 0)
             acc, dW, dG = lanes[ok], dW[ok], dG[ok]
         if acc.size:
             at = self.count[acc]
@@ -255,7 +259,7 @@ class PairLanes:
             self.W[acc, at] = dW
             self.G[acc, at] = dG
             self.count[acc] = at + 1
-        return ok
+        return ok, concave
 
     def build(self, lanes: np.ndarray, m: int) -> tuple:
         """The compact factorizations of `lanes`, each holding m pairs:
@@ -312,7 +316,7 @@ class CurvaturePairBuffer:
                 raise DimensionMismatchError("pair length differs from stored pairs")
             lanes = PairLanes(1, self.capacity, dw.size)
             self._lanes, self._W, self._G = lanes, lanes.W[0], lanes.G[0]
-        if not self._lanes.insert(_LANE0, dw[None], dg[None])[0]:
+        if not self._lanes.insert(_LANE0, dw[None], dg[None])[0][0]:
             self.rejected += 1
             return False
         self._fact = None

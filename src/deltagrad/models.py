@@ -62,9 +62,11 @@ BLOCK_BYTES = 1 << 20
 LANE_BLOCK_MACS = 1 << 18
 
 # Most helper threads that join the caller of `gradient_sum`, and never more
-# than the cores this process may run on, less one. One helper is the only
-# configuration measured (2 cores); more would call BLAS concurrently beside
-# OpenBLAS's own threads, which is unmeasured.
+# than the cores this process may run on, less one. One helper, the only
+# setting measured (2 vCPUs), cut a 39-block gradient (n = 1e5, p = 50) from
+# 4.1 to 2.9 ms and `train_gd` at T = 300 from 1.24 to 0.88 s (medians, 10 of
+# 12 alternating process pairs); more would call BLAS beside OpenBLAS's own
+# threads, which is unmeasured.
 MAX_HELPER_THREADS = 1
 
 

@@ -662,6 +662,27 @@ def test_undecodable_text_is_a_parse_error(tmp_path, cache, capsys, flag, text, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,text,extra,code,message", [
+    ("unlearn", "--requests", "del 3\ndel x\n", [], 3, ":2: bad id 'x'"),
+    ("unlearn", "--requests", "mul 3\n", [], 3, ":1: expected 'del' or 'add'"),
+    ("unlearn", "--requests", "del 3\nadd\n", [], 3, ":2: bad row ''"),
+    ("relearn", "--add-file", "\n  \n\n", [], 3, ": no samples"),
+    ("relearn", "--add-file", "+1 1:0.5\n", ["--mode", "sgd"], 10,
+     "mode 'sgd' does not support direction 'add'"),
+], ids=["del-x", "mul", "bare-add", "blank-add-file", "relearn-sgd"])
+def test_bad_requests_and_changes_exit_with_their_class(tmp_path, cache, capsys, command, flag,
+                                                        text, extra, code, message):
+    # a request line that is not `del <id>` or `add <row>` and an add file of
+    # blank lines are parse errors; an addition on the sgd engine is a
+    # config error; none of them writes a model
+    change, out = tmp_path / "change.txt", tmp_path / "w.dgw"
+    change.write_text(text)
+    assert run(command, "--data", SYNTH, "--format", "synthetic", "--cache", str(cache),
+               flag, str(change), *extra, "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_periods_are_parsed_as_integers(capsys):
     assert run("bench", "--data", "n=200,p=4,seed=3", "--format", "synthetic",
                "--l2", "0.01", "--iters", "20", "--T0-list", "5,x") == 3

@@ -79,6 +79,13 @@ def test_libsvm_bad_label(tmp_path):
         parse_libsvm(path)
 
 
+def test_libsvm_label_that_is_no_number(tmp_path):
+    path = tmp_path / "lbl.svm"
+    path.write_text("+1 1:1.0\nyes 1:1.0\n")
+    with pytest.raises(ParseError, match=r"lbl\.svm:2: bad label 'yes'$"):
+        parse_libsvm(path)
+
+
 @pytest.mark.parametrize("line", ["+1 1:0.5 2:nan", "+1 1:inf", "-1 3:-inf"])
 def test_libsvm_rejects_non_finite_features(tmp_path, line):
     path = tmp_path / "nf.svm"
@@ -147,6 +154,31 @@ def test_csv_rejects_non_finite_cells(tmp_path, cell):
         parse_csv(path, "label")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "bad.csv: empty file"),
+    ("label,x\n", "bad.csv: no samples"),
+    ("label,x\n1,0.5\n-1,0.5,2\n", "bad.csv:3: expected 2 cells"),
+], ids=["empty", "header-only", "cell-count"])
+def test_csv_without_rows_or_with_a_ragged_row(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{message}$"):
+        parse_csv(path, "label")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('label,x\n1,"0.5\n"\n-1,abc\n', "bad.csv:4: non-numeric cell 'abc' in column 'x'"),
+    ('label,x\n1,"0.5\n"\n-1\n', "bad.csv:4: expected 2 cells"),
+], ids=["cell", "cell-count"])
+def test_csv_errors_name_the_physical_line(tmp_path, text, message):
+    # a quoted cell that spans two lines is one record: the records after
+    # it are named by the line they start on, not by their record number
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(ParseError, match=f"{message}$"):
+        parse_csv(path, "label")
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     data = Dataset(rng.normal(size=(15, 4)), rng.normal(size=15))
@@ -171,6 +203,11 @@ def test_synthetic_deterministic():
 def test_synthetic_rejects_empty():
     with pytest.raises(ValueError):
         SyntheticSpec(n=0, p=4)
+
+
+def test_synthetic_noise_is_a_probability():
+    with pytest.raises(ValueError, match="noise is a probability"):
+        SyntheticSpec(n=10, p=2, noise=1.5)
 
 
 def test_synthetic_separable_is_learnable():
@@ -223,6 +260,24 @@ def test_cache_bad_version(cached, tmp_path):
     bad = tmp_path / "ver.dgc"
     bad.write_bytes(bytes(blob))
     with pytest.raises(CacheFormatError, match="version"):
+        load_cache(bad)
+
+
+def test_cache_of_the_magic_alone(tmp_path):
+    bad = tmp_path / "magic.dgc"
+    bad.write_bytes(b"DGC1")
+    with pytest.raises(CacheFormatError, match="truncated body while reading version"):
+        load_cache(bad)
+
+
+def test_cache_with_an_unknown_loss_code(cached, tmp_path):
+    # the header after the 5-byte prefix: n, p, T, batch and seed (u64
+    # each), then the loss code (u8)
+    blob = bytearray(cached.read_bytes())
+    blob[5 + 5 * 8] = 7
+    bad = tmp_path / "loss.dgc"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CacheFormatError, match="unknown loss code 7"):
         load_cache(bad)
 
 

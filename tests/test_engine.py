@@ -317,6 +317,43 @@ def test_sgd_add_rejected():
         unlearn_batch_sgd(data, hist, change, SGD)
 
 
+@pytest.mark.parametrize("engine,cfg,change,message", [
+    ("unlearn_batch_gd", SGD, "delete", "requires cfg.mode == 'gd'"),
+    ("unlearn_batch_gd", GD, "add", "handles deletions"),
+    ("relearn_batch_gd", GEN, "add", "requires cfg.mode == 'gd'"),
+    ("relearn_batch_gd", GD, "delete", "handles additions"),
+    ("unlearn_general", GD, "delete", "requires cfg.mode == 'general'"),
+    ("unlearn_general", GEN, "add", "handles deletions"),
+    ("unlearn_batch_sgd", GD, "delete", "requires cfg.mode == 'sgd'"),
+    ("unlearn_batch_sgd", SGD, "add", "not defined for minibatch"),
+    ("unlearn_online", SGD, "delete", "requires cfg.mode == 'gd'"),
+])
+def test_each_entry_point_refuses_another_mode_or_direction(core_calls, engine, cfg, change,
+                                                            message):
+    data, hist = train_problem(n=60, p=4, T=10)
+    req = ChangeSet.delete([1]) if change == "delete" else ChangeSet.add(np.zeros(4), [1.0])
+    run = getattr(engine_mod, engine)
+    with pytest.raises(ValueError, match=message):
+        run(data, hist, [req] if engine == "unlearn_online" else req, cfg)
+    assert core_calls == []
+
+
+def test_a_change_set_needs_a_direction_and_one_label_per_row():
+    with pytest.raises(ChangeSetError, match="direction must be one of"):
+        ChangeSet("move")
+    with pytest.raises(ChangeSetError, match="row counts differ"):
+        ChangeSet.add(np.zeros((2, 3)), [1.0, -1.0, 1.0])
+
+
+def test_minibatch_histories_take_deletions_on_the_sgd_engine_only(core_calls):
+    data, hist = train_problem(n=60, p=4, T=10, batch=6)
+    with pytest.raises(ValueError, match="addition is defined for full-batch histories only"):
+        baseline_retrain(data, hist, ChangeSet.add(np.zeros(4), [1.0]))
+    with pytest.raises(ValueError, match="needs a full-batch history"):
+        unlearn_batch_gd(data, hist, ChangeSet.delete([1]), GD)
+    assert core_calls == []
+
+
 # ---------------------------------------------------------------- batch SGD
 
 def test_sgd_null_change_is_bit_exact():
@@ -858,6 +895,29 @@ def test_general_convexity_guard_fires_and_finishes():
     assert np.isfinite(out.w_final).all()
 
 
+@pytest.mark.parametrize("period", [1, 3])
+def test_general_concave_counters_match_the_reference(period):
+    # on a concave stretch the general engine counts a rejected pair with
+    # dg . v <= 0 and v != 0 as a guard event and every other rejected pair
+    # (v = 0 at step 0 among them) as a rejection, as the reference loop
+    # does: the same trace and the same value of every counter, with every
+    # step explicit (period 1) and with smoothness fallbacks (period 3)
+    from oracles import reference_correction
+
+    data, obj, hist = wavy_problem()
+    ids = np.sort(np.random.default_rng(13).choice(40, size=2, replace=False))
+    cfg = DeltaGradConfig(period=period, burn_in=4, history_size=2, mode="general")
+    out = unlearn_general(data, hist, ChangeSet.delete(ids), cfg, objective=obj)
+    etas = [hist.config.eta_at(t) for t in range(hist.iterations)]
+    _, trace, counters = reference_correction(obj, hist.params.copy(), hist.gradients.copy(),
+                                              etas, cfg, itertools.repeat(obj.rows(ids)), -1.0,
+                                              guards=True)
+    assert out.mode_trace == trace
+    for key in engine_mod._COUNTERS:
+        assert out.diagnostics[key] == counters[key], key
+    assert counters["convexity_guard_events"] >= 1 and counters["pair_rejections"] >= 1
+
+
 def test_custom_objective_supplies_the_change_gradient():
     # with period 1 the guarded engine is exact, so it equals training the
     # custom objective on the 38 remaining rows only if the two deleted rows
@@ -1358,8 +1418,8 @@ def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
     for j, m in enumerate((2, 1, 2, 2)):
         for _ in range(m):
             dw = rng.normal(size=(1, 4))
-            assert waves.pairs.insert(np.array([j]), dw, dw @ H).all()
-    waves.build(np.arange(4))
+            assert waves.pairs.insert(np.array([j]), dw, dw @ H)[0].all()
+    waves.fallbacks(np.zeros(4, dtype=bool), slice(0, 4), np.zeros((4, 4)))
     for j in range(4):
         buf = CurvaturePairBuffer(2)
         for dw, dg in zip(waves.pairs.W[j, :waves.pairs.count[j]],
@@ -1385,10 +1445,35 @@ def test_batched_build_matches_one_buffer_per_lane(monkeypatch):
     monkeypatch.setattr(lbfgs, "_cholesky_inverse", second_fails)
     monkeypatch.setattr(lbfgs, "_linalg_factors", None)     # not called at m = 2
     dw = rng.normal(size=(4, 4))
-    waves.stale[waves.pairs.insert(np.arange(4), dw, dw @ H)] = True
+    waves.stale[waves.pairs.insert(np.arange(4), dw, dw @ H)[0]] = True
     assert waves.pairs.count.tolist() == [2, 2, 2, 2]
-    waves.build(np.arange(4))
+    waves.fallbacks(np.zeros(4, dtype=bool), slice(0, 4), np.zeros((4, 4)))
     assert waves.stale.tolist() == [False, True, False, False]
+
+
+def test_a_build_leaves_the_rows_past_2m_as_start_zeroed_them():
+    # a lane's pair count only grows between `start` and its last step, so
+    # each build writes its first 2m rows of -c1 K' and M^-1 K' and the rows
+    # past them keep the zeros `start` wrote over what the slot's previous
+    # lane left there: a lane that builds at m = 1, 2 and 3 in turn
+    data, hist = train_problem(n=50, p=4, T=10)
+    cfg = dataclasses.replace(GD, history_size=3)
+    lanes = [engine_mod._Lane(sign=-1.0, n=data.n)]
+    waves = engine_mod._Wavefront(Objective(hist.config.loss, data), hist.params.copy(),
+                                  hist.gradients.copy(), [0.1] * 10, cfg, lanes)
+    k = waves.k
+    waves.Z[:], waves.KC[:], waves.COEF[:] = 1.0, 1.0, 1.0      # the previous lane's rows
+    waves.start(0)
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(4, 4))
+    H = A @ A.T + np.eye(4)
+    for m in (1, 2, 3):
+        dw = rng.normal(size=(1, 4))
+        waves.stale[waves.pairs.insert(np.zeros(1, dtype=np.intp), dw, dw @ H)[0]] = True
+        waves.fallbacks(np.zeros(1, dtype=bool), slice(0, 1), np.zeros((1, 4)))
+        assert waves.pairs.count[0] == m and not waves.stale[0]
+        assert waves.KC[0, :2 * m].all() and waves.Z[0, 1:1 + 2 * m].all()
+        assert not waves.KC[0, 2 * m:k].any() and not waves.Z[0, 1 + 2 * m:1 + k].any()
 
 
 # ------------------------------------------------------------ the loop's returns

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltagrad import CurvaturePairBuffer, FactorizationError, lbfgs, quasi_hvp
+from deltagrad import (
+    CurvaturePairBuffer,
+    DimensionMismatchError,
+    FactorizationError,
+    lbfgs,
+    quasi_hvp,
+)
 from oracles import compact_factors, inverse_apply, recursive_B_apply, schur_complement
 
 
@@ -48,6 +54,24 @@ def test_zero_pair_rejected():
     buf = CurvaturePairBuffer(2)
     assert not buf.append_pair(np.zeros(3), np.zeros(3))
     assert buf.rejected == 1
+
+
+def test_a_store_needs_room_for_a_pair():
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        lbfgs.PairLanes(1, 0, 3)
+
+
+@pytest.mark.parametrize("dw,dg,message", [
+    (np.ones(3), np.ones(2), "1-D with equal length"),
+    (np.ones((1, 3)), np.ones((1, 3)), "1-D with equal length"),
+    (np.ones(4), np.ones(4), "pair length differs"),
+], ids=["shapes", "2-d", "length"])
+def test_append_pair_refuses_mismatched_shapes(dw, dg, message):
+    buf = CurvaturePairBuffer(2)
+    assert buf.append_pair(np.ones(3), np.ones(3))
+    with pytest.raises(DimensionMismatchError, match=message):
+        buf.append_pair(dw, dg)
+    assert len(buf) == 1 and buf.rejected == 0
 
 
 def test_quasi_hvp_zero_vector():
@@ -252,7 +276,7 @@ def test_buffer_picks_the_float_factors_up_to_the_limit(monkeypatch):
         lanes = lbfgs.PairLanes(3, m, 6)
         for _ in range(m):
             dW = rng.normal(size=(3, 6))
-            assert lanes.insert(np.arange(3), dW, 2.0 * dW).all()
+            assert lanes.insert(np.arange(3), dW, 2.0 * dW)[0].all()
         assert lanes.build(np.arange(3), m)[4].tolist() == [-1, -1, -1]
     assert calls == ["_linalg_factors"] * 2 + ["_float_factors"] * 2
 
@@ -386,8 +410,8 @@ def test_a_buffer_is_one_lane_at_every_lane_count(capacity, p, steps, seed):
         order = rng.permutation([target] + others)
         pairs = {j: pair() for j in order}
         accepted = buf.append_pair(*pairs[target])
-        ok = lanes.insert(order, np.array([pairs[j][0] for j in order]),
-                          np.array([pairs[j][1] for j in order]))
+        ok, _ = lanes.insert(order, np.array([pairs[j][0] for j in order]),
+                             np.array([pairs[j][1] for j in order]))
         assert ok[order.tolist().index(target)] == accepted
         rejected += not accepted
         m = len(buf)
@@ -429,7 +453,7 @@ def test_a_lane_builds_the_same_bits_alone_and_in_a_stack(m):
         every = np.arange(len(pair_sets))
         for i in range(m):
             assert lanes.insert(every, np.array([dws[i] for dws, _ in pair_sets]),
-                                np.array([dgs[i] for _, dgs in pair_sets])).all()
+                                np.array([dgs[i] for _, dgs in pair_sets]))[0].all()
         return lanes.build(every, m)
 
     mine = spd_pairs(rng, p, m)[1:]

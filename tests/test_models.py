@@ -299,6 +299,31 @@ def test_dataset_owns_its_labels():
         assert loss(cfg, data, w) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("features,labels,message", [
+    (np.ones(3), np.ones(3), "features must be 2-D, got ndim=1"),
+    (np.ones((3, 2)), np.ones((3, 1)), "labels must be 1-D, got ndim=2"),
+    (np.ones((3, 2)), np.ones(2), "3 feature rows vs 2 labels"),
+    (np.ones((3, 0)), np.ones(3), "dataset needs n >= 1 and p >= 1"),
+], ids=["1-d-features", "2-d-labels", "row-count", "no-feature"])
+def test_dataset_shape_checks(features, labels, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        Dataset(features, labels)
+
+
+@pytest.mark.parametrize("rows,labels", [(np.ones(3), [1.0]), (np.ones((2, 1)), [1.0, -1.0])],
+                         ids=["1-d-row", "2-d-rows"])
+def test_extended_rows_need_the_datasets_width(rows, labels):
+    data = Dataset(np.ones((2, 2)), [1.0, -1.0])
+    with pytest.raises(DimensionMismatchError, match=r"expected \(\*, 2\)"):
+        data.extended(rows, labels)
+    assert data.extended(np.ones(2), [1.0]).n == 3
+
+
+def test_loss_kind_is_logistic_or_ridge():
+    with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+        LossConfig(kind="hinge")
+
+
 def test_fingerprint_is_order_sensitive(logistic_data):
     perm = np.arange(logistic_data.n)[::-1]
     shuffled = Dataset(logistic_data.features[perm], logistic_data.labels[perm])

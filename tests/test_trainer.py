@@ -204,6 +204,25 @@ def test_config_validation():
     assert type(cfg.seed) is type(cfg.batch_size) is int and cfg.seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("field,message", [
+    ({"eta_schedule": ((0, 0.1), (5, 0.05), (5, 0.01))}, "strictly increasing"),
+    ({"iterations": -1}, "iterations must be >= 0"),
+], ids=["breakpoints", "iterations"])
+def test_config_refuses_repeated_breakpoints_and_negative_iterations(field, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{"loss": LossConfig(), "iterations": 5, "batch_size": 4, **field})
+
+
+@pytest.mark.parametrize("trainer,batch,message", [
+    (train_gd, 3, "train_gd requires batch_size == n"),
+    (train_sgd, 5, "need 1 <= batch_size <= n"),
+], ids=["gd", "sgd"])
+def test_trainers_check_the_batch_size(trainer, batch, message):
+    data = Dataset(np.ones((4, 2)), [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match=message):
+        trainer(data, make_cfg("logistic", 0.1, 4, 5, 0.1, batch=batch))
+
+
 def test_seeds_from_two_to_the_63_key_their_own_schedules(tmp_path):
     # the Philox key is (seed, epoch) as two 64-bit words, so seeds of 2^63
     # and above neither collide nor go through float64
