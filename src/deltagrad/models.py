@@ -5,8 +5,8 @@ regression (labels in {-1, +1}) and ridge regression. The regularizer
 (l2/2)*||w||^2 is part of every per-sample loss, so per-sample gradients
 carry an l2*w term and subset sums are consistent with n times the full
 gradient. The one gradient kernel, `gradient_sum`, sums every row it is
-given, in one block loop at one iterate (one-row datasets included) and
-one at a matrix of iterates; rows are picked by `Objective.rows` alone.
+given in one block loop, at one iterate or at a matrix of iterates
+(one-row datasets included); rows are picked by `Objective.rows` alone.
 A row's data-part gradient is a*x, and its coefficient a comes from one
 function over arrays, `coefficients`, which the kernel's blocks and the
 engine's one-row change terms both call.
@@ -27,7 +27,7 @@ whether they are all +1 or -1; the logistic functions read that result
 instead of scanning the labels on every call, and ridge never pays for it.
 A logistic row x with label y has the loss and gradient of the signed row
 y*x with label +1; a request stream keeps its rows signed (`ActiveRows`),
-and the kernel at a matrix of iterates skips the label passes over them.
+and the kernel skips the label passes over them.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import DimensionMismatchError
 LOSS_KINDS = ("logistic", "ridge")
 
 # Byte budget of one row block in `gradient_sum`: small enough that a block
-# of X stays in a 2 MB L2 between `X_b @ w` and `X_b.T @ a`, so X is read
+# of X stays in a 2 MB L2 between `w @ X_b.T` and `a @ X_b`, so X is read
 # from memory once per gradient instead of twice.
 BLOCK_BYTES = 1 << 20
 
@@ -57,8 +57,10 @@ BLOCK_BYTES = 1 << 20
 # block's rows shrink as the iterates grow. The R x L margins then stay in
 # cache beside the block of X (2 MB / p at most), and each product stays
 # below OpenBLAS's threading threshold (m*n*k of 65536 times 4), so it
-# runs on its caller's thread: on a 200-request online stream (2 vCPUs)
-# threaded products raised the peak RSS by about 6 MB.
+# runs on its caller's thread. On a 200-request online stream threaded
+# products raised the peak RSS by about 6 MB, and they stall as well: an
+# 8 x 20 @ 20 x 5000 product took 3.4-8.0 ms against 61-75 us at one BLAS
+# thread, at a CPU/wall ratio of 1.00 (2 vCPUs, OpenBLAS 0.3.31).
 LANE_BLOCK_MACS = 1 << 18
 
 # Most helper threads that join the caller of `gradient_sum`, and never more
@@ -66,7 +68,9 @@ LANE_BLOCK_MACS = 1 << 18
 # setting measured (2 vCPUs), cut a 39-block gradient (n = 1e5, p = 50) from
 # 4.1 to 2.9 ms and `train_gd` at T = 300 from 1.24 to 0.88 s (medians, 10 of
 # 12 alternating process pairs); more would call BLAS beside OpenBLAS's own
-# threads, which is unmeasured.
+# threads, which is unmeasured. The fan-out is near the machine's memory
+# floor: two serial 39-block gradients in two processes at once took
+# 3.0-5.0 ms each, 1.5-2.5 ms per gradient, against 2.0-2.7 ms fanned out.
 MAX_HELPER_THREADS = 1
 
 
@@ -217,12 +221,11 @@ class LossConfig:
             raise ValueError("l2 must be >= 0 and finite")
 
 
-def _check_w(data: Dataset, w, lanes: bool = False) -> np.ndarray:
-    """w as float64 of shape (p,), or with `lanes` also (L, p), L iterates."""
+def _check_w(data: Dataset, w) -> np.ndarray:
+    """w as float64 of shape (p,)."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (data.p,) and not (lanes and w.ndim == 2 and w.shape[1] == data.p):
-        expected = f"({data.p},) or (L, {data.p})" if lanes else f"({data.p},)"
-        raise DimensionMismatchError(f"w has shape {w.shape}, expected {expected}")
+    if w.shape != (data.p,):
+        raise DimensionMismatchError(f"w has shape {w.shape}, expected ({data.p},)")
     return w
 
 
@@ -254,14 +257,6 @@ def loss(cfg: LossConfig, data: Dataset, w) -> float:
     return core + 0.5 * cfg.l2 * float(w @ w)
 
 
-def _block_gradient(X, y, w, logistic: bool, rows: int, lo: int) -> np.ndarray:
-    """Data-part gradient sum over rows lo .. lo+rows of (X, y) at one
-    iterate w: z = X_b @ w, the per-row coefficient a, then X_b.T @ a. A
-    logistic caller holds np.errstate(over="ignore")."""
-    Xb = X[lo:lo + rows]
-    return Xb.T @ coefficients(logistic, Xb @ w, y[lo:lo + rows])
-
-
 def coefficients(logistic: bool, z, y, out=None):
     """The coefficients a of rows with labels y at margins z (arrays that
     broadcast), whose data-part gradients are a * x: (logistic)
@@ -286,75 +281,75 @@ def gradient_sum(cfg: LossConfig, data: Dataset, w) -> np.ndarray:
     regularizer is added by callers so that identical update formulas stay
     bitwise identical.
 
-    Rows are summed in blocks of BLOCK_BYTES: z = X_b @ w, the per-row
-    coefficient a, then X_b.T @ a. The logistic coefficient is
-    (sigmoid(y*z) - 1)*y = -y / (1 + exp(y*z)), computed as
-    y / (-1 - exp(y*z)); where exp overflows the coefficient is an exact 0.
-    The block sums are added into zeros in block order; the sum of data of
-    one block, a one-row change term among them, is that block's sum plus
-    0.0, which turns -0.0 into 0.0 as the sum into zeros does, so the bits
-    are the same. A matrix of L iterates runs one loop of its own
-    (`_lanes_gradient`): the two products of a block are matrix products
-    (gemm), and the blocks shrink so that each product stays within
-    LANE_BLOCK_MACS; each row of the result equals the one-iterate sum to
-    roundoff, not bit for bit. L = 0 iterates give a (0, p) sum.
+    One block loop serves every call, and an iterate w (p,) runs it as the
+    matrix of one row w[None] does, with the bits of that matrix's row 0.
+    A block holds BLOCK_BYTES of rows, or fewer where each of its two
+    products at L iterates would exceed LANE_BLOCK_MACS, which at L = 1 is
+    never: the margins w @ X_b.T, their coefficients a, then a @ X_b
+    (`_block_sum`). The logistic coefficient is (sigmoid(y*z) - 1)*y =
+    -y / (1 + exp(y*z)), computed as y / (-1 - exp(y*z)); where exp
+    overflows the coefficient is an exact 0. The block sums are added into
+    zeros in block order, so the sum of one block, a one-row dataset's among
+    them, turns -0.0 into 0.0 as the engine's one-row change terms do. Each
+    row of the sum at L >= 2 iterates equals the one-iterate sum to
+    roundoff, not bit for bit: its products are matrix products, over
+    blocks that may be smaller. L = 0 iterates give a (0, p) sum.
 
     The block partition alone fixes the bits: a block's sum does not depend
     on the thread that computes it, so the result is the same whatever the
-    worker count. Data of one block, and a matrix of iterates, are summed on
-    the caller's thread alone (on a 200-request online stream, 2 vCPUs, a
-    helper thread made the matrix sums slower, not faster). From two blocks
-    on, the caller and each helper thread, built on first use (one per
-    further core, at most MAX_HELPER_THREADS), sum one contiguous run of
-    the blocks of one iterate (`_parallel_blocks`).
+    worker count. Data of one block, and a matrix of two or more iterates,
+    are summed on the caller's thread alone (on a 200-request online stream,
+    2 vCPUs, a helper thread made the matrix sums slower, not faster). At one
+    iterate, (p,) or (1, p), from two blocks on, the caller and each helper
+    thread, built on first use (one per further core, at most
+    MAX_HELPER_THREADS), sum one contiguous run of the blocks
+    (`_parallel_blocks`).
     """
-    w = _check_w(data, w, lanes=True)
+    w = np.asarray(w, dtype=np.float64)
     X, y = data.features, data.labels
+    n, p = X.shape
+    if not 0 < w.ndim < 3 or w.shape[-1] != p:
+        raise DimensionMismatchError(f"w has shape {w.shape}, expected ({p},) or (L, {p})")
     logistic = cfg.kind == "logistic"
     if logistic:
         _check_logistic_labels(data)
-    rows = max(1, BLOCK_BYTES // (8 * data.p))
+    signed = logistic and data._unit_labels
+    L = w.size // p
+    rows = max(1, min(BLOCK_BYTES // 8, LANE_BLOCK_MACS // (L or 1)) // p)
+    g = 0.0     # the block sums are added into a zero in block order
     # exp(y*z) may overflow to inf, which makes the coefficient an exact 0
     with np.errstate(over="ignore") if logistic else contextlib.nullcontext():
-        if w.ndim == 2:
-            return _lanes_gradient(X, y, w, logistic, logistic and data._unit_labels, rows)
-        if y.size <= rows:
-            g = _block_gradient(X, y, w, logistic, rows, 0)
-            g += 0.0
-            return g
-        block = functools.partial(_block_gradient, X, y, w, logistic, rows)
-        parts = _parallel_blocks(*_helper_pool(), block, range(0, y.size, rows))
-    return sum(parts, np.zeros(w.shape))
+        if L == 1 and n > rows:
+            block = functools.partial(_block_sum, X, y, w, logistic, signed, None, rows)
+            for part in _parallel_blocks(*_helper_pool(), block, range(0, n, rows)):
+                g += part
+        else:
+            # one buffer takes each block's margins in turn; a lone block makes its own
+            buf = np.empty(w.shape[:-1] + (rows,)) if n > rows else None
+            for lo in range(0, n, rows):
+                g += _block_sum(X, y, w, logistic, signed, buf, rows, lo)
+    return g
 
 
-def _lanes_gradient(X, y, w, logistic: bool, signed: bool, rows: int) -> np.ndarray:
-    """`gradient_sum` at iterates w (L, p), in blocks of at most `rows` rows
-    and LANE_BLOCK_MACS: the margins w @ X_b.T of a block go into one
-    buffer, its coefficients a overwrite them there, then g += a @ X_b.
-    Rows with every label +1 (`signed`, the rows y*x a logistic stream
-    keeps) skip the label passes: the coefficient y/(-1-e) of a row is
-    y*(1/(-1-e)) exactly, and y*(x . w) is (y*x) . w, so each product term,
-    and with it each sum, has the bits of the label-weighted kernel over
+def _block_sum(X, y, w, logistic: bool, signed: bool, buf, rows: int, lo: int) -> np.ndarray:
+    """Data-part gradient sum at w, an iterate (p,) or iterates (L, p), over
+    rows lo .. lo+rows of (X, y): the margins w @ X_b.T, written into the
+    first columns of `buf` when given, their coefficients a in place, then
+    a @ X_b. Rows with every label +1 (`signed`, the rows y*x a logistic
+    stream keeps) skip the label passes: the coefficient y/(-1-e) of a row
+    is y*(1/(-1-e)) exactly, and y*(x . w) is (y*x) . w, so each product
+    term, and with it each sum, has the bits of the label-weighted sum over
     (x, y). Ridge rows enter no errstate; a logistic caller holds
     np.errstate(over="ignore")."""
-    L = len(w)
-    if not L:
-        return np.zeros(w.shape)
-    rows = max(1, min(rows, LANE_BLOCK_MACS // (L * X.shape[1])))
-    buf = np.empty(L * min(rows, len(X)))
-    g = np.zeros(w.shape)
-    for lo in range(0, len(X), rows):
-        Xb = X[lo:lo + rows]
-        a = buf[:L * len(Xb)].reshape(L, len(Xb))
-        np.matmul(w, Xb.T, out=a)
-        if signed:
-            np.exp(a, out=a)
-            np.subtract(-1.0, a, out=a)
-            np.divide(1.0, a, out=a)
-        else:
-            coefficients(logistic, a, y[lo:lo + rows], out=a)
-        g += a @ Xb
-    return g
+    Xb = X[lo:lo + rows]
+    a = w @ Xb.T if buf is None else np.matmul(w, Xb.T, out=buf[..., :len(Xb)])
+    if signed:
+        np.exp(a, out=a)
+        np.subtract(-1.0, a, out=a)
+        np.divide(1.0, a, out=a)
+    else:
+        coefficients(logistic, a, y[lo:lo + rows], out=a)
+    return a @ Xb
 
 
 def _parallel_blocks(pool, helpers: int, block, starts) -> list:

@@ -10,7 +10,11 @@ stream of mixed requests. It hashes every run's final parameters,
 corrected iterates and step gradients, mode trace, counters and
 per-request records (all but their timings). It prints `single <sha256>`,
 the hex digest of every run but the streams of several requests, then the
-hex digest of every run. With --per-run it first prints
+hex digest of every run. It then runs everything again with gradient
+blocks of BLOCK_ROWS rows, so that every full gradient is a sum of several
+blocks, fanned out to the helper threads at one iterate, and prints the
+same two digests as `blocks-single <sha256>` and `blocks <sha256>`. With
+--per-run it first prints
 `kind:name <sha256>` for each run, so that two revisions whose digests
 differ can be told apart run by run.
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from deltagrad import (
     DeltaGradConfig,
     LossConfig,
     TrainConfig,
+    models,
     relearn_batch_gd,
     train_gd,
     train_sgd,
@@ -49,6 +55,8 @@ LOSSES = ("logistic", "ridge")
 # below 2^63: numpy keys these seeds' minibatch schedules the same way at
 # every revision
 SGD_SEED = 2**62 + 5
+# rows of a gradient block in the second pass: 8 blocks at n = 120
+BLOCK_ROWS = 16
 
 
 def _problem(kind: str, n: int, p: int, seed: int = 7) -> Dataset:
@@ -130,13 +138,16 @@ def _several(result) -> bool:
 
 
 def digests(history_sizes=HISTORY_SIZES, losses=LOSSES, n: int = 120, p: int = 6,
-            iterations: int = 40, per_run=None) -> tuple[str, str]:
+            iterations: int = 40, per_run=None, block_rows=None) -> tuple[str, str]:
     """The hex SHA-256 of every run of `_runs` but the streams of several
     requests, and that of every run, in order, for each loss. `per_run`, a
     callable, is given each run's `kind:name` and the SHA-256 of that run
-    alone."""
+    alone. With `block_rows`, the gradient kernel sums blocks of that many
+    rows (at most) instead of its BLOCK_BYTES blocks."""
     single, h = hashlib.sha256(), hashlib.sha256()
-    with warnings.catch_warnings():     # large deleted fractions of small problems
+    block_bytes = models.BLOCK_BYTES if block_rows is None else 8 * p * block_rows
+    # large deleted fractions of small problems warn
+    with warnings.catch_warnings(), mock.patch.object(models, "BLOCK_BYTES", block_bytes):
         warnings.simplefilter("ignore")
         runs = [(kind, name, result) for kind in losses
                 for name, result in _runs(kind, n, p, iterations, history_sizes)]
@@ -162,9 +173,13 @@ def main(argv=None):
                     help="print `kind:name <sha256>` for every run before the digests")
     args = ap.parse_args(argv)
     per_run = (lambda name, hexdigest: print(name, hexdigest)) if args.per_run else None
-    single, total = digests(**(SMALLEST if args.small else {}), per_run=per_run)
+    config = SMALLEST if args.small else {}
+    single, total = digests(**config, per_run=per_run)
     print("single", single)
     print(total)
+    single, total = digests(**config, block_rows=BLOCK_ROWS)
+    print("blocks-single", single)
+    print("blocks", total)
 
 
 if __name__ == "__main__":

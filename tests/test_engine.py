@@ -1556,12 +1556,15 @@ def test_the_engine_digest_repeats(capsys):
     import engine_digests
 
     engine_digests.main(["--small"])
-    label, single, total = capsys.readouterr().out.split()
+    label, single, total, *blocks = capsys.readouterr().out.split()
     assert label == "single" and len(single) == len(total) == 64 and single != total
     assert engine_digests.digests(**engine_digests.SMALLEST) == (single, total)
-    # --per-run names every run and its own digest before the same two lines
+    # a second pass sums several gradient blocks, fanned out at one iterate
+    multi = engine_digests.digests(**engine_digests.SMALLEST, block_rows=engine_digests.BLOCK_ROWS)
+    assert blocks == ["blocks-single", multi[0], "blocks", multi[1]] and multi[0] != single
+    # --per-run names every run and its own digest before the same four lines
     engine_digests.main(["--small", "--per-run"])
-    *runs, single_line, last = capsys.readouterr().out.strip().split("\n")
+    *runs, single_line, last, _, _ = capsys.readouterr().out.strip().split("\n")
     assert single_line == f"single {single}" and last == total
     names = [line.split()[0] for line in runs]
     assert names[:3] == ["logistic:train_gd", "logistic:train_sgd", "logistic:gd-delete-2-0"]

@@ -471,7 +471,8 @@ def margin_problem(kind, n, p, margin, seed):
 
 def check_kernel_against_oracle(kind, data, w):
     """gradient_sum within a worst-case roundoff bound of the scalar oracle,
-    and the gathered copy data.subset(arange(n)) equal to data bit for bit.
+    and the gathered copy data.subset(arange(n)) and the matrix of one
+    iterate w[None] equal to it bit for bit.
 
     Both sides round the dot products x_i . w (error ~ p*eps*sum_k |x_ik w_k|),
     the per-row coefficient (absolute error ~ eps*|y_i| at most, plus the
@@ -489,6 +490,7 @@ def check_kernel_against_oracle(kind, data, w):
     tol = 8 * (n + p) * np.finfo(float).eps * (np.abs(X).T @ row_mag) / n
     assert np.all(np.abs(got / n - expected) <= tol)
     assert np.array_equal(gradient_sum(cfg, data.subset(np.arange(n)), w), got)
+    assert bits(gradient_sum(cfg, data, w[None])[0]) == bits(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,7 +551,7 @@ def helper_takes_a_block(helper_block=None):
     finished one, so that a fanned-out gradient computes at least one block
     off the caller's thread. Helpers compute their blocks with
     `helper_block` when given."""
-    real = models._block_gradient
+    real = models._block_sum
     caller, helped = threading.get_ident(), threading.Event()
 
     def block(*args):
@@ -561,7 +563,7 @@ def helper_takes_a_block(helper_block=None):
         finally:
             helped.set()
 
-    with mock.patch.object(models, "_block_gradient", block):
+    with mock.patch.object(models, "_block_sum", block):
         yield
     assert helped.is_set()
 
@@ -715,6 +717,28 @@ def test_one_block_starts_no_thread(monkeypatch):
     assert bits(g) == bits(block_gradient_sum("logistic", data.features, data.labels, w, 300))
 
 
+def test_only_one_iterate_fans_out():
+    # a matrix of two or more iterates sums every block on the caller's
+    # thread; a matrix of one iterate fans its blocks out as an iterate (p,)
+    cfg = LossConfig("logistic", 0.0)
+    data, w = margin_problem("logistic", 40, 3, 5.0, seed=10)
+    W = np.stack([w, -0.5 * w, 2.0 * w])
+    real, threads = models._block_sum, set()
+
+    def block(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    with kernel_workers(2, 4, 3), mock.patch.object(models, "_block_sum", block):
+        G = gradient_sum(cfg, data, W)
+    assert threads == {threading.get_ident()}
+    assert bits(G) == bits(block_gradient_sum("logistic", data.features, data.labels, W, 4))
+    expected = bits(block_gradient_sum("logistic", data.features, data.labels, w, 4))
+    for iterate in (w, w[None]):
+        with kernel_workers(2, 4, 3), helper_takes_a_block():
+            assert bits(gradient_sum(cfg, data, iterate).reshape(-1)) == expected
+
+
 def test_helper_threads_are_capped(monkeypatch):
     monkeypatch.setattr(models, "_pool", None)
     monkeypatch.setattr(models.os, "sched_getaffinity", lambda pid: set(range(8)),
@@ -767,7 +791,7 @@ def test_each_thread_computes_one_contiguous_run_of_blocks(workers):
     # run comes back to the caller; the caller's blocks are then a prefix,
     # and each helper's blocks one run after it
     data, w = margin_problem("ridge", 40, 3, 1.0, seed=4)
-    real, everyone = models._block_gradient, threading.Barrier(workers, timeout=10)
+    real, everyone = models._block_sum, threading.Barrier(workers, timeout=10)
     waited, owner = threading.local(), {}
 
     def block(*args):
@@ -777,7 +801,7 @@ def test_each_thread_computes_one_contiguous_run_of_blocks(workers):
         owner[args[-1]] = threading.get_ident()
         return real(*args)
 
-    with kernel_workers(workers, 1, 3), mock.patch.object(models, "_block_gradient", block):
+    with kernel_workers(workers, 1, 3), mock.patch.object(models, "_block_sum", block):
         g = gradient_sum(LossConfig("ridge", 0.0), data, w)
     assert bits(g) == bits(block_gradient_sum("ridge", data.features, data.labels, w, 1))
     threads = [owner[lo] for lo in range(40)]
@@ -792,14 +816,14 @@ def test_a_run_no_helper_starts_comes_back_to_the_caller():
     cfg = LossConfig("logistic", 0.0)
     data, w = margin_problem("logistic", 30, 4, 5.0, seed=6)
     expected = bits(block_gradient_sum("logistic", data.features, data.labels, w, 4))
-    real, threads, got = models._block_gradient, set(), []
+    real, threads, got = models._block_sum, set(), []
 
     def block(*args):
         threads.add(threading.get_ident())
         return real(*args)
 
     release = threading.Event()
-    with kernel_workers(2, 4, 4), mock.patch.object(models, "_block_gradient", block):
+    with kernel_workers(2, 4, 4), mock.patch.object(models, "_block_sum", block):
         held = models._pool[0].submit(release.wait, 30)
         caller = threading.Thread(target=lambda: got.append(bits(gradient_sum(cfg, data, w))))
         try:
@@ -816,7 +840,7 @@ def test_a_run_no_helper_starts_comes_back_to_the_caller():
 def test_an_error_in_the_callers_run_waits_for_the_running_helper():
     # two blocks: the caller's fails once the helper has started its own,
     # and the error reaches the caller only after the helper's job ended
-    real, caller = models._block_gradient, threading.get_ident()
+    real, caller = models._block_sum, threading.get_ident()
     started, ended = threading.Event(), threading.Event()
 
     def block(*args):
@@ -829,7 +853,7 @@ def test_an_error_in_the_callers_run_waits_for_the_running_helper():
         return real(*args)
 
     data, w = margin_problem("ridge", 2, 3, 1.0, seed=8)
-    with kernel_workers(2, 1, 3), mock.patch.object(models, "_block_gradient", block), \
+    with kernel_workers(2, 1, 3), mock.patch.object(models, "_block_sum", block), \
             pytest.raises(ArithmeticError, match="in the caller"):
         gradient_sum(LossConfig("ridge", 0.0), data, w)
     assert ended.is_set()
